@@ -4,12 +4,11 @@ links built on a Doppler-robust real-domain linear model."""
 from .analysis import (GammaParams, GaussianSerModel, SeriesControl,
                        SeriesTruncationError, SerResult, closed_form_ser,
                        gamma_difference_pdf, gaussian_approx,
-                       generalized_gamma_pdf, rician_envelope_pdf, symbol_prob,
-                       xi_gaussian)
-from .channel import (Angles, ArrayGeometry, DopplerState, JakesFading,
-                      ReflectionPattern, RicianLink, align_phases_to_los,
-                      cascade, cascade_decomposition, draw_rician, evolve_nlos,
-                      los_component, ula_steering, upa_steering)
+                       generalized_gamma_pdf, rician_envelope_pdf, symbol_prob)
+from .channel import (Angles, ArrayGeometry, JakesFading, ReflectionPattern,
+                      align_phases_to_los, cascade, cascade_decomposition,
+                      complex_normal, los_component, rician_weights,
+                      ula_steering, upa_steering)
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .downlink import (PilotBlock, Precoder, RankDeficientChannel,
                        RankDeficientPilots, SearchTooLarge, equivalent_channel,
@@ -23,7 +22,6 @@ from .uplink import (DecisionRegions, LinearGains, UplinkChannelSet,
                      build_regions, exact_linear_gains, ml_detect,
                      pilot_gain_estimate, region_detect)
 from .waveform import (ComplementarySymbol, CorrelatorPair, NoiseModel,
-                       TonePair, apply_doppler, correlate, equivalent_noise,
-                       magnitude_difference, modulate)
+                       TonePair, equivalent_noise, magnitude_difference)
 
 __version__ = "0.1.0"

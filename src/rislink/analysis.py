@@ -258,17 +258,6 @@ def gaussian_approx(chan_row: np.ndarray, sym: ComplementarySymbol,
                             sigma2=4.0 * sigma_v2 * (g1 + g2) + 8.0 * sigma_v2 ** 2)
 
 
-def xi_gaussian(per_antenna: list[GaussianSerModel]) -> GaussianSerModel:
-    """Gaussian surrogate of the antenna average: mean of the per-antenna
-    means; variance is the sum of variances over the squared antenna count."""
-    if not per_antenna:
-        raise ValueError("need at least one per-antenna model")
-    n = len(per_antenna)
-    mu = sum(m.mu for m in per_antenna) / n
-    s2 = sum(m.sigma2 for m in per_antenna) / n ** 2
-    return GaussianSerModel(mu=mu, sigma2=s2)
-
-
 def candidate_xi_models(chans: UplinkChannelSet, constellation: np.ndarray,
                         sigma_v2: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-constellation-point (mu, sigma^2) of the averaged observation,
@@ -330,10 +319,8 @@ def closed_form_ser(gains: LinearGains, noise: NoiseModel,
         reg = int(regions.symbol_region[i])
         if regions.region_sizes[reg] > 1:
             continue  # indistinguishable point: counted as an error
-        correct[i] = gaussian_interval_prob(
-            regions.boundaries[reg - 1] if reg > 0 else -np.inf,
-            regions.boundaries[reg] if reg < regions.boundaries.size else np.inf,
-            float(mu[i]), float(s2[i]))
+        correct[i] = symbol_prob(reg, regions,
+                                 GaussianSerModel(float(mu[i]), float(s2[i])))
     return SerResult(probability=float(1.0 - correct.mean()),
                      degenerate=regions.degenerate,
                      per_symbol_correct=correct)

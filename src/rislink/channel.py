@@ -66,39 +66,6 @@ class ArrayGeometry:
         return int(np.prod(self.counts))
 
 
-@dataclass
-class RicianLink:
-    """One Rician-faded link.
-
-    ``los`` holds the deterministic component with unit-magnitude entries
-    (up to the steering-vector normalization used to build it), so that the
-    Rician mixture preserves per-entry power.  ``nlos_state`` optionally
-    carries a time-correlated fading process for block evolution; snapshot
-    draws use a fresh i.i.d. complex Gaussian instead.
-    """
-
-    los: np.ndarray
-    rician_factor: float
-    path_gain: float = 1.0
-    nlos_state: "JakesFading | None" = None
-
-    def __post_init__(self):
-        if self.rician_factor < 0:
-            raise ValueError("rician_factor must be >= 0")
-        if self.path_gain < 0:
-            raise ValueError("path_gain must be >= 0")
-
-    def mix_weights(self) -> tuple[float, float]:
-        """(LoS, NLoS) amplitude weights sqrt(K/(1+K)), sqrt(1/(1+K))."""
-        k = self.rician_factor
-        return np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k))
-
-    def realize(self, nlos: np.ndarray) -> np.ndarray:
-        """Combine the stored LoS with a given unit-variance NLoS draw."""
-        w_los, w_nlos = self.mix_weights()
-        return self.path_gain * (w_los * self.los + w_nlos * nlos)
-
-
 @dataclass(frozen=True)
 class ReflectionPattern:
     """Per-element RIS phase shifts; realized matrix is diag(exp(j*phases))."""
@@ -114,31 +81,30 @@ class ReflectionPattern:
         return np.exp(1j * np.asarray(self.phases, dtype=float))
 
 
-@dataclass
-class DopplerState:
-    """Common phase rotation induced by receiver mobility.
+def doppler_shift(speed: float, carrier_freq: float) -> float:
+    """Maximum Doppler shift speed * carrier_freq / c in Hz."""
+    return speed * carrier_freq / SPEED_OF_LIGHT
 
-    max_shift = speed * carrier_freq / c; the phase advances by
-    2*pi*max_shift*dt per elapsed interval.
+
+def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0) -> np.ndarray:
+    """I.i.d. circular complex Gaussian entries with total variance sigma2.
+
+    The real parts are drawn before the imaginary parts, one block each; for
+    sigma2 == 0 the result is zeros and the stream is left untouched.
     """
-
-    speed: float
-    carrier_freq: float
-    current_phase: float = 0.0
-
-    @property
-    def max_shift(self) -> float:
-        return self.speed * self.carrier_freq / SPEED_OF_LIGHT
-
-    def advance(self, dt: float) -> float:
-        """Advance the deterministic phase by dt seconds and return it."""
-        self.current_phase += _TWO_PI * self.max_shift * dt
-        return self.current_phase
+    if sigma2 == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = np.sqrt(sigma2 / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. circular complex Gaussian entries with unit total variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def rician_weights(k: float) -> tuple[float, float]:
+    """(LoS, NLoS) amplitude weights sqrt(K/(1+K)), sqrt(1/(1+K)) of a Rician
+    mix; with unit-magnitude LoS entries and unit-variance NLoS entries the
+    mix keeps unit power per entry."""
+    if k < 0:
+        raise ValueError("rician factor must be >= 0")
+    return np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k))
 
 
 def ula_steering(theta: float, n: int, spacing: float, wavelength: float) -> np.ndarray:
@@ -176,13 +142,6 @@ def los_component(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarra
     return np.outer(rx, tx.conj())
 
 
-def draw_rician(link: RicianLink, rng: np.random.Generator) -> np.ndarray:
-    """Snapshot draw: path_gain * (sqrt(K/(1+K))*los + sqrt(1/(1+K))*nlos)
-    with i.i.d. zero-mean unit-variance complex Gaussian NLoS entries."""
-    nlos = complex_normal(rng, np.shape(link.los))
-    return link.realize(nlos)
-
-
 @dataclass
 class JakesFading:
     """Sum-of-sinusoids fading with the classical Doppler autocorrelation.
@@ -198,7 +157,6 @@ class JakesFading:
     alpha: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    time: float = 0.0
 
     @classmethod
     def create(cls, shape, f_max: float, rng: np.random.Generator,
@@ -220,18 +178,6 @@ class JakesFading:
         re = np.cos(wd_t * np.cos(self.alpha) + self.phi).sum(axis=-1)
         im = np.cos(wd_t * np.sin(self.alpha) + self.psi).sum(axis=-1)
         return (re + 1j * im) / np.sqrt(m)
-
-    def evolve(self, dt: float) -> np.ndarray:
-        """Advance internal time by dt and return the new entries."""
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        self.time += dt
-        return self.sample_at(self.time)
-
-
-def evolve_nlos(state: JakesFading, dt: float) -> np.ndarray:
-    """Advance a Jakes fading state by dt seconds; see JakesFading.evolve."""
-    return state.evolve(dt)
 
 
 def cascade(g: np.ndarray, pattern: ReflectionPattern, q: np.ndarray) -> np.ndarray:

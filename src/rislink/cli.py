@@ -14,8 +14,8 @@ import numpy as np
 from .analysis import SeriesTruncationError
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .downlink import RankDeficientChannel, RankDeficientPilots, SearchTooLarge
-from .harness import (DOWNLINK_SCHEMES, export_csv, run_downlink_ber,
-                      run_output_snr, run_pdf_fit, run_uplink_ser)
+from .harness import (SCHEMES, export_csv, run_downlink_ber, run_output_snr,
+                      run_pdf_fit, run_uplink_ser)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("downlink-ber", help="BER sweep for the downlink schemes")
     _add_common(p)
     p.add_argument("--sweep", choices=("speed", "ebn0", "rician_k"), default="ebn0")
-    p.add_argument("--scheme", action="append", choices=DOWNLINK_SCHEMES,
+    p.add_argument("--scheme", action="append", choices=tuple(SCHEMES),
                    help="repeatable; defaults to linear_precoded + qam_ml_baseline")
 
     p = subs.add_parser("uplink-ser", help="uplink SER: Monte Carlo vs closed form")
@@ -101,8 +101,7 @@ def main(argv=None) -> int:
         elif args.command == "uplink-ser":
             result = run_uplink_ser(cfg, args.scheme, grid, workers=args.workers)
         elif args.command == "output-snr":
-            nt_grid = tuple(int(v) for v in grid) if grid else None
-            result = run_output_snr(cfg, nt_grid, workers=args.workers)
+            result = run_output_snr(cfg, grid, workers=args.workers)
         else:
             result = run_pdf_fit(cfg, grid)
         export_csv(result, args.out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT
+from .channel import SPEED_OF_LIGHT, doppler_shift
 
 
 class ConfigError(ValueError):
@@ -55,7 +55,6 @@ class ScenarioConfig:
     seed: int = 20250811
     ris_phase_mode: str = "aligned"
     direct_link: bool = False
-    samples_per_symbol: int = 16
     # Monte Carlo controls
     mc_min_errors: int = 100
     mc_min_trials: int = 1000
@@ -72,9 +71,9 @@ class ScenarioConfig:
     def validate(self):
         for key in ("n_users", "n_ris_elements", "n_bs_antennas",
                     "blocks_per_frame", "symbols_per_block", "pilot_len",
-                    "samples_per_symbol", "mc_min_errors", "mc_min_trials",
-                    "mc_trial_ceiling", "mc_symbol_chunk", "mc_symbol_ceiling",
-                    "snr_channel_draws", "pdf_fit_samples"):
+                    "mc_min_errors", "mc_min_trials", "mc_trial_ceiling",
+                    "mc_symbol_chunk", "mc_symbol_ceiling", "snr_channel_draws",
+                    "pdf_fit_samples"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1", key=key)
         for key in ("coverage_length", "carrier_f1", "symbol_period"):
@@ -117,7 +116,7 @@ class ScenarioConfig:
 
     @property
     def doppler_max(self) -> float:
-        return self.speed * self.carrier_f1 / SPEED_OF_LIGHT
+        return doppler_shift(self.speed, self.carrier_f1)
 
     @property
     def ris_grid(self) -> tuple[int, int]:
@@ -183,7 +182,6 @@ _PARSERS = {
     "seed": int,
     "ris_phase_mode": str,
     "direct_link": _parse_bool,
-    "samples_per_symbol": int,
     "mc_min_errors": int,
     "mc_min_trials": int,
     "mc_trial_ceiling": int,

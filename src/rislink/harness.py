@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
-from . import analysis, downlink, uplink
-from .config import ScenarioConfig
+from . import analysis, channel, downlink, uplink
+from .config import ConfigError, ScenarioConfig
 from .scenario import build_downlink_frame, build_uplink_instance, stream
-from .waveform import NoiseModel
-
-DOWNLINK_SCHEMES = ("linear_precoded", "linear_joint", "qam_ml_baseline")
+from .waveform import ComplementarySymbol, NoiseModel
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
 FRAMES_PER_TASK = 2
@@ -32,8 +31,6 @@ _TAG_DOWNLINK = 11
 _TAG_OUTPUT_SNR = 12
 _TAG_UPLINK = 13
 _TAG_PDF = 14
-
-_SCHEME_IDS = {name: i + 1 for i, name in enumerate(DOWNLINK_SCHEMES)}
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -132,16 +129,13 @@ def scheme_noise_sigma2(cfg: ScenarioConfig, scheme: str, ebn0_db: float) -> flo
     """Per-branch complex noise variance from Eb/N0.
 
     Channels are normalized to unit frame-start row norm; the transmit budget
-    is 1 per symbol, so Eb is 1 over the scheme's bits per symbol:
+    is 1 per symbol, so Eb is 1 over the scheme's bits per symbol in SCHEMES:
     N_k (precoded, 1 bit/user), N_t (joint, 1 bit/antenna), 2*N_k (4-QAM).
     A configured noise_sigma2 overrides the mapping for every scheme.
     """
     if cfg.noise_sigma2 is not None:
         return float(cfg.noise_sigma2)
-    bits = {"linear_precoded": cfg.n_users,
-            "linear_joint": cfg.n_bs_antennas,
-            "qam_ml_baseline": 2 * cfg.n_users}[scheme]
-    return 10.0 ** (-ebn0_db / 10.0) / bits
+    return 10.0 ** (-ebn0_db / 10.0) / SCHEMES[scheme].bits(cfg)
 
 
 def qam_demodulate(y_eq: np.ndarray) -> np.ndarray:
@@ -157,62 +151,59 @@ def qam_modulate(bits: np.ndarray) -> np.ndarray:
     return ((1 - 2 * b[..., 0]) + 1j * (1 - 2 * b[..., 1])) / np.sqrt(2.0)
 
 
-def _complex_noise(rng, shape, sigma2):
-    if sigma2 == 0.0:
-        return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def _sim_linear_precoded(frame, cfg, sigma2, rng_noise, rng_data):
-    n_k = cfg.n_users
-    blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
+def _train(frame, cfg, scale, sigma2, rng_noise):
+    """LS estimate of the real equivalent channel from Hadamard pilots sent
+    at amplitude ``scale`` at the frame-start channel; the estimate is
+    scale^2 * H_bar."""
     pilots = downlink.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len)
     s_t = (1.0 + pilots) / 2.0
-
-    h0 = frame.h_pilot
-    c1 = h0 @ s_t
-    c2 = h0 @ (1.0 - s_t)
-    v = _complex_noise(rng_noise, (2,) + c1.shape, sigma2)
-    z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
-    h_hat = downlink.ls_estimate(downlink.PilotBlock(pilots, z_t))
-    pre = downlink.zf_precoder(h_hat)
-
-    bits = rng_data.integers(0, 2, size=(blocks, syms, n_k))
-    # true per-block real equivalent channel through the stale precoder
-    w = downlink.equivalent_channel(frame.h_blocks) @ pre.p  # (B, N_k, N_k)
-    amp = np.sqrt(pre.rho)
-    a1 = amp * np.einsum("buk,bsk->bsu", w, bits.astype(float))
-    a2 = amp * np.einsum("buk,bsk->bsu", w, 1.0 - bits)
-    v1 = _complex_noise(rng_noise, a1.shape, sigma2)
-    v2 = _complex_noise(rng_noise, a1.shape, sigma2)
-    z = np.abs(a1 + v1) ** 2 - np.abs(a2 + v2) ** 2
-    detected = (z >= 0).astype(int)
-    return int(np.count_nonzero(detected != bits)), bits.size
-
-
-def _sim_linear_joint(frame, cfg, sigma2, rng_noise, rng_data):
-    n_t = cfg.n_bs_antennas
-    blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
-    scale = 1.0 / np.sqrt(n_t)  # unit average transmit power over both tones
-    pilots = downlink.hadamard_pilots(n_t, cfg.pilot_len)
-    s_t = (1.0 + pilots) / 2.0
-
     h0 = frame.h_pilot
     c1 = scale * (h0 @ s_t)
     c2 = scale * (h0 @ (1.0 - s_t))
-    v = _complex_noise(rng_noise, (2,) + c1.shape, sigma2)
+    v = channel.complex_normal(rng_noise, (2,) + c1.shape, sigma2)
     z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
-    # LS recovers scale^2 * H_bar, consistent with the scaled data symbols
-    h_hat = downlink.ls_estimate(downlink.PilotBlock(pilots, z_t))
+    return downlink.ls_estimate(downlink.PilotBlock(pilots, z_t))
 
-    bits = rng_data.integers(0, 2, size=(blocks, syms, n_t))
+
+def _precoded_link(w, rho, bits, sigma2, rng):
+    """Branch amplitudes a1, a2 of float bit rows sent through the real
+    precoded link ``w`` (..., N_k, N_k) at amplitude gain rho, and the
+    magnitude-difference observation z under complex branch noise."""
+    w_t = np.swapaxes(w, -1, -2)
+    amp = np.sqrt(rho)
+    a1 = amp * bits @ w_t
+    a2 = amp * (1.0 - bits) @ w_t
+    v1 = channel.complex_normal(rng, a1.shape, sigma2)
+    v2 = channel.complex_normal(rng, a1.shape, sigma2)
+    return a1, a2, np.abs(a1 + v1) ** 2 - np.abs(a2 + v2) ** 2
+
+
+def _sim_linear_precoded(frame, cfg, sigma2, rng):
+    rng_noise = rng(3)
+    pre = downlink.zf_precoder(_train(frame, cfg, 1.0, sigma2, rng_noise))
+    bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block,
+                                       cfg.n_users))
+    # true per-block real equivalent channel through the stale precoder
+    w = downlink.equivalent_channel(frame.h_blocks) @ pre.p  # (B, N_k, N_k)
+    _, _, z = _precoded_link(w, pre.rho, bits.astype(float), sigma2, rng_noise)
+    return int(np.count_nonzero((z >= 0) != bits)), bits.size
+
+
+def _sim_linear_joint(frame, cfg, sigma2, rng):
+    n_t = cfg.n_bs_antennas
+    blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
+    scale = 1.0 / np.sqrt(n_t)  # unit average transmit power over both tones
+    rng_noise = rng(3)
+    # LS recovers scale^2 * H_bar, consistent with the scaled data symbols
+    h_hat = _train(frame, cfg, scale, sigma2, rng_noise)
+
+    bits = rng(4).integers(0, 2, size=(blocks, syms, n_t))
     errors = 0
     for b in range(blocks):
         c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))     # (N_k, S)
         c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
-        v1 = _complex_noise(rng_noise, c1.shape, sigma2)
-        v2 = _complex_noise(rng_noise, c1.shape, sigma2)
+        v1 = channel.complex_normal(rng_noise, c1.shape, sigma2)
+        v2 = channel.complex_normal(rng_noise, c1.shape, sigma2)
         z = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
         for s in range(syms):
             sym = downlink.joint_detect(z[:, s], h_hat)
@@ -220,13 +211,14 @@ def _sim_linear_joint(frame, cfg, sigma2, rng_noise, rng_data):
     return errors, bits.size
 
 
-def _sim_qam_baseline(frame, cfg, sigma2, rng_noise, rng_data, rng_est):
+def _sim_qam_baseline(frame, cfg, sigma2, rng):
     n_k = cfg.n_users
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
     pilot_budget = downlink.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
     est_sigma2 = sigma2 / pilot_budget
+    rng_noise, rng_est = rng(3), rng(5)
 
-    bits = rng_data.integers(0, 2, size=(blocks, syms, n_k, 2))
+    bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
     x = qam_modulate(bits)  # (B, S, N_k)
     dnu = 2.0 * np.pi * frame.f_max * frame.symbol_period
     errors = 0
@@ -234,17 +226,40 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng_noise, rng_data, rng_est):
         t0 = cfg.pilot_len + b * syms
         h_true = frame.h_blocks[b]
         h_est = np.exp(1j * dnu * t0) * h_true \
-            + _complex_noise(rng_est, h_true.shape, est_sigma2)
+            + channel.complex_normal(rng_est, h_true.shape, est_sigma2)
         p_c = np.linalg.pinv(h_est)
         p_c = p_c / np.sqrt(np.trace(p_c.conj().T @ p_c).real)
         composite = h_true @ p_c                 # (N_k, N_k)
         gain = np.diag(h_est @ p_c)              # receiver-side block estimate
         rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
         y = rot[:, None] * (x[b] @ composite.T) \
-            + _complex_noise(rng_noise, (syms, n_k), sigma2)
+            + channel.complex_normal(rng_noise, (syms, n_k), sigma2)
         detected = qam_demodulate(y / gain[None, :])
         errors += int(np.count_nonzero(detected != bits[b]))
     return errors, bits.size
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One downlink scheme: its frame simulator ``simulate(frame, cfg,
+    sigma2, rng) -> (bit_errors, bits)``, where ``rng(sub)`` is the scheme's
+    own stream ``sub`` of the frame (3 noise, 4 data, 5 estimation); its
+    bits per symbol; its stream id; and its label in the noise-map note."""
+
+    simulate: Callable
+    bits: Callable[[ScenarioConfig], int]
+    stream_id: int
+    label: str
+
+
+SCHEMES = {
+    "linear_precoded": Scheme(_sim_linear_precoded, lambda cfg: cfg.n_users,
+                              1, "precoded: N_k"),
+    "linear_joint": Scheme(_sim_linear_joint, lambda cfg: cfg.n_bs_antennas,
+                           2, "joint: N_t"),
+    "qam_ml_baseline": Scheme(_sim_qam_baseline, lambda cfg: 2 * cfg.n_users,
+                              3, "qam: 2N_k"),
+}
 
 
 def _downlink_task(args):
@@ -257,22 +272,16 @@ def _downlink_task(args):
         rng_geo = stream(seed, _TAG_DOWNLINK, 1, point_idx, frame_idx)
         rng_fade = stream(seed, _TAG_DOWNLINK, 2, point_idx, frame_idx)
         frame = build_downlink_frame(cfg, speed, k_bs_ris, v_ris_user, rng_geo, rng_fade)
-        for scheme in schemes:
-            sid = _SCHEME_IDS[scheme]
-            rng_noise = stream(seed, _TAG_DOWNLINK, 3, point_idx, frame_idx, sid)
-            rng_data = stream(seed, _TAG_DOWNLINK, 4, point_idx, frame_idx, sid)
-            if scheme == "linear_precoded":
-                err, bits = _sim_linear_precoded(frame, cfg, sigma2s[scheme],
-                                                 rng_noise, rng_data)
-            elif scheme == "linear_joint":
-                err, bits = _sim_linear_joint(frame, cfg, sigma2s[scheme],
-                                              rng_noise, rng_data)
-            else:
-                rng_est = stream(seed, _TAG_DOWNLINK, 5, point_idx, frame_idx, sid)
-                err, bits = _sim_qam_baseline(frame, cfg, sigma2s[scheme],
-                                              rng_noise, rng_data, rng_est)
-            totals[scheme][0] += err
-            totals[scheme][1] += bits
+        for name in schemes:
+            scheme = SCHEMES[name]
+
+            def rng(sub):
+                return stream(seed, _TAG_DOWNLINK, sub, point_idx, frame_idx,
+                              scheme.stream_id)
+
+            err, bits = scheme.simulate(frame, cfg, sigma2s[name], rng)
+            totals[name][0] += err
+            totals[name][1] += bits
     return totals
 
 
@@ -288,7 +297,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     if isinstance(schemes, str):
         schemes = [schemes]
     for s in schemes:
-        if s not in DOWNLINK_SCHEMES:
+        if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
     if sweep not in ("speed", "ebn0", "rician_k"):
         raise ValueError(f"unknown sweep axis {sweep!r}")
@@ -336,11 +345,10 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
         "experiment=downlink-ber sweep=%s schemes=%s" % (sweep, "+".join(schemes)),
         "seed=%d trial=block frame=%d blocks x %d symbols + %d pilots"
         % (cfg.seed, cfg.blocks_per_frame, cfg.symbols_per_block, cfg.pilot_len),
-        "noise map: sigma2 = 10^(-EbN0/10)/bits_per_symbol, bits = "
-        "{precoded: N_k=%d, joint: N_t=%d, qam: 2N_k=%d}; channel rows unit-normalized "
-        "at frame start%s" % (cfg.n_users, cfg.n_bs_antennas, 2 * cfg.n_users,
-                              "; sigma2 override=%g" % cfg.noise_sigma2
-                              if cfg.noise_sigma2 is not None else ""),
+        "noise map: sigma2 = 10^(-EbN0/10)/bits_per_symbol, bits = {%s}; channel "
+        "rows unit-normalized at frame start%s"
+        % (", ".join("%s=%d" % (sc.label, sc.bits(cfg)) for sc in SCHEMES.values()),
+           "; sigma2 override=%g" % cfg.noise_sigma2 if cfg.noise_sigma2 is not None else ""),
     ]
     result.notes = tuple(notes)
     for s in schemes:
@@ -364,15 +372,9 @@ def _output_snr_task(args):
         rng = stream(seed, _TAG_OUTPUT_SNR, point_idx, d)
         h_bar = rng.standard_normal((n_k, n_t))
         pre = downlink.zf_precoder(h_bar)
-        w = h_bar @ pre.p
         bits = rng.integers(0, 2, size=(n_sym, n_k)).astype(float)
-        amp = np.sqrt(pre.rho)
-        a1 = amp * bits @ w.T
-        a2 = amp * (1.0 - bits) @ w.T
+        a1, a2, z_noisy = _precoded_link(h_bar @ pre.p, pre.rho, bits, sigma2, rng)
         z_clean = a1 ** 2 - a2 ** 2
-        v1 = _complex_noise(rng, a1.shape, sigma2)
-        v2 = _complex_noise(rng, a1.shape, sigma2)
-        z_noisy = np.abs(a1 + v1) ** 2 - np.abs(a2 + v2) ** 2
         noise = z_noisy - z_clean
         etas.append(np.mean(z_clean ** 2) / np.mean(noise ** 2))
     return etas
@@ -383,13 +385,16 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
     power) against the large-array closed form, per transmit-array size."""
     if nt_grid is None:
         nt_grid = (32, 64, 128)
+    if not all(float(n).is_integer() for n in nt_grid):
+        raise ConfigError(f"array sizes must be integers, got {tuple(nt_grid)}")
     nt_grid = tuple(int(n) for n in nt_grid)
     sigma2 = cfg.noise_sigma2 if cfg.noise_sigma2 is not None else 0.01
     if sigma2 <= 0:
-        raise ValueError("output SNR experiment needs sigma2 > 0")
+        raise ConfigError("output SNR experiment needs sigma2 > 0", key="noise_sigma2")
     for n_t in nt_grid:
         if n_t <= cfg.n_users + 1:
-            raise ValueError("every grid point must satisfy n_t > n_k + 1")
+            raise ConfigError(f"every grid point must satisfy n_t > n_k + 1 = "
+                              f"{cfg.n_users + 1}, got {n_t}")
     draws, n_sym = cfg.snr_channel_draws, 256
 
     result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
@@ -451,11 +456,10 @@ class _UplinkTask:
         n = hi - lo
         n_points = self.amp1.shape[1]
         idx = rng.integers(0, n_points, size=n)
-        v = _complex_noise(rng, (2, n, self.amp1.shape[0]), self.sigma2)
+        v = channel.complex_normal(rng, (2, n, self.amp1.shape[0]), self.sigma2)
         z = (np.abs(self.amp1[:, idx].T + v[0]) ** 2
              - np.abs(self.amp2[:, idx].T + v[1]) ** 2)
-        xi = z.mean(axis=1)
-        detected = self.regions.representatives[self.regions.locate(xi)]
+        detected = uplink.region_detect(z.mean(axis=1), self.regions)
         return int(np.count_nonzero(detected != idx)), n
 
 
@@ -497,7 +501,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                 clean = (chans.c @ ((const + 1.0) / 2.0).T,
                          chans.c @ ((1.0 - const) / 2.0).T)
                 xi = (np.abs(clean[0]) ** 2 - np.abs(clean[1]) ** 2).mean(axis=0)
-                detected = regions.representatives[regions.locate(xi)]
+                detected = uplink.region_detect(xi, regions)
                 errs.append(int(np.count_nonzero(detected != np.arange(const.shape[0]))))
                 totals.append(const.shape[0])
             else:
@@ -525,6 +529,16 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 # observation pdf fit
 # --------------------------------------------------------------------------
 
+def _ks_statistic(model_cdf: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov statistic of n ascending samples, given
+    the model CDF at each: the largest gap between it and the empirical CDF
+    just after (i/n) or just before ((i-1)/n) each sample."""
+    n = model_cdf.size
+    ecdf_hi = np.arange(1, n + 1) / n
+    return float(np.max(np.maximum(np.abs(ecdf_hi - model_cdf),
+                                   np.abs(ecdf_hi - 1.0 / n - model_cdf))))
+
+
 def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     """Empirical, series, and Gaussian densities of one antenna observation
     on a shared grid, one group of series per branch SNR point (dB)."""
@@ -539,7 +553,6 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
                                      stream(cfg.seed, _TAG_PDF, 2))
     row = chans.c[0]
     s_ref = np.arange(cfg.n_users) % 2  # alternating bit pattern
-    from .waveform import ComplementarySymbol
     sym = ComplementarySymbol(s_ref, levels=2)
     g1 = float(np.abs(row @ sym.s) ** 2)
     g2 = float(np.abs(row @ sym.s_bar) ** 2)
@@ -563,7 +576,7 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     for pi, snr_db in enumerate(snr_points):
         sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
         rng = stream(cfg.seed, _TAG_PDF, 3, pi)
-        v = np.sqrt(sv2) * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        v = channel.complex_normal(rng, (2, n), 2.0 * sv2)
         samples = (np.abs(row @ sym.s + v[0]) ** 2
                    - np.abs(row @ sym.s_bar + v[1]) ** 2)
         hist, _ = np.histogram(samples, bins=edges, density=True)
@@ -579,18 +592,14 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
                 f"series truncation at SNR point {snr_db} dB: {exc}",
                 partial_sum=exc.partial_sum, tail_bound=exc.tail_bound) from exc
 
-        ks_gauss = stats.kstest(samples, "norm",
-                                args=(model.mu, np.sqrt(model.sigma2))).statistic
+        sorted_s = np.sort(samples)
+        ks_gauss = _ks_statistic(stats.norm.cdf(sorted_s, model.mu, np.sqrt(model.sigma2)))
         fine = np.linspace(lo, hi, 2001)
         fine_pdf = analysis.gamma_difference_pdf(fine, p1, p2, series_ctl)
         cdf = np.concatenate([[0.0], np.cumsum(
             (fine_pdf[1:] + fine_pdf[:-1]) / 2.0 * np.diff(fine))])
         cdf = np.clip(cdf / max(cdf[-1], 1e-300), 0.0, 1.0)
-        sorted_s = np.sort(samples)
-        ecdf_hi = np.arange(1, n + 1) / n
-        interp = np.interp(sorted_s, fine, cdf)
-        ks_series = float(np.max(np.maximum(np.abs(ecdf_hi - interp),
-                                            np.abs(ecdf_hi - 1.0 / n - interp))))
+        ks_series = _ks_statistic(np.interp(sorted_s, fine, cdf))
         tag = format(snr_db, "g")
         notes.append("snr=%sdB sigma_v2=%.9g ks_gauss=%.9g ks_series=%.9g"
                      % (tag, sv2, ks_gauss, ks_series))

@@ -79,10 +79,8 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
         out = ch.Angles(rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi))
         g_los[m] = ch.los_component(np.ones(1), ch.upa_steering(out, geom) * np.sqrt(n))[0]
 
-    wk_los = np.sqrt(k_bs_ris / (1.0 + k_bs_ris))
-    wk_nlos = np.sqrt(1.0 / (1.0 + k_bs_ris))
-    wv_los = np.sqrt(v_ris_user / (1.0 + v_ris_user))
-    wv_nlos = np.sqrt(1.0 / (1.0 + v_ris_user))
+    wk_los, wk_nlos = ch.rician_weights(k_bs_ris)
+    wv_los, wv_nlos = ch.rician_weights(v_ris_user)
 
     q_los_w = pg_q * wk_los * q_los
     g_los_w = (pg_g * wv_los)[:, None] * g_los
@@ -125,7 +123,7 @@ def build_downlink_frame(cfg: ScenarioConfig, speed: float,
                          rng_geo: np.random.Generator,
                          rng_fade: np.random.Generator) -> DownlinkFrame:
     links = _draw_links(cfg, rng_geo, k_bs_ris, v_ris_user)
-    f_max = speed * cfg.carrier_f1 / ch.SPEED_OF_LIGHT
+    f_max = ch.doppler_shift(speed, cfg.carrier_f1)
 
     q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)  # static within frame
     q_total = links.q_los_w + links.q_nlos_weight * q_nlos

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel
 from .waveform import ComplementarySymbol
 
 CONSTELLATION_CAP = 16  # users; 2**16 enumerable points
@@ -142,10 +143,9 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     if noise_sigma2 == 0.0 or rng is None:
         z = np.abs(cs) ** 2 - np.abs(cbar) ** 2
         return float(z.mean())
-    scale = np.sqrt(noise_sigma2 / 2.0)
     total = 0.0
     for _ in range(repeats):
-        v = scale * (rng.standard_normal((2, n_t)) + 1j * rng.standard_normal((2, n_t)))
+        v = channel.complex_normal(rng, (2, n_t), noise_sigma2)
         z = np.abs(cs + v[0]) ** 2 - np.abs(cbar + v[1]) ** 2
         total += z.mean()
     return float(total / repeats)

@@ -48,10 +48,6 @@ class ComplementarySymbol:
         a = 1.0 / (self.levels - 1)
         return a * self.s, a * self.s_bar
 
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "ComplementarySymbol":
-        return cls(np.asarray(bits).astype(int), levels=2)
-
 
 @dataclass(frozen=True)
 class TonePair:
@@ -99,10 +95,6 @@ class NoiseModel:
     @property
     def sigma_v2(self) -> float:
         return self.sigma2 / 2.0
-
-    def draw_branch(self, rng: np.random.Generator, shape=()) -> np.ndarray:
-        scale = np.sqrt(self.sigma2 / 2.0)
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def modulate(sym: ComplementarySymbol, tones: TonePair, sample_rate: float) -> np.ndarray:

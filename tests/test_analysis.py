@@ -210,23 +210,42 @@ class TestGaussianApprox:
 
 
 class TestXiGaussian:
+    """candidate_xi_models against the per-antenna gaussian_approx moments:
+    the averaged observation has the mean of the per-antenna means and the
+    sum of their variances over the squared antenna count."""
+
+    @staticmethod
+    def chans(c):
+        zero = np.zeros_like(c)
+        return ul.UplinkChannelSet(a=c, b=zero, o=zero)
+
+    @staticmethod
+    def per_antenna(c, sv2):
+        const = ul.bipolar_constellation(c.shape[1])
+        return [[an.gaussian_approx(row, ComplementarySymbol((x + 1) // 2), sv2)
+                 for row in c] for x in const.astype(int)]
+
     def test_identical_antennas(self):
-        models = [an.GaussianSerModel(2.0, 0.5)] * 10
-        agg = an.xi_gaussian(models)
-        assert abs(agg.mu - 2.0) < 1e-15
-        assert abs(agg.sigma2 - 0.05) < 1e-15
+        row = complex_gauss(rng(6), 3)
+        c = np.tile(row, (10, 1))
+        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(3), 0.05)
+        for i, models in enumerate(self.per_antenna(c[:1], 0.05)):
+            assert abs(mu[i] - models[0].mu) < 1e-12
+            assert abs(s2[i] - models[0].sigma2 / 10) < 1e-14
 
     def test_single_antenna_passthrough(self):
-        agg = an.xi_gaussian([an.GaussianSerModel(0.3, 0.7)])
-        assert agg.mu == 0.3 and agg.sigma2 == 0.7
+        c = complex_gauss(rng(7), (1, 2))
+        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(2), 0.3)
+        for i, models in enumerate(self.per_antenna(c, 0.3)):
+            assert abs(mu[i] - models[0].mu) < 1e-12
+            assert abs(s2[i] - models[0].sigma2) < 1e-12
 
     def test_matches_direct_sums(self):
-        g = rng(6)
-        mus = g.standard_normal(9)
-        s2s = g.uniform(0.1, 1.0, 9)
-        agg = an.xi_gaussian([an.GaussianSerModel(m, s) for m, s in zip(mus, s2s)])
-        assert abs(agg.mu - mus.mean()) < 1e-12
-        assert abs(agg.sigma2 - s2s.sum() / 81) < 1e-12
+        c = complex_gauss(rng(8), (9, 3))
+        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(3), 0.02)
+        for i, models in enumerate(self.per_antenna(c, 0.02)):
+            assert abs(mu[i] - np.mean([m.mu for m in models])) < 1e-12
+            assert abs(s2[i] - sum(m.sigma2 for m in models) / 81) < 1e-12
 
 
 class TestSymbolProb:

@@ -88,6 +88,20 @@ def test_config_error_exit_code(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("grid, extra", [
+    ("4", ""),                    # n_t <= n_k + 1 with 4 users
+    ("16.7", ""),                 # array sizes are integers
+    ("16", "noise_sigma2: 0\n"),  # the output SNR needs noise
+], ids=["small_array", "non_integer_array", "zero_noise"])
+def test_output_snr_config_faults_exit_code(tmp_path, grid, extra):
+    cfg = tmp_path / "snr.cfg"
+    cfg.write_text(FAST_CFG + extra)
+    proc = run_cli("output-snr", "--config", str(cfg), "--grid", grid,
+                   "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+
+
 def test_numerical_error_exit_code(fast_cfg, tmp_path):
     # joint detection above the exhaustive-search cap is a numerical failure
     proc = run_cli("downlink-ber", "--config", str(fast_cfg), "--scheme", "linear_joint",

@@ -60,6 +60,11 @@ class TestParsing:
             load_scenario(write(tmp_path, "\nnot_a_key: 3\n"))
         assert "line 2" in str(err.value)
 
+    def test_removed_samples_per_symbol_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_scenario(write(tmp_path, "samples_per_symbol: 16\n"))
+        assert "unknown key 'samples_per_symbol'" in str(err.value)
+
     def test_bad_value_reports_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_scenario(write(tmp_path, "speed: fast\n"))

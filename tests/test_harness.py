@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from rislink import harness as hn
 from rislink.config import ScenarioConfig
@@ -90,6 +91,23 @@ class TestDownlinkBer:
         with pytest.raises(ValueError):
             hn.run_downlink_ber(cfg, "linear_precoded", "bogus", (0.0,))
 
+    def test_every_registered_scheme_runs(self, tmp_path):
+        cfg = desk_cfg(n_users=2, n_bs_antennas=4, n_ris_elements=4,
+                       blocks_per_frame=2, symbols_per_block=5,
+                       mc_min_trials=4, mc_trial_ceiling=4)
+        names = list(hn.SCHEMES)
+        assert len({s.stream_id for s in hn.SCHEMES.values()}) == len(names)
+        path = tmp_path / "all.csv"
+        hn.export_csv(hn.run_downlink_ber(cfg, names, "ebn0", (10.0,)), path)
+        res = hn.read_curve_csv(path)
+        assert list(res.series) == names
+        assert f"schemes={'+'.join(names)}" in res.notes[0]
+        noise_note = next(n for n in res.notes if n.startswith("noise map"))
+        for name, scheme in hn.SCHEMES.items():
+            assert f"{scheme.label}={scheme.bits(cfg)}" in noise_note
+            assert res.series[name].trials[0] == cfg.mc_trial_ceiling
+            assert 0.0 <= res.series[name].values[0] <= 1.0
+
     def test_qam_noiseless_static_is_error_free(self):
         cfg = desk_cfg(noise_sigma2=0.0, speed=0.0,
                        mc_min_errors=1, mc_min_trials=100, mc_trial_ceiling=100)
@@ -101,6 +119,12 @@ class TestDownlinkBer:
         res = hn.run_downlink_ber(cfg, "qam_ml_baseline", "speed", (10.0, 50.0))
         v = res.series["qam_ml_baseline"].values
         assert v[1] > v[0]
+
+
+def test_ks_statistic_matches_scipy():
+    x = np.sort(np.random.default_rng(3).normal(0.2, 1.3, 5000))
+    ref = stats.kstest(x, "norm", args=(0.1, 1.2)).statistic
+    assert abs(hn._ks_statistic(stats.norm.cdf(x, 0.1, 1.2)) - ref) < 1e-12
 
 
 class TestQamHelpers:
