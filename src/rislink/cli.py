@@ -14,7 +14,7 @@ import numpy as np
 from .analysis import SeriesTruncationError
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .downlink import RankDeficientChannel, RankDeficientPilots, SearchTooLarge
-from .harness import (SCHEMES, export_csv, run_downlink_ber, run_output_snr,
+from .harness import (SCHEMES, SWEEPS, export_csv, run_downlink_ber, run_output_snr,
                       run_pdf_fit, run_uplink_ser)
 
 EXIT_CONFIG = 2
@@ -44,26 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("downlink-ber", help="BER sweep for the downlink schemes")
     _add_common(p)
-    p.add_argument("--sweep", choices=("speed", "ebn0", "rician_k"), default="ebn0")
+    p.add_argument("--sweep", choices=tuple(SWEEPS), default="ebn0")
     p.add_argument("--scheme", action="append", choices=tuple(SCHEMES),
                    help="repeatable; defaults to linear_precoded + qam_ml_baseline")
 
     p = subs.add_parser("uplink-ser", help="uplink SER: Monte Carlo vs closed form")
     _add_common(p)
-    p.add_argument("--sweep", choices=("ebn0",), default="ebn0")
     p.add_argument("--scheme", choices=("monte_carlo", "closed_form", "both"),
                    default="both", help="which series to produce")
 
     p = subs.add_parser("output-snr", help="precoded output SNR vs array size")
     _add_common(p)
-    p.add_argument("--sweep", choices=("n_bs_antennas",), default="n_bs_antennas")
-    p.add_argument("--scheme", choices=("linear_precoded",), default="linear_precoded")
 
     p = subs.add_parser("pdf-fit", help="observation density: empirical/series/Gaussian")
     _add_common(p)
-    p.add_argument("--sweep", choices=("snr",), default="snr")
-    p.add_argument("--scheme", choices=("antenna_observation",),
-                   default="antenna_observation")
     return parser
 
 
@@ -86,12 +80,16 @@ def _parse_grid(raw):
         raise ConfigError(f"bad --grid value: {exc}") from exc
     if not values:
         raise ConfigError("--grid must contain at least one value")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"--grid values must be finite, got {raw!r}")
     return values
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = _load_config(args)
         grid = _parse_grid(args.grid)
         if args.command == "downlink-ber":

@@ -1,17 +1,20 @@
 """Seeded Monte Carlo experiment harness with CSV export.
 
-Every experiment derives per-chunk random streams from (seed, experiment tag,
-grid point, chunk index), so results are bit-identical regardless of the
-worker count, and all schemes inside one run see exactly the same channel
-draws (common random numbers).  Error-rate points accumulate fixed-size
-batches until an error target or a trial ceiling is met, never fewer than the
-configured minimum number of trials.
+Every grid point is a validated config, the experiment's config with the
+sweep value set (``SWEEPS``).  Every experiment derives per-chunk random
+streams from (seed, experiment tag, grid point, chunk index), so results are
+bit-identical regardless of the worker count, and all schemes inside one run
+see exactly the same channel draws (common random numbers).  Downlink and
+uplink error-rate points share one stopping rule: fixed-size batches until
+every series meets the error target or the trial ceiling is met, never fewer
+than the configured minimum number of trials.  A run uses one worker pool.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +29,7 @@ from .waveform import ComplementarySymbol, NoiseModel
 # fixed batch geometry so adaptive stopping is scheduling-independent
 FRAMES_PER_TASK = 2
 TASKS_PER_BATCH = 8
+UPLINK_TASKS_PER_BATCH = 4  # of mc_symbol_chunk symbols each
 
 _TAG_DOWNLINK = 11
 _TAG_OUTPUT_SNR = 12
@@ -56,6 +60,11 @@ class CurveResult:
         self.series[name] = Series(np.asarray(values, dtype=float),
                                    np.asarray(half_widths, dtype=float),
                                    np.asarray(trials, dtype=np.int64))
+
+    def add_rate(self, name, counts, trials):
+        """An error-rate series from per-point (errors, total) counts."""
+        self.add(name, [e / n for e, n in counts],
+                 [_rate_halfwidth(e, n) for e, n in counts], trials)
 
 
 def _fmt(x: float) -> str:
@@ -107,11 +116,39 @@ def read_curve_csv(path) -> CurveResult:
     return result
 
 
-def _run_tasks(fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
+@contextmanager
+def _task_map(workers: int):
+    """The ``map`` a run sends its tasks through: the builtin at one worker,
+    otherwise one process pool's, open for the whole run."""
+    if workers <= 1:
+        yield map
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+        yield pool.map
+
+
+def _monte_carlo(task_map, task, args, unit, tasks_per_batch, min_units,
+                 ceiling, min_errors):
+    """Run ``task(args + (lo, hi))`` over consecutive ranges of ``unit``
+    units, ``tasks_per_batch`` per batch, summing the partials ``{series:
+    (errors, trials)}``; stop at the ceiling (never below ``min_units``) or
+    once past ``min_units`` with ``min_errors`` in every series.  Returns the
+    units run and ``{series: [errors, trials]}``."""
+    ceiling = max(min_units, ceiling)
+    totals = {}
+    done = 0
+    while True:
+        hi = min(done + unit * tasks_per_batch, ceiling)
+        tasks = [args + (lo, min(lo + unit, hi)) for lo in range(done, hi, unit)]
+        for partial in task_map(task, tasks):
+            for name, (errors, trials) in partial.items():
+                acc = totals.setdefault(name, [0, 0])
+                acc[0] += errors
+                acc[1] += trials
+        done = hi
+        if done >= ceiling or (done >= min_units and
+                               all(e >= min_errors for e, _ in totals.values())):
+            return done, totals
 
 
 def _rate_halfwidth(errors: int, total: int) -> float:
@@ -125,8 +162,8 @@ def _rate_halfwidth(errors: int, total: int) -> float:
 # downlink BER
 # --------------------------------------------------------------------------
 
-def scheme_noise_sigma2(cfg: ScenarioConfig, scheme: str, ebn0_db: float) -> float:
-    """Per-branch complex noise variance from Eb/N0.
+def scheme_noise_sigma2(cfg: ScenarioConfig, scheme: str) -> float:
+    """Per-branch complex noise variance from the config's Eb/N0.
 
     Channels are normalized to unit frame-start row norm; the transmit budget
     is 1 per symbol, so Eb is 1 over the scheme's bits per symbol in SCHEMES:
@@ -135,7 +172,7 @@ def scheme_noise_sigma2(cfg: ScenarioConfig, scheme: str, ebn0_db: float) -> flo
     """
     if cfg.noise_sigma2 is not None:
         return float(cfg.noise_sigma2)
-    return 10.0 ** (-ebn0_db / 10.0) / SCHEMES[scheme].bits(cfg)
+    return 10.0 ** (-cfg.ebn0_db / 10.0) / SCHEMES[scheme].bits(cfg)
 
 
 def qam_demodulate(y_eq: np.ndarray) -> np.ndarray:
@@ -220,7 +257,7 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
     x = qam_modulate(bits)  # (B, S, N_k)
-    dnu = 2.0 * np.pi * frame.f_max * frame.symbol_period
+    dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
     errors = 0
     for b in range(blocks):
         t0 = cfg.pilot_len + b * syms
@@ -262,21 +299,38 @@ SCHEMES = {
 }
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """One downlink sweep axis: its CSV x name, the config fields a grid
+    value sets, and its default grid."""
+
+    x_name: str
+    fields: tuple
+    default_grid: Callable[[ScenarioConfig], tuple]
+
+
+SWEEPS = {
+    "speed": Sweep("speed_mps", ("speed",), lambda cfg: (10.0, 30.0, 50.0)),
+    "ebn0": Sweep("ebn0_db", ("ebn0_db",), lambda cfg: cfg.ebn0_db_grid),
+    "rician_k": Sweep("rician_k", ("rician_K", "rician_V"),
+                      lambda cfg: (1.0, 10.0, 100.0)),
+}
+
+
 def _downlink_task(args):
-    """Simulate a contiguous frame range for every scheme on common channel
-    draws; returns {scheme: (bit_errors, bits)}."""
-    (cfg, schemes, speed, k_bs_ris, v_ris_user, sigma2s,
-     seed, point_idx, frame_lo, frame_hi) = args
+    """Simulate a contiguous frame range of one grid point's config for every
+    scheme on common channel draws; returns {scheme: [bit_errors, bits]}."""
+    cfg, schemes, sigma2s, point_idx, frame_lo, frame_hi = args
     totals = {s: [0, 0] for s in schemes}
     for frame_idx in range(frame_lo, frame_hi):
-        rng_geo = stream(seed, _TAG_DOWNLINK, 1, point_idx, frame_idx)
-        rng_fade = stream(seed, _TAG_DOWNLINK, 2, point_idx, frame_idx)
-        frame = build_downlink_frame(cfg, speed, k_bs_ris, v_ris_user, rng_geo, rng_fade)
+        rng_geo = stream(cfg.seed, _TAG_DOWNLINK, 1, point_idx, frame_idx)
+        rng_fade = stream(cfg.seed, _TAG_DOWNLINK, 2, point_idx, frame_idx)
+        frame = build_downlink_frame(cfg, rng_geo, rng_fade)
         for name in schemes:
             scheme = SCHEMES[name]
 
             def rng(sub):
-                return stream(seed, _TAG_DOWNLINK, sub, point_idx, frame_idx,
+                return stream(cfg.seed, _TAG_DOWNLINK, sub, point_idx, frame_idx,
                               scheme.stream_id)
 
             err, bits = scheme.simulate(frame, cfg, sigma2s[name], rng)
@@ -287,7 +341,8 @@ def _downlink_task(args):
 
 def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
                      workers: int = 1) -> CurveResult:
-    """Monte Carlo downlink BER versus speed, Eb/N0, or Rician factor.
+    """Monte Carlo downlink BER versus one ``SWEEPS`` axis: speed, Eb/N0, or
+    the Rician factor of both hops.
 
     One trial is one transmission block; frames of ``blocks_per_frame``
     consecutive trials share a channel and training state.  Points stop at
@@ -299,64 +354,40 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
-    if sweep not in ("speed", "ebn0", "rician_k"):
+    if sweep not in SWEEPS:
         raise ValueError(f"unknown sweep axis {sweep!r}")
     if "linear_joint" in schemes:
         downlink.bipolar_candidates(cfg.n_bs_antennas)  # enforce the search cap early
-    if grid is None:
-        grid = {"speed": (10.0, 30.0, 50.0), "ebn0": cfg.ebn0_db_grid,
-                "rician_k": (1.0, 10.0, 100.0)}[sweep]
-    grid = tuple(float(g) for g in grid)
+    axis = SWEEPS[sweep]
+    grid = tuple(float(g) for g in (axis.default_grid(cfg) if grid is None else grid))
+    # one validated config per grid point
+    points = [cfg.replace(**dict.fromkeys(axis.fields, value)) for value in grid]
 
-    min_frames = max(1, math.ceil(cfg.mc_min_trials / cfg.blocks_per_frame))
-    max_frames = max(min_frames, math.ceil(cfg.mc_trial_ceiling / cfg.blocks_per_frame))
-    batch_frames = FRAMES_PER_TASK * TASKS_PER_BATCH
+    bpf = cfg.blocks_per_frame
+    min_frames = math.ceil(cfg.mc_min_trials / bpf)
+    max_frames = math.ceil(cfg.mc_trial_ceiling / bpf)
+    runs = []  # (frames, {scheme: [bit_errors, bits]}) per point
+    with _task_map(workers) as task_map:
+        for pi, point in enumerate(points):
+            sigma2s = {s: scheme_noise_sigma2(point, s) for s in schemes}
+            runs.append(_monte_carlo(
+                task_map, _downlink_task, (point, tuple(schemes), sigma2s, pi),
+                FRAMES_PER_TASK, TASKS_PER_BATCH, min_frames, max_frames,
+                cfg.mc_min_errors))
 
-    x_name = {"speed": "speed_mps", "ebn0": "ebn0_db", "rician_k": "rician_k"}[sweep]
-    result = CurveResult(x_name=x_name, x_values=np.asarray(grid))
-    acc = {s: [[0, 0] for _ in grid] for s in schemes}
-    trials = [0 for _ in grid]
-
-    for pi, value in enumerate(grid):
-        speed = value if sweep == "speed" else cfg.speed
-        k = v = value if sweep == "rician_k" else None
-        k = cfg.rician_k_bs_ris if k is None else k
-        v = cfg.rician_v_ris_user if v is None else v
-        ebn0 = value if sweep == "ebn0" else cfg.ebn0_db
-        sigma2s = {s: scheme_noise_sigma2(cfg, s, ebn0) for s in schemes}
-
-        done_frames = 0
-        while True:
-            hi = min(done_frames + batch_frames, max_frames)
-            tasks = [(cfg, tuple(schemes), speed, k, v, sigma2s, cfg.seed, pi, lo,
-                      min(lo + FRAMES_PER_TASK, hi))
-                     for lo in range(done_frames, hi, FRAMES_PER_TASK)]
-            for partial in _run_tasks(_downlink_task, tasks, workers):
-                for s in schemes:
-                    acc[s][pi][0] += partial[s][0]
-                    acc[s][pi][1] += partial[s][1]
-            done_frames = hi
-            trials[pi] = done_frames * cfg.blocks_per_frame
-            enough_errors = all(acc[s][pi][0] >= cfg.mc_min_errors for s in schemes)
-            if done_frames >= max_frames or (done_frames >= min_frames and enough_errors):
-                break
-
-    notes = [
+    result = CurveResult(x_name=axis.x_name, x_values=np.asarray(grid))
+    result.notes = (
         "experiment=downlink-ber sweep=%s schemes=%s" % (sweep, "+".join(schemes)),
         "seed=%d trial=block frame=%d blocks x %d symbols + %d pilots"
-        % (cfg.seed, cfg.blocks_per_frame, cfg.symbols_per_block, cfg.pilot_len),
+        % (cfg.seed, bpf, cfg.symbols_per_block, cfg.pilot_len),
         "noise map: sigma2 = 10^(-EbN0/10)/bits_per_symbol, bits = {%s}; channel "
         "rows unit-normalized at frame start%s"
         % (", ".join("%s=%d" % (sc.label, sc.bits(cfg)) for sc in SCHEMES.values()),
            "; sigma2 override=%g" % cfg.noise_sigma2 if cfg.noise_sigma2 is not None else ""),
-    ]
-    result.notes = tuple(notes)
+    )
+    trials = [frames * bpf for frames, _ in runs]
     for s in schemes:
-        errs = np.array([acc[s][i][0] for i in range(len(grid))], dtype=float)
-        bits = np.array([acc[s][i][1] for i in range(len(grid))], dtype=float)
-        result.add(s, errs / bits,
-                   [_rate_halfwidth(int(e), int(b)) for e, b in zip(errs, bits)],
-                   trials)
+        result.add_rate(s, [totals[s] for _, totals in runs], trials)
     return result
 
 
@@ -365,11 +396,11 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
 # --------------------------------------------------------------------------
 
 def _output_snr_task(args):
-    cfg, n_t, seed, point_idx, draw_lo, draw_hi, sigma2, n_sym = args
-    n_k = cfg.n_users
+    cfg, point_idx, draw_lo, draw_hi, sigma2, n_sym = args
+    n_k, n_t = cfg.n_users, cfg.n_bs_antennas
     etas = []
     for d in range(draw_lo, draw_hi):
-        rng = stream(seed, _TAG_OUTPUT_SNR, point_idx, d)
+        rng = stream(cfg.seed, _TAG_OUTPUT_SNR, point_idx, d)
         h_bar = rng.standard_normal((n_k, n_t))
         pre = downlink.zf_precoder(h_bar)
         bits = rng.integers(0, 2, size=(n_sym, n_k)).astype(float)
@@ -399,14 +430,16 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
 
     result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
     sim_vals, sim_hw, predicted = [], [], []
-    for pi, n_t in enumerate(nt_grid):
-        tasks = [(cfg, n_t, cfg.seed, pi, lo, min(lo + 25, draws), sigma2, n_sym)
-                 for lo in range(0, draws, 25)]
-        etas = [e for part in _run_tasks(_output_snr_task, tasks, workers) for e in part]
-        etas = np.asarray(etas)
-        sim_vals.append(etas.mean())
-        sim_hw.append(Z95 * etas.std(ddof=1) / np.sqrt(etas.size))
-        predicted.append(downlink.output_snr_asymptotic(n_t, cfg.n_users, sigma2))
+    with _task_map(workers) as task_map:
+        for pi, n_t in enumerate(nt_grid):
+            point = cfg.replace(n_bs_antennas=n_t)
+            tasks = [(point, pi, lo, min(lo + 25, draws), sigma2, n_sym)
+                     for lo in range(0, draws, 25)]
+            etas = np.asarray([e for part in task_map(_output_snr_task, tasks)
+                               for e in part])
+            sim_vals.append(etas.mean())
+            sim_hw.append(Z95 * etas.std(ddof=1) / np.sqrt(etas.size))
+            predicted.append(downlink.output_snr_asymptotic(n_t, cfg.n_users, sigma2))
     result.notes = ("experiment=output-snr seed=%d sigma2=%g draws=%d users=%d"
                     % (cfg.seed, sigma2, draws, cfg.n_users),
                     "channel draws: unit-variance Gaussian equivalent rows")
@@ -419,54 +452,26 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
 # uplink SER
 # --------------------------------------------------------------------------
 
-def _uplink_point_mc(cfg, chans, regions, sigma2, point_idx, workers):
-    cs = chans.c  # (N_t, N_k)
-    const = uplink.bipolar_constellation(cfg.n_users)
-    s_all = (const + 1.0) / 2.0
-    amp1 = cs @ s_all.T           # (N_t, R)
-    amp2 = cs @ (1.0 - s_all).T
-    worker = _UplinkTask(cfg, amp1, amp2, regions, sigma2, point_idx)
-
-    errors = total = 0
-    done = 0
-    while True:
-        hi = min(done + cfg.mc_symbol_chunk * 4, cfg.mc_symbol_ceiling)
-        chunk_edges = list(range(done, hi, cfg.mc_symbol_chunk)) + [hi]
-        tasks = list(zip(chunk_edges[:-1], chunk_edges[1:]))
-        for err, n in _run_tasks(worker, tasks, workers):
-            errors += err
-            total += n
-        done = hi
-        if done >= cfg.mc_symbol_ceiling or \
-                (total >= cfg.mc_min_trials and errors >= cfg.mc_min_errors):
-            break
-    return errors, total
+def _uplink_task(args):
+    """Monte Carlo symbol errors of one uplink grid point over the symbol
+    range [lo, hi); amp1/amp2 hold every constellation point's noiseless
+    branch amplitudes per antenna."""
+    amp1, amp2, regions, sigma2, seed, point_idx, lo, hi = args
+    rng = stream(seed, _TAG_UPLINK, point_idx, lo)
+    n = hi - lo
+    idx = rng.integers(0, amp1.shape[1], size=n)
+    v = channel.complex_normal(rng, (2, n, amp1.shape[0]), sigma2)
+    z = np.abs(amp1[:, idx].T + v[0]) ** 2 - np.abs(amp2[:, idx].T + v[1]) ** 2
+    detected = uplink.region_detect(z.mean(axis=1), regions)
+    return {"monte_carlo": (int(np.count_nonzero(detected != idx)), n)}
 
 
-class _UplinkTask:
-    """Picklable uplink chunk worker bound to one grid point's state."""
-
-    def __init__(self, cfg, amp1, amp2, regions, sigma2, point_idx):
-        self.cfg, self.amp1, self.amp2 = cfg, amp1, amp2
-        self.regions, self.sigma2, self.point_idx = regions, sigma2, point_idx
-
-    def __call__(self, bounds):
-        lo, hi = bounds
-        rng = stream(self.cfg.seed, _TAG_UPLINK, self.point_idx, lo)
-        n = hi - lo
-        n_points = self.amp1.shape[1]
-        idx = rng.integers(0, n_points, size=n)
-        v = channel.complex_normal(rng, (2, n, self.amp1.shape[0]), self.sigma2)
-        z = (np.abs(self.amp1[:, idx].T + v[0]) ** 2
-             - np.abs(self.amp2[:, idx].T + v[1]) ** 2)
-        detected = uplink.region_detect(z.mean(axis=1), self.regions)
-        return int(np.count_nonzero(detected != idx)), n
-
-
-def uplink_noise_sigma2(ebn0_db: float) -> float:
+def uplink_noise_sigma2(cfg: ScenarioConfig) -> float:
     """Per-branch complex noise variance at one antenna for a unit-mean-power
-    normalized cascade carrying one bit per user."""
-    return 10.0 ** (-ebn0_db / 10.0)
+    normalized cascade carrying one bit per user; noise_sigma2 overrides."""
+    if cfg.noise_sigma2 is not None:
+        return float(cfg.noise_sigma2)
+    return 10.0 ** (-cfg.ebn0_db / 10.0)
 
 
 def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
@@ -478,12 +483,37 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     if grid is None:
         grid = cfg.ebn0_db_grid
     grid = tuple(float(g) for g in grid)
+    points = [cfg.replace(ebn0_db=value) for value in grid]
 
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),
                                        stream(cfg.seed, _TAG_UPLINK, 2))
     gains = uplink.exact_linear_gains(chans)
     const = uplink.bipolar_constellation(cfg.n_users)
     regions = uplink.build_regions(gains, const)
+    s_all = (const + 1.0) / 2.0
+    amp1 = chans.c @ s_all.T           # (N_t, R) noiseless branch amplitudes
+    amp2 = chans.c @ (1.0 - s_all).T
+
+    mc, cf = [], []
+    with _task_map(workers) as task_map:
+        for pi, point in enumerate(points):
+            sigma2 = uplink_noise_sigma2(point)
+            if sigma2 == 0.0:
+                xi = (np.abs(amp1) ** 2 - np.abs(amp2) ** 2).mean(axis=0)
+                detected = uplink.region_detect(xi, regions)
+                mc.append((int(np.count_nonzero(detected != np.arange(const.shape[0]))),
+                           const.shape[0]))
+                cf.append(0.0 if not regions.degenerate else np.nan)
+                continue
+            if mode != "closed_form":
+                _, totals = _monte_carlo(
+                    task_map, _uplink_task, (amp1, amp2, regions, sigma2, cfg.seed, pi),
+                    cfg.mc_symbol_chunk, UPLINK_TASKS_PER_BATCH, cfg.mc_min_trials,
+                    cfg.mc_symbol_ceiling, cfg.mc_min_errors)
+                mc.append(totals["monte_carlo"])
+            if mode != "monte_carlo":
+                cf.append(analysis.closed_form_ser(
+                    gains, NoiseModel(sigma2), chans, const).probability)
 
     result = CurveResult(x_name="ebn0_db", x_values=np.asarray(grid))
     result.notes = ("experiment=uplink-ser seed=%d users=%d antennas=%d mode=%s"
@@ -491,37 +521,10 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                     "noise map: sigma2 = 10^(-EbN0/10) per branch at one antenna; "
                     "cascade normalized to unit RMS entry (raw RMS %.6g)" % rms,
                     "degenerate_regions=%s" % regions.degenerate)
-
-    if mode in ("monte_carlo", "both"):
-        errs, totals = [], []
-        for pi, x in enumerate(grid):
-            sigma2 = cfg.noise_sigma2 if cfg.noise_sigma2 is not None \
-                else uplink_noise_sigma2(x)
-            if sigma2 == 0.0:
-                clean = (chans.c @ ((const + 1.0) / 2.0).T,
-                         chans.c @ ((1.0 - const) / 2.0).T)
-                xi = (np.abs(clean[0]) ** 2 - np.abs(clean[1]) ** 2).mean(axis=0)
-                detected = uplink.region_detect(xi, regions)
-                errs.append(int(np.count_nonzero(detected != np.arange(const.shape[0]))))
-                totals.append(const.shape[0])
-            else:
-                e, n = _uplink_point_mc(cfg, chans, regions, sigma2, pi, workers)
-                errs.append(e)
-                totals.append(n)
-        result.add("monte_carlo", [e / n for e, n in zip(errs, totals)],
-                   [_rate_halfwidth(e, n) for e, n in zip(errs, totals)], totals)
-
-    if mode in ("closed_form", "both"):
-        vals = []
-        for x in grid:
-            sigma2 = cfg.noise_sigma2 if cfg.noise_sigma2 is not None \
-                else uplink_noise_sigma2(x)
-            if sigma2 == 0.0:
-                vals.append(0.0 if not regions.degenerate else np.nan)
-            else:
-                vals.append(analysis.closed_form_ser(
-                    gains, NoiseModel(sigma2), chans, const).probability)
-        result.add("closed_form", vals, [0.0] * len(grid), [0] * len(grid))
+    if mode != "closed_form":
+        result.add_rate("monte_carlo", mc, [n for _, n in mc])
+    if mode != "monte_carlo":
+        result.add("closed_form", cf, [0.0] * len(grid), [0] * len(grid))
     return result
 
 

@@ -45,8 +45,7 @@ class LinkSet:
     direct_rows: np.ndarray | None  # (N_k, N_t) optional direct BS-user rows
 
 
-def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
-                k_bs_ris: float, v_ris_user: float) -> LinkSet:
+def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator) -> LinkSet:
     n = cfg.n_ris_elements
     nx, ny = cfg.ris_grid
     lam = cfg.wavelength
@@ -79,8 +78,8 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
         out = ch.Angles(rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi))
         g_los[m] = ch.los_component(np.ones(1), ch.upa_steering(out, geom) * np.sqrt(n))[0]
 
-    wk_los, wk_nlos = ch.rician_weights(k_bs_ris)
-    wv_los, wv_nlos = ch.rician_weights(v_ris_user)
+    wk_los, wk_nlos = ch.rician_weights(cfg.rician_k_bs_ris)
+    wv_los, wv_nlos = ch.rician_weights(cfg.rician_v_ris_user)
 
     q_los_w = pg_q * wk_los * q_los
     g_los_w = (pg_g * wv_los)[:, None] * g_los
@@ -114,22 +113,19 @@ class DownlinkFrame:
 
     h_pilot: np.ndarray    # (N_k, N_t) at the training instant
     h_blocks: np.ndarray   # (B, N_k, N_t) at each block start
-    f_max: float
-    symbol_period: float
 
 
-def build_downlink_frame(cfg: ScenarioConfig, speed: float,
-                         k_bs_ris: float, v_ris_user: float,
-                         rng_geo: np.random.Generator,
+def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                          rng_fade: np.random.Generator) -> DownlinkFrame:
-    links = _draw_links(cfg, rng_geo, k_bs_ris, v_ris_user)
-    f_max = ch.doppler_shift(speed, cfg.carrier_f1)
+    """One frame at the config's speed and Rician factors."""
+    links = _draw_links(cfg, rng_geo)
 
     q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)  # static within frame
     q_total = links.q_los_w + links.q_nlos_weight * q_nlos
     q_omega = links.pattern.diagonal[:, None] * q_total  # (N, N_t)
 
-    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), f_max, rng_fade)
+    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
+                                  rng_fade)
     block_times = (cfg.pilot_len + np.arange(cfg.blocks_per_frame) * cfg.symbols_per_block) \
         * cfg.symbol_period
 
@@ -143,10 +139,7 @@ def build_downlink_frame(cfg: ScenarioConfig, speed: float,
     h_pilot = cascade_at(0.0)
     scale = 1.0 / np.linalg.norm(h_pilot, axis=1, keepdims=True)
     h_blocks = np.stack([cascade_at(t) for t in block_times]) * scale[None, :, :]
-    return DownlinkFrame(h_pilot=h_pilot * scale,
-                         h_blocks=h_blocks,
-                         f_max=f_max,
-                         symbol_period=cfg.symbol_period)
+    return DownlinkFrame(h_pilot=h_pilot * scale, h_blocks=h_blocks)
 
 
 def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,
@@ -160,7 +153,7 @@ def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     """
     from .uplink import UplinkChannelSet
 
-    links = _draw_links(cfg, rng_geo, cfg.rician_k_bs_ris, cfg.rician_v_ris_user)
+    links = _draw_links(cfg, rng_geo)
     q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)
     g_nlos = ch.complex_normal(rng_fade, links.g_los_w.shape)
 

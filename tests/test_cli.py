@@ -21,8 +21,9 @@ ris_phase_mode: random
 
 
 def run_cli(*args):
+    # a worker pool lives for a whole run: a hang fails the test, not the suite
     return subprocess.run([sys.executable, "-m", "rislink", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture()
@@ -100,6 +101,30 @@ def test_output_snr_config_faults_exit_code(tmp_path, grid, extra):
                    "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--sweep", "speed", "--grid=-5"),       # speed must be >= 0
+    ("--sweep", "rician_k", "--grid=-1"),    # Rician factors must be >= 0
+    ("--sweep", "speed", "--grid", "nan"),   # grid values must be finite
+    ("--workers", "0"),                      # at least one worker
+], ids=["negative_speed", "negative_rician_k", "nan_grid", "zero_workers"])
+def test_downlink_sweep_faults_exit_code(fast_cfg, tmp_path, args):
+    proc = run_cli("downlink-ber", "--config", str(fast_cfg), *args,
+                   "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+
+
+def test_uplink_runs_min_trials_above_ceiling(tmp_path):
+    cfg = tmp_path / "min.cfg"
+    cfg.write_text(FAST_CFG + "mc_min_trials: 3000\nmc_symbol_chunk: 500\n"
+                   "mc_symbol_ceiling: 1000\n")
+    out = tmp_path / "ser.csv"
+    proc = run_cli("uplink-ser", "--config", str(cfg), "--scheme", "monte_carlo",
+                   "--grid", "4,8", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert read_curve_csv(out).series["monte_carlo"].trials.tolist() == [3000, 3000]
 
 
 def test_numerical_error_exit_code(fast_cfg, tmp_path):

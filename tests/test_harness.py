@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -69,6 +71,22 @@ class TestDownlinkBer:
                                 workers=2)
         np.testing.assert_array_equal(a.series["linear_precoded"].values,
                                       c.series["linear_precoded"].values)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", CountingPool)
+        # 32 frames per point: two batches of FRAMES_PER_TASK x TASKS_PER_BATCH
+        cfg = desk_cfg(blocks_per_frame=2, mc_min_trials=64, mc_trial_ceiling=64)
+        res = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0),
+                                  workers=2)
+        assert res.series["linear_precoded"].trials.tolist() == [64, 64]
+        assert len(pools) == 1
 
     def test_schemes_share_channel_draws(self):
         # adding a scheme must not change another scheme's series
@@ -158,6 +176,15 @@ class TestOutputSnr:
         cfg = desk_cfg(n_users=8)
         with pytest.raises(ValueError):
             hn.run_output_snr(cfg, (8,))
+
+    def test_worker_invariance(self):
+        cfg = desk_cfg(n_users=4, snr_channel_draws=50)
+        a = hn.run_output_snr(cfg, (16, 32), workers=1)
+        b = hn.run_output_snr(cfg, (16, 32), workers=2)
+        np.testing.assert_array_equal(a.series["simulated"].values,
+                                      b.series["simulated"].values)
+        np.testing.assert_array_equal(a.series["simulated"].half_widths,
+                                      b.series["simulated"].half_widths)
 
     def test_simulated_close_to_prediction_small(self):
         cfg = desk_cfg(n_users=4, snr_channel_draws=50)
