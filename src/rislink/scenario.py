@@ -23,8 +23,13 @@ ROAD_Z = 1.5
 
 
 def stream(*key) -> np.random.Generator:
-    """Deterministic generator from an integer key tuple."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) & (2 ** 63 - 1) for k in key]))
+    """Deterministic generator from a tuple of non-negative integer keys.
+
+    ``SeedSequence`` ignores trailing zeros, so ``stream(5, 13, 1)`` and
+    ``stream(5, 13, 1, 0)`` are the same generator: two stream families
+    under one tag must differ before any trailing index that can be 0.
+    """
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
 def path_amplitude(distance: float, exponent: float) -> float:

@@ -81,6 +81,18 @@ def test_seed_reproducibility_across_worker_counts(fast_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_uplink_csv_identical_across_worker_counts(fast_cfg, tmp_path):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"ser{workers}.csv"
+        proc = run_cli("uplink-ser", "--config", str(fast_cfg), "--grid", "0,8",
+                       "--scheme", "both", "--seed", "77", "--workers", workers,
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n_bs_antennas: 0\n")

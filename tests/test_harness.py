@@ -5,7 +5,11 @@ import pytest
 from scipy import stats
 
 from rislink import harness as hn
+from rislink import uplink as ul
+from rislink.channel import complex_normal
 from rislink.config import ScenarioConfig
+from rislink.scenario import build_uplink_instance, stream
+from rislink.waveform import ComplementarySymbol
 
 
 def desk_cfg(**kw):
@@ -223,6 +227,53 @@ class TestUplinkSer:
         b = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=3)
         np.testing.assert_array_equal(a.series["monte_carlo"].values,
                                       b.series["monte_carlo"].values)
+
+    def test_stream_keys_distinct(self, monkeypatch):
+        # the Monte Carlo chunks must not replay the channel streams or
+        # each other (SeedSequence ignores trailing zero keys)
+        keys = []
+
+        def recording_stream(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(hn, "stream", recording_stream)
+        cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
+                       mc_min_errors=10 ** 6, mc_min_trials=4000,
+                       mc_symbol_chunk=1000, mc_symbol_ceiling=4000)
+        hn.run_uplink_ser(cfg, "monte_carlo", (0.0, 6.0, 12.0))
+        assert len(keys) == 2 + 3 * 4
+        states = {tuple(stream(*k).bit_generator.seed_seq.generate_state(4))
+                  for k in keys}
+        assert len(states) == len(keys)
+
+
+class TestUplinkSampler:
+    """The two-draw averaged-observation sampler against the per-antenna
+    sum of ``uplink.antenna_observation`` (the brute-force oracle)."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("ebn0_db, symbol", [
+        (0.0, 5), (15.0, 5), (0.0, -1), (15.0, -1),
+    ], ids=["low_snr", "high_snr", "all_ones_low_snr", "all_ones_high_snr"])
+    def test_matches_per_antenna_sum(self, ebn0_db, symbol):
+        cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random")
+        chans, _ = build_uplink_instance(cfg, stream(3, 1), stream(3, 2))
+        c, n_t = chans.c, chans.n_antennas
+        s = (ul.bipolar_constellation(cfg.n_users)[symbol] + 1.0) / 2.0
+        sym = ComplementarySymbol(s.astype(int))
+        sigma2 = 10.0 ** (-ebn0_db / 10.0)
+
+        v = complex_normal(stream(3, 4), (2, self.N, n_t), sigma2)
+        oracle = ul.antenna_observation(c, sym, (v[0], v[1])).mean(axis=1)
+
+        e1 = np.full(self.N, np.sum(np.abs(c @ sym.s) ** 2))
+        e2 = np.full(self.N, np.sum(np.abs(c @ sym.s_bar) ** 2))
+        if symbol == -1:
+            assert e2[0] == 0.0  # s_bar = 0: numpy's central chi-square path
+        drawn = hn._averaged_observation(stream(3, 5), e1, e2, n_t, sigma2)
+        assert stats.ks_2samp(drawn, oracle).pvalue > 0.01
 
 
 class TestPdfFit:

@@ -19,6 +19,15 @@ def test_stream_is_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_stream_seeds_above_2_63_do_not_alias():
+    # every 64-bit seed the config accepts keys its own streams
+    assert ScenarioConfig(seed=2 ** 63 + 5).seed == 2 ** 63 + 5
+    high = stream(2 ** 63 + 5, 13, 1).standard_normal(5)
+    assert not np.array_equal(high, stream(5, 13, 1).standard_normal(5))
+    top = stream(2 ** 64 - 1, 13, 1).standard_normal(5)
+    assert not np.array_equal(top, stream(2 ** 63 - 1, 13, 1).standard_normal(5))
+
+
 def test_frame_rows_unit_normalized_at_start():
     cfg = desk_cfg(speed=50.0, rician_K=10.0, rician_V=10.0)
     frame = build_downlink_frame(cfg, stream(0, 1), stream(0, 2))
