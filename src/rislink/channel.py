@@ -154,7 +154,8 @@ class JakesFading:
     """
 
     f_max: float
-    alpha: np.ndarray
+    cos_alpha: np.ndarray
+    sin_alpha: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
 
@@ -169,14 +170,15 @@ class JakesFading:
         alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * oscillators)
         phi = rng.uniform(-np.pi, np.pi, size=shape + (oscillators,))
         psi = rng.uniform(-np.pi, np.pi, size=shape + (oscillators,))
-        return cls(f_max=float(f_max), alpha=alpha, phi=phi, psi=psi)
+        return cls(f_max=float(f_max), cos_alpha=np.cos(alpha),
+                   sin_alpha=np.sin(alpha), phi=phi, psi=psi)
 
     def sample_at(self, t: float) -> np.ndarray:
         """Fading matrix at absolute time t seconds."""
         wd_t = _TWO_PI * self.f_max * t
-        m = self.alpha.shape[-1]
-        re = np.cos(wd_t * np.cos(self.alpha) + self.phi).sum(axis=-1)
-        im = np.cos(wd_t * np.sin(self.alpha) + self.psi).sum(axis=-1)
+        m = self.phi.shape[-1]
+        re = np.cos(wd_t * self.cos_alpha + self.phi).sum(axis=-1)
+        im = np.cos(wd_t * self.sin_alpha + self.psi).sum(axis=-1)
         return (re + 1j * im) / np.sqrt(m)
 
 

@@ -17,6 +17,10 @@ from .waveform import ComplementarySymbol
 
 JOINT_SEARCH_CAP = 2 ** 16
 
+# Largest residual array (users x symbols x candidates) joint detection of a
+# block holds at once; a block is scored in slices of symbols below it.
+JOINT_SLICE_ELEMENTS = 2 ** 20
+
 # Relative singular-value floor below which a channel is treated as rank
 # deficient instead of being silently regularized.
 RANK_RTOL = 1e-10
@@ -108,16 +112,26 @@ def joint_detect(z: np.ndarray, h_bar: np.ndarray,
                  levels: int = 2) -> ComplementarySymbol:
     """Exhaustive minimum-Euclidean-norm detection over the full symbol set.
 
-    Ties break toward the lexicographically smallest s. Exponential in the
-    element count; intended for small-array experiments only.
+    ``z`` is one observation (N_k,) or a block of M observations (N_k, M);
+    the result's ``s`` is (N_t,) or (M, N_t).  Each observation is scored by
+    its exact residual against every candidate, and ties break toward the
+    lexicographically smallest s.  Symbols are scored in slices whose
+    residual holds at most JOINT_SLICE_ELEMENTS values (one symbol at least).
+    Exponential in the element count; intended for small-array experiments
+    only.
     """
     z = np.asarray(z, dtype=float)
     h_bar = np.asarray(h_bar, dtype=float)
     cands = bipolar_candidates(h_bar.shape[1], levels)
-    resid = z[:, None] - h_bar @ cands.T
-    best = int(np.argmin(np.einsum("ij,ij->j", resid, resid)))
+    hc = h_bar @ cands.T  # (N_k, C)
+    zs = z.reshape(z.shape[0], -1)
+    step = max(1, JOINT_SLICE_ELEMENTS // hc.size)
+    best = np.empty(zs.shape[1], dtype=int)
+    for lo in range(0, zs.shape[1], step):
+        resid = zs[:, lo:lo + step, None] - hc[:, None, :]
+        best[lo:lo + step] = np.argmin(np.einsum("ijk,ijk->jk", resid, resid), axis=1)
     s = ((cands[best] * (levels - 1) + (levels - 1)) / 2.0).round().astype(int)
-    return ComplementarySymbol(s, levels=levels)
+    return ComplementarySymbol(s.reshape(z.shape[1:] + s.shape[1:]), levels=levels)
 
 
 def zf_precoder(h_bar: np.ndarray, power_budget: float = 1.0) -> Precoder:

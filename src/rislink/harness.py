@@ -235,17 +235,16 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
     h_hat = _train(frame, cfg, scale, sigma2, rng_noise)
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_t))
-    errors = 0
+    z = np.empty((cfg.n_users, blocks, syms))
     for b in range(blocks):
         c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))     # (N_k, S)
         c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
         v1 = channel.complex_normal(rng_noise, c1.shape, sigma2)
         v2 = channel.complex_normal(rng_noise, c1.shape, sigma2)
-        z = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
-        for s in range(syms):
-            sym = downlink.joint_detect(z[:, s], h_hat)
-            errors += int(np.count_nonzero(sym.s != bits[b, s]))
-    return errors, bits.size
+        z[:, b] = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
+    # one detection call for the frame's symbols, block-major
+    sym = downlink.joint_detect(z.reshape(cfg.n_users, -1), h_hat)
+    return int(np.count_nonzero(sym.s != bits.reshape(-1, n_t))), bits.size
 
 
 def _sim_qam_baseline(frame, cfg, sigma2, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,86 @@ class TestJointDetect:
     def test_cap_enforced(self):
         with pytest.raises(dl.SearchTooLarge):
             dl.bipolar_candidates(17)
+
+
+def first_minimum_oracle(z, h_bar):
+    """Brute-force detection: candidates in lexicographic order of s, and
+    only a strictly smaller distance replaces the best so far."""
+    n_t = h_bar.shape[1]
+    best, best_val = None, np.inf
+    for idx in range(2 ** n_t):
+        cand = np.array([(idx >> (n_t - 1 - j)) & 1 for j in range(n_t)])
+        val = np.sum((z - h_bar @ (2.0 * cand - 1.0)) ** 2)
+        if val < best_val:
+            best, best_val = cand, val
+    return best
+
+
+class TestJointDetectBlock:
+    @pytest.mark.parametrize("n_t", [4, 6])
+    def test_matches_row_loop_and_oracle_under_noise(self, n_t):
+        g = rng(20 + n_t)
+        h_bar = g.standard_normal((4, n_t))
+        s = g.integers(0, 2, (300, n_t))
+        z = h_bar @ (2.0 * s - 1.0).T + np.sqrt(0.5) * g.standard_normal((4, 300))
+        got = dl.joint_detect(z, h_bar)
+        assert got.s.shape == (300, n_t)
+        rows = np.array([dl.joint_detect(z[:, m], h_bar).s for m in range(300)])
+        np.testing.assert_array_equal(got.s, rows)
+        oracle = np.array([first_minimum_oracle(z[:, m], h_bar) for m in range(300)])
+        np.testing.assert_array_equal(got.s, oracle)
+        assert np.count_nonzero(got.s != s) > 0  # the noise made errors
+
+    def test_one_dimensional_call_returns_one_symbol(self):
+        h_bar = rng(30).standard_normal((3, 5))
+        z = h_bar @ (2.0 * np.array([1, 0, 0, 1, 1]) - 1.0)
+        assert dl.joint_detect(z, h_bar).s.shape == (5,)
+        np.testing.assert_array_equal(dl.joint_detect(z[:, None], h_bar).s,
+                                      [[1, 0, 0, 1, 1]])
+
+    def test_all_tie_rows_decode_to_zero(self):
+        out = dl.joint_detect(np.zeros((4, 7)), np.eye(4))
+        np.testing.assert_array_equal(out.s, np.zeros((7, 4), dtype=int))
+
+    def test_zero_column_ties_take_zero_in_every_row(self):
+        # element 2 has no effect, so each candidate ties with its partner
+        # that differs only there; every decoded row must carry 0 in it,
+        # whether noiseless or noisy, and other elements are decoded as sent
+        g = rng(31)
+        h_bar = g.standard_normal((4, 5))
+        h_bar[:, 2] = 0.0
+        s = g.integers(0, 2, (9, 5))
+        z = h_bar @ (2.0 * s - 1.0).T
+        z[:, [0, 4, 8]] += 0.05 * g.standard_normal((4, 3))
+        want = s.copy()
+        want[:, 2] = 0
+        np.testing.assert_array_equal(dl.joint_detect(z, h_bar).s, want)
+
+    @pytest.mark.parametrize("per_slice", [1, 2, 4])
+    def test_slicing_leaves_decisions_unchanged(self, monkeypatch, per_slice):
+        g = rng(33)
+        h_bar = g.standard_normal((3, 4))
+        h_bar[:, 1] = 0.0  # ties in every row, across slice boundaries too
+        z = h_bar @ (2.0 * g.integers(0, 2, (4, 11)) - 1.0) \
+            + 0.3 * g.standard_normal((3, 11))
+        whole = dl.joint_detect(z, h_bar).s
+        monkeypatch.setattr(dl, "JOINT_SLICE_ELEMENTS", per_slice * 3 * 16)
+        np.testing.assert_array_equal(dl.joint_detect(z, h_bar).s, whole)
+        assert not whole[:, 1].any()
+
+    def test_memory_bounded_at_search_cap(self):
+        g = rng(32)
+        h_bar = g.standard_normal((4, 16))
+        z = h_bar @ (2.0 * g.integers(0, 2, (16, 200)) - 1.0)
+        tracemalloc.start()
+        try:
+            out = dl.joint_detect(z, h_bar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.s.shape == (200, 16)
+        # one unsliced residual would be 4 x 200 x 2^16 doubles, about 420 MB
+        assert peak < 64 * 2 ** 20
 
 
 class TestZfPrecoder:

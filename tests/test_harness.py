@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rislink import downlink as dl
 from rislink import harness as hn
 from rislink import uplink as ul
 from rislink.channel import complex_normal
 from rislink.config import ScenarioConfig
-from rislink.scenario import build_uplink_instance, stream
+from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
 from rislink.waveform import ComplementarySymbol
 
 
@@ -106,6 +107,19 @@ class TestDownlinkBer:
         with pytest.raises(Exception):
             hn.run_downlink_ber(cfg, "linear_joint", "ebn0", (10.0,))
 
+    def test_joint_worker_invariant(self):
+        cfg = desk_cfg(n_bs_antennas=4, blocks_per_frame=4, ebn0_db=10.0,
+                       mc_min_trials=32, mc_trial_ceiling=32)
+        a = hn.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
+                                workers=1)
+        b = hn.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
+                                workers=2)
+        for field_name in ("values", "trials"):
+            np.testing.assert_array_equal(
+                getattr(a.series["linear_joint"], field_name),
+                getattr(b.series["linear_joint"], field_name))
+        assert a.series["linear_joint"].values.max() > 0.0
+
     def test_unknown_scheme_or_sweep(self):
         cfg = desk_cfg()
         with pytest.raises(ValueError):
@@ -141,6 +155,46 @@ class TestDownlinkBer:
         res = hn.run_downlink_ber(cfg, "qam_ml_baseline", "speed", (10.0, 50.0))
         v = res.series["qam_ml_baseline"].values
         assert v[1] > v[0]
+
+
+def per_symbol_joint(frame, cfg, sigma2, rng):
+    """The linear_joint frame simulation with one detection call per symbol,
+    kept as the oracle of the block-detecting harness."""
+    n_t = cfg.n_bs_antennas
+    scale = 1.0 / np.sqrt(n_t)
+    rng_noise = rng(3)
+    h_hat = hn._train(frame, cfg, scale, sigma2, rng_noise)
+    bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block, n_t))
+    errors = 0
+    for b in range(cfg.blocks_per_frame):
+        c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))
+        c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
+        v1 = complex_normal(rng_noise, c1.shape, sigma2)
+        v2 = complex_normal(rng_noise, c1.shape, sigma2)
+        z = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
+        for s in range(cfg.symbols_per_block):
+            sym = dl.joint_detect(z[:, s], h_hat)
+            errors += int(np.count_nonzero(sym.s != bits[b, s]))
+    return errors, bits.size
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20250811])
+def test_joint_frame_matches_per_symbol_loop(seed):
+    cfg = desk_cfg(n_bs_antennas=4, speed=50.0, ebn0_db=12.0, seed=seed)
+    sigma2 = hn.scheme_noise_sigma2(cfg, "linear_joint")
+    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["linear_joint"].stream_id
+    total_errors = 0
+    for frame_idx in range(3):
+        frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
+                                     stream(seed, tag, 2, 0, frame_idx))
+
+        def rng(sub):
+            return stream(seed, tag, sub, 0, frame_idx, scheme_id)
+
+        got = hn._sim_linear_joint(frame, cfg, sigma2, rng)
+        assert got == per_symbol_joint(frame, cfg, sigma2, rng)
+        total_errors += got[0]
+    assert total_errors > 0
 
 
 def test_ks_statistic_matches_scipy():
