@@ -93,13 +93,19 @@ def ls_estimate(pilots: PilotBlock) -> np.ndarray:
     return np.linalg.solve(gram, (z @ x.T).T).T
 
 
+def check_search_size(n: int, levels: int = 2) -> None:
+    """Raise SearchTooLarge when an n-element alphabet of size ``levels``
+    has more than JOINT_SEARCH_CAP candidates; builds no table."""
+    if levels ** n > JOINT_SEARCH_CAP:
+        raise SearchTooLarge(f"{levels}**{n} candidates exceed the search cap")
+
+
 def bipolar_candidates(n: int, levels: int = 2) -> np.ndarray:
     """All bipolar symbol rows x_bar for an n-element alphabet of size
     ``levels``, enumerated in lexicographic order of s (element 0 most
     significant).  Capped at JOINT_SEARCH_CAP candidates."""
+    check_search_size(n, levels)
     total = levels ** n
-    if total > JOINT_SEARCH_CAP:
-        raise SearchTooLarge(f"{levels}**{n} candidates exceed the search cap")
     idx = np.arange(total)
     digits = np.empty((total, n), dtype=int)
     for j in range(n - 1, -1, -1):

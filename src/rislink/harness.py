@@ -235,15 +235,15 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
     h_hat = _train(frame, cfg, scale, sigma2, rng_noise)
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_t))
-    z = np.empty((cfg.n_users, blocks, syms))
-    for b in range(blocks):
-        c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))     # (N_k, S)
-        c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
-        v1 = channel.complex_normal(rng_noise, c1.shape, sigma2)
-        v2 = channel.complex_normal(rng_noise, c1.shape, sigma2)
-        z[:, b] = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
+    x = np.swapaxes(bits, -1, -2).astype(float)  # (B, N_t, S)
+    c1 = scale * (frame.h_blocks @ x)            # (B, N_k, S)
+    c2 = scale * (frame.h_blocks @ (1.0 - x))
+    # per block v1 then v2, as successive draws
+    v = channel.complex_normal(rng_noise, c1.shape[1:], sigma2, blocks=2 * blocks)
+    v = v.reshape((blocks, 2) + c1.shape[1:])
+    z = np.abs(c1 + v[:, 0]) ** 2 - np.abs(c2 + v[:, 1]) ** 2
     # one detection call for the frame's symbols, block-major
-    sym = downlink.joint_detect(z.reshape(cfg.n_users, -1), h_hat)
+    sym = downlink.joint_detect(np.swapaxes(z, 0, 1).reshape(cfg.n_users, -1), h_hat)
     return int(np.count_nonzero(sym.s != bits.reshape(-1, n_t))), bits.size
 
 
@@ -257,22 +257,21 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
     x = qam_modulate(bits)  # (B, S, N_k)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
-    errors = 0
-    for b in range(blocks):
-        t0 = cfg.pilot_len + b * syms
-        h_true = frame.h_blocks[b]
-        h_est = np.exp(1j * dnu * t0) * h_true \
-            + channel.complex_normal(rng_est, h_true.shape, est_sigma2)
-        p_c = np.linalg.pinv(h_est)
-        p_c = p_c / np.sqrt(np.trace(p_c.conj().T @ p_c).real)
-        composite = h_true @ p_c                 # (N_k, N_k)
-        gain = np.diag(h_est @ p_c)              # receiver-side block estimate
-        rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
-        y = rot[:, None] * (x[b] @ composite.T) \
-            + channel.complex_normal(rng_noise, (syms, n_k), sigma2)
-        detected = qam_demodulate(y / gain[None, :])
-        errors += int(np.count_nonzero(detected != bits[b]))
-    return errors, bits.size
+    t0 = cfg.pilot_len + np.arange(blocks) * syms  # block start, in symbols
+    h_true = frame.h_blocks
+    # a fresh noisy, Doppler-rotated estimate per block
+    h_est = np.exp(1j * dnu * t0)[:, None, None] * h_true \
+        + channel.complex_normal(rng_est, h_true.shape[1:], est_sigma2, blocks=blocks)
+    p_c = np.linalg.pinv(h_est)                  # (B, N_t, N_k)
+    power = np.trace(np.conj(np.swapaxes(p_c, -1, -2)) @ p_c, axis1=-2, axis2=-1).real
+    p_c = p_c / np.sqrt(power)[:, None, None]
+    composite = h_true @ p_c                     # (B, N_k, N_k)
+    gain = np.diagonal(h_est @ p_c, axis1=-2, axis2=-1)  # receiver-side block estimate
+    rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
+    y = rot[:, :, None] * (x @ np.swapaxes(composite, -1, -2)) \
+        + channel.complex_normal(rng_noise, (syms, n_k), sigma2, blocks=blocks)
+    detected = qam_demodulate(y / gain[:, None, :])
+    return int(np.count_nonzero(detected != bits)), bits.size
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     if sweep not in SWEEPS:
         raise ValueError(f"unknown sweep axis {sweep!r}")
     if "linear_joint" in schemes:
-        downlink.bipolar_candidates(cfg.n_bs_antennas)  # enforce the search cap early
+        downlink.check_search_size(cfg.n_bs_antennas)  # before any frame is built
     axis = SWEEPS[sweep]
     grid = tuple(float(g) for g in (axis.default_grid(cfg) if grid is None else grid))
     # one validated config per grid point

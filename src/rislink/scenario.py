@@ -6,6 +6,11 @@ monomial path-loss amplitudes d^(-alpha/2) (reference distance 1 m).  The
 BS-RIS hop is static within a frame while the RIS-user hops evolve with the
 time-correlated fading process; the common mobility-induced phase rotation is
 applied per symbol on top.
+
+A downlink frame samples its fading once at the pilot instant t = 0 with
+``JakesFading.sample_at`` and at every block start by phasor rotation on the
+evenly spaced block grid (``JakesFading.sample_grid``), then forms all its
+cascades in one batched product; ``sample_at`` stays the per-instant oracle.
 """
 
 from __future__ import annotations
@@ -131,20 +136,17 @@ def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
 
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)
-    block_times = (cfg.pilot_len + np.arange(cfg.blocks_per_frame) * cfg.symbols_per_block) \
-        * cfg.symbol_period
-
-    def cascade_at(t: float) -> np.ndarray:
-        g = links.g_los_w + links.g_nlos_weight * jakes.sample_at(t)
-        h = g @ q_omega
-        if links.direct_rows is not None:
-            h = h + links.direct_rows
-        return h
-
-    h_pilot = cascade_at(0.0)
-    scale = 1.0 / np.linalg.norm(h_pilot, axis=1, keepdims=True)
-    h_blocks = np.stack([cascade_at(t) for t in block_times]) * scale[None, :, :]
-    return DownlinkFrame(h_pilot=h_pilot * scale, h_blocks=h_blocks)
+    # the pilot instant, then every block start, by rotation on the block grid
+    fades = np.concatenate([
+        jakes.sample_at(0.0)[None],
+        jakes.sample_grid(cfg.pilot_len * cfg.symbol_period,
+                          cfg.symbols_per_block * cfg.symbol_period,
+                          cfg.blocks_per_frame)])
+    h = (links.g_los_w + links.g_nlos_weight * fades) @ q_omega  # (B+1, N_k, N_t)
+    if links.direct_rows is not None:
+        h = h + links.direct_rows
+    h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))
+    return DownlinkFrame(h_pilot=h[0], h_blocks=h[1:])
 
 
 def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,

@@ -143,7 +143,22 @@ class TestComplexNormal:
         out = ch.complex_normal(g, (3, 4), 0.0)
         assert out.shape == (3, 4) and out.dtype == complex
         assert not np.any(out)
+        stacked = ch.complex_normal(g, (3, 4), 0.0, blocks=5)
+        assert stacked.shape == (5, 3, 4) and not np.any(stacked)
         assert g.bit_generator.state == before
+
+    @pytest.mark.parametrize("shape, n", [((8, 128), 3), ((25, 8), 40), ((4, 25), 80)])
+    def test_blocks_equal_successive_calls(self, shape, n):
+        # each call draws its real parts, then its imaginary parts
+        one, stacked = rng(18), rng(18)
+        calls = np.stack([np.sqrt(0.35) * (one.standard_normal(shape)
+                                           + 1j * one.standard_normal(shape))
+                          for _ in range(n)])
+        got = ch.complex_normal(stacked, shape, 0.7, blocks=n)
+        assert got.shape == (n,) + shape
+        np.testing.assert_array_equal(got, calls)
+        assert stacked.bit_generator.state == one.bit_generator.state
+        np.testing.assert_array_equal(ch.complex_normal(rng(18), shape, 0.7), calls[0])
 
     def test_variance_split_between_quadratures(self):
         x = ch.complex_normal(rng(17), 400_000, 0.3)
@@ -157,6 +172,21 @@ class TestJakesFading:
         first = state.sample_at(1e-3)
         later = state.sample_at(5.001)
         np.testing.assert_allclose(first, later, atol=1e-14)
+
+    @pytest.mark.parametrize("f_max", [0.0, 197.0, 983.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (8, 64)])
+    def test_grid_matches_sample_at(self, f_max, shape):
+        # block starts of the default frame: 20 pilots, then 25-symbol
+        # blocks of 8 us symbols; 400 blocks is ten 40-block frames
+        state = ch.JakesFading.create(shape, f_max, rng(11))
+        t0, dt, count = 20 * 8e-6, 25 * 8e-6, 400
+        grid = state.sample_grid(t0, dt, count)
+        assert grid.shape == (count,) + shape
+        oracle = np.stack([state.sample_at(t0 + k * dt) for k in range(count)])
+        assert np.abs(grid - oracle).max() < 1e-12
+        if f_max == 0.0:
+            still = state.sample_at(0.0)
+            assert all(np.array_equal(g, still) for g in grid)
 
     def test_lag_one_autocorrelation_matches_bessel(self):
         f_max, dt = 1000.0, 8e-6

@@ -68,16 +68,28 @@ def test_pdf_fit(fast_cfg, tmp_path):
     assert any(name.startswith("empirical") for name in result.series)
 
 
-def test_seed_reproducibility_across_worker_counts(fast_cfg, tmp_path):
+def speed_csvs_at_1_and_8_workers(cfg_path, tmp_path):
     outs = []
     for tag, workers in (("a", "1"), ("b", "8")):
         out = tmp_path / f"{tag}.csv"
-        proc = run_cli("downlink-ber", "--config", str(fast_cfg), "--sweep", "speed",
+        proc = run_cli("downlink-ber", "--config", str(cfg_path), "--sweep", "speed",
                        "--grid", "10,50", "--scheme", "linear_precoded",
                        "--scheme", "qam_ml_baseline", "--seed", "77",
                        "--workers", workers, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
+    return outs
+
+
+def test_seed_reproducibility_across_worker_counts(fast_cfg, tmp_path):
+    outs = speed_csvs_at_1_and_8_workers(fast_cfg, tmp_path)
+    assert outs[0] == outs[1]
+
+
+def test_seed_reproducibility_across_worker_counts_direct_link(tmp_path):
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(FAST_CFG + "direct_link: true\n")
+    outs = speed_csvs_at_1_and_8_workers(cfg, tmp_path)
     assert outs[0] == outs[1]
 
 
@@ -144,6 +156,16 @@ def test_numerical_error_exit_code(fast_cfg, tmp_path):
     proc = run_cli("downlink-ber", "--config", str(fast_cfg), "--scheme", "linear_joint",
                    "--paper-scale", "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 3
+
+
+def test_search_cap_exit_code_just_above_cap(tmp_path):
+    # 2**17 candidates: refused before any frame is built
+    cfg = tmp_path / "n17.cfg"
+    cfg.write_text(FAST_CFG + "n_bs_antennas: 17\n")
+    proc = run_cli("downlink-ber", "--config", str(cfg), "--scheme", "linear_joint",
+                   "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3
+    assert "search cap" in proc.stderr
 
 
 def test_series_truncation_exit_code(fast_cfg, tmp_path):

@@ -119,6 +119,26 @@ class TestJointDetect:
         with pytest.raises(dl.SearchTooLarge):
             dl.bipolar_candidates(17)
 
+    @pytest.mark.parametrize("n, levels, allowed", [
+        (16, 2, True), (17, 2, False), (8, 4, True), (9, 4, False),
+    ])
+    def test_cap_check_at_the_boundary(self, n, levels, allowed):
+        if allowed:
+            dl.check_search_size(n, levels)
+        else:
+            with pytest.raises(dl.SearchTooLarge):
+                dl.check_search_size(n, levels)
+
+    def test_cap_check_builds_no_table(self):
+        # the full 2^16 x 16 table would take 8 MB
+        tracemalloc.start()
+        try:
+            dl.check_search_size(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 def first_minimum_oracle(z, h_bar):
     """Brute-force detection: candidates in lexicographic order of s, and

@@ -107,6 +107,16 @@ class TestDownlinkBer:
         with pytest.raises(Exception):
             hn.run_downlink_ber(cfg, "linear_joint", "ebn0", (10.0,))
 
+    def test_joint_search_cap_checked_before_any_frame(self, monkeypatch):
+        def no_frames(*args):
+            raise AssertionError("a frame was built")
+
+        monkeypatch.setattr(hn, "build_downlink_frame", no_frames)
+        monkeypatch.setattr(dl, "bipolar_candidates", no_frames)
+        with pytest.raises(dl.SearchTooLarge):
+            hn.run_downlink_ber(desk_cfg(n_bs_antennas=17), "linear_joint", "ebn0",
+                                (10.0,))
+
     def test_joint_worker_invariant(self):
         cfg = desk_cfg(n_bs_antennas=4, blocks_per_frame=4, ebn0_db=10.0,
                        mc_min_trials=32, mc_trial_ceiling=32)
@@ -194,6 +204,54 @@ def test_joint_frame_matches_per_symbol_loop(seed):
         got = hn._sim_linear_joint(frame, cfg, sigma2, rng)
         assert got == per_symbol_joint(frame, cfg, sigma2, rng)
         total_errors += got[0]
+    assert total_errors > 0
+
+
+def per_block_qam(frame, cfg, sigma2, rng):
+    """The 4-QAM baseline frame simulation one block at a time, with per-block
+    estimation and noise draws, kept as the oracle of the batched baseline."""
+    n_k, syms = cfg.n_users, cfg.symbols_per_block
+    pilot_budget = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
+    rng_noise, rng_est = rng(3), rng(5)
+    bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, syms, n_k, 2))
+    x = hn.qam_modulate(bits)
+    dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
+    errors = 0
+    for b in range(cfg.blocks_per_frame):
+        t0 = cfg.pilot_len + b * syms
+        h_true = frame.h_blocks[b]
+        h_est = np.exp(1j * dnu * t0) * h_true \
+            + complex_normal(rng_est, h_true.shape, sigma2 / pilot_budget)
+        p_c = np.linalg.pinv(h_est)
+        p_c = p_c / np.sqrt(np.trace(p_c.conj().T @ p_c).real)
+        gain = np.diag(h_est @ p_c)
+        rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
+        y = rot[:, None] * (x[b] @ (h_true @ p_c).T) \
+            + complex_normal(rng_noise, (syms, n_k), sigma2)
+        errors += int(np.count_nonzero(hn.qam_demodulate(y / gain[None, :]) != bits[b]))
+    return errors, bits.size
+
+
+@pytest.mark.parametrize("direct_link", [False, True], ids=["ris", "direct"])
+@pytest.mark.parametrize("speed", [0.0, 50.0])
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
+    sizes = {"desk": {}, "paper": dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)}
+    cfg = desk_cfg(**sizes[scale], speed=speed, ebn0_db=10.0, direct_link=direct_link)
+    sigma2 = hn.scheme_noise_sigma2(cfg, "qam_ml_baseline")
+    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["qam_ml_baseline"].stream_id
+    total_errors = 0
+    for seed in (1, 7, 20250811):
+        for frame_idx in range(3):
+            frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
+                                         stream(seed, tag, 2, 0, frame_idx))
+
+            def rng(sub):
+                return stream(seed, tag, sub, 0, frame_idx, scheme_id)
+
+            got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
+            assert got == per_block_qam(frame, cfg, sigma2, rng)
+            total_errors += got[0]
     assert total_errors > 0
 
 

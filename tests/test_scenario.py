@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
+from rislink import channel as ch
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
-from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
+from rislink.scenario import (_draw_links, build_downlink_frame, build_uplink_instance,
+                              stream)
 
 
 def desk_cfg(**kw):
@@ -26,6 +29,46 @@ def test_stream_seeds_above_2_63_do_not_alias():
     assert not np.array_equal(high, stream(5, 13, 1).standard_normal(5))
     top = stream(2 ** 64 - 1, 13, 1).standard_normal(5)
     assert not np.array_equal(top, stream(2 ** 63 - 1, 13, 1).standard_normal(5))
+
+
+def per_instant_frame(cfg, rng_geo, rng_fade):
+    """The downlink frame with one ``sample_at`` call and one cascade per
+    instant, kept as the oracle of the rotation-sampled, batched builder."""
+    links = _draw_links(cfg, rng_geo)
+    q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)
+    q_omega = links.pattern.diagonal[:, None] * (links.q_los_w
+                                                 + links.q_nlos_weight * q_nlos)
+    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
+                                  rng_fade)
+    block_times = (cfg.pilot_len + np.arange(cfg.blocks_per_frame)
+                   * cfg.symbols_per_block) * cfg.symbol_period
+
+    def cascade_at(t):
+        h = (links.g_los_w + links.g_nlos_weight * jakes.sample_at(t)) @ q_omega
+        return h if links.direct_rows is None else h + links.direct_rows
+
+    h_pilot = cascade_at(0.0)
+    scale = 1.0 / np.linalg.norm(h_pilot, axis=1, keepdims=True)
+    return h_pilot * scale, np.stack([cascade_at(t) for t in block_times]) * scale
+
+
+SCALES = {"desk": dict(n_users=4, n_bs_antennas=32, n_ris_elements=16),
+          "paper": dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)}
+
+
+@pytest.mark.parametrize("direct_link", [False, True], ids=["ris", "direct"])
+@pytest.mark.parametrize("speed", [0.0, 50.0])
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_frame_matches_per_instant_builder(scale, speed, direct_link):
+    cfg = ScenarioConfig(**SCALES[scale], speed=speed, direct_link=direct_link)
+    for seed in (1, 7, 20250811):
+        for frame_idx in range(3):
+            keys = (seed, 11, 1, 0, frame_idx), (seed, 11, 2, 0, frame_idx)
+            frame = build_downlink_frame(cfg, *(stream(*k) for k in keys))
+            h_pilot, h_blocks = per_instant_frame(cfg, *(stream(*k) for k in keys))
+            assert frame.h_blocks.shape == h_blocks.shape
+            assert np.abs(frame.h_pilot - h_pilot).max() < 1e-12
+            assert np.abs(frame.h_blocks - h_blocks).max() < 1e-12
 
 
 def test_frame_rows_unit_normalized_at_start():
