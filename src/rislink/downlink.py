@@ -4,6 +4,12 @@ training, joint minimum-distance detection, and zero-forcing precoding.
 The equivalent channel relates bipolar symbols to the magnitude-difference
 observation and is real by construction, so a common Doppler rotation of the
 underlying complex channel leaves it unchanged.
+
+Training pilots are rows of the Sylvester-Hadamard matrix of order
+``hadamard_order(n_rows, length)``, a power of two, so their Gram matrix is
+exactly order * I and the least-squares estimate is z_t x_t^T / order with
+no rounding in the division; ``ls_estimate`` is the generic estimator for any
+full-rank pilot block.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .waveform import ComplementarySymbol
 
@@ -69,16 +74,24 @@ def equivalent_channel(h: np.ndarray) -> np.ndarray:
     return np.real(lam * h)
 
 
-def hadamard_pilots(n_rows: int, length: int | None = None) -> np.ndarray:
-    """Bipolar pilot matrix from a Hadamard matrix of order >= n_rows.
+def hadamard_order(n_rows: int, length: int | None = None) -> int:
+    """Order of the Hadamard pilot matrix: the smallest power of two that is
+    at least n_rows and at least ``length``; also the pilot symbol count."""
+    return 1 << (max(n_rows, length or 0, 1) - 1).bit_length()
 
-    Rows are mutually orthogonal, so the pilot Gram matrix is length * I.
+
+def hadamard_pilots(n_rows: int, length: int | None = None) -> np.ndarray:
+    """The first n_rows rows of the Sylvester-Hadamard matrix of order
+    ``hadamard_order(n_rows, length)``, as floats.
+
+    Sylvester's construction doubles H to [[H, H], [H, -H]] from H = [[1]].
+    Rows are mutually orthogonal, so the pilot Gram matrix is order * I.
     """
-    order = 1
-    target = max(n_rows, length or 0)
-    while order < target:
-        order *= 2
-    return hadamard(order)[:n_rows].astype(float)
+    order = hadamard_order(n_rows, length)
+    h = np.ones((1, 1))
+    while h.shape[0] < order:
+        h = np.vstack([np.hstack([h, h]), np.hstack([h, -h])])
+    return h[:n_rows]
 
 
 def ls_estimate(pilots: PilotBlock) -> np.ndarray:

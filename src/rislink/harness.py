@@ -8,6 +8,10 @@ see exactly the same channel draws (common random numbers).  Downlink and
 uplink error-rate points share one stopping rule: fixed-size batches until
 every series meets the error target or the trial ceiling is met, never fewer
 than the configured minimum number of trials.  A run uses one worker pool.
+
+No downlink frame takes an SVD outside ``downlink.zf_precoder``: training
+divides by the Hadamard order in closed form, and the 4-QAM baseline
+zero-forces each block through its N_k x N_k Gram matrix.
 """
 
 from __future__ import annotations
@@ -191,15 +195,18 @@ def qam_modulate(bits: np.ndarray) -> np.ndarray:
 def _train(frame, cfg, scale, sigma2, rng_noise):
     """LS estimate of the real equivalent channel from Hadamard pilots sent
     at amplitude ``scale`` at the frame-start channel; the estimate is
-    scale^2 * H_bar."""
-    pilots = downlink.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len)
+    scale^2 * H_bar.  The pilot Gram matrix is exactly order * I with order
+    a power of two, so z_t X^T / order equals ``downlink.ls_estimate`` bit
+    for bit without its SVD and solve."""
+    order = downlink.hadamard_order(cfg.n_bs_antennas, cfg.pilot_len)
+    pilots = downlink.hadamard_pilots(cfg.n_bs_antennas, order)
     s_t = (1.0 + pilots) / 2.0
     h0 = frame.h_pilot
     c1 = scale * (h0 @ s_t)
     c2 = scale * (h0 @ (1.0 - s_t))
     v = channel.complex_normal(rng_noise, (2,) + c1.shape, sigma2)
     z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
-    return downlink.ls_estimate(downlink.PilotBlock(pilots, z_t))
+    return (z_t @ pilots.T) / order
 
 
 def _precoded_link(w, rho, bits, sigma2, rng):
@@ -210,9 +217,8 @@ def _precoded_link(w, rho, bits, sigma2, rng):
     amp = np.sqrt(rho)
     a1 = amp * bits @ w_t
     a2 = amp * (1.0 - bits) @ w_t
-    v1 = channel.complex_normal(rng, a1.shape, sigma2)
-    v2 = channel.complex_normal(rng, a1.shape, sigma2)
-    return a1, a2, np.abs(a1 + v1) ** 2 - np.abs(a2 + v2) ** 2
+    v = channel.complex_normal(rng, a1.shape, sigma2, blocks=2)  # v1, then v2
+    return a1, a2, np.abs(a1 + v[0]) ** 2 - np.abs(a2 + v[1]) ** 2
 
 
 def _sim_linear_precoded(frame, cfg, sigma2, rng):
@@ -248,10 +254,15 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
 
 
 def _sim_qam_baseline(frame, cfg, sigma2, rng):
+    """4-QAM with a fresh noisy, Doppler-rotated estimate H_est per block and
+    zero forcing on it through the N_k x N_k Gram G = H_est H_est^H: the
+    precoder H_est^H G^-1 / sqrt(tr G^-1) has unit power, the true channel
+    sees (H H_est^H) G^-1 / sqrt(tr G^-1), and the receiver divides by the
+    diagonal of H_est times the same precoder.  A block whose Gram has
+    lambda_min <= RANK_RTOL * lambda_max raises RankDeficientChannel."""
     n_k = cfg.n_users
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
-    pilot_budget = downlink.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
-    est_sigma2 = sigma2 / pilot_budget
+    est_sigma2 = sigma2 / downlink.hadamard_order(cfg.n_bs_antennas, cfg.pilot_len)
     rng_noise, rng_est = rng(3), rng(5)
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
@@ -262,11 +273,15 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     # a fresh noisy, Doppler-rotated estimate per block
     h_est = np.exp(1j * dnu * t0)[:, None, None] * h_true \
         + channel.complex_normal(rng_est, h_true.shape[1:], est_sigma2, blocks=blocks)
-    p_c = np.linalg.pinv(h_est)                  # (B, N_t, N_k)
-    power = np.trace(np.conj(np.swapaxes(p_c, -1, -2)) @ p_c, axis1=-2, axis2=-1).real
-    p_c = p_c / np.sqrt(power)[:, None, None]
-    composite = h_true @ p_c                     # (B, N_k, N_k)
-    gain = np.diagonal(h_est @ p_c, axis1=-2, axis2=-1)  # receiver-side block estimate
+    h_est_h = np.conj(np.swapaxes(h_est, -1, -2))
+    gram = h_est @ h_est_h                       # (B, N_k, N_k)
+    lam = np.linalg.eigvalsh(gram)               # ascending, per block
+    if np.any(lam[:, 0] <= downlink.RANK_RTOL * lam[:, -1]):
+        raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
+    g_inv = np.linalg.inv(gram)
+    norm = 1.0 / np.sqrt(np.trace(g_inv, axis1=-2, axis2=-1).real)[:, None, None]
+    composite = (h_true @ h_est_h) @ g_inv * norm              # (B, N_k, N_k)
+    gain = np.diagonal(gram @ g_inv * norm, axis1=-2, axis2=-1)  # receiver-side
     rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
     y = rot[:, :, None] * (x @ np.swapaxes(composite, -1, -2)) \
         + channel.complex_normal(rng_noise, (syms, n_k), sigma2, blocks=blocks)

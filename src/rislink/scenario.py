@@ -10,7 +10,8 @@ applied per symbol on top.
 A downlink frame samples its fading once at the pilot instant t = 0 with
 ``JakesFading.sample_at`` and at every block start by phasor rotation on the
 evenly spaced block grid (``JakesFading.sample_grid``), then forms all its
-cascades in one batched product; ``sample_at`` stays the per-instant oracle.
+cascades in one 2-D product over the stacked user rows; ``sample_at`` stays
+the per-instant oracle.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
         jakes.sample_grid(cfg.pilot_len * cfg.symbol_period,
                           cfg.symbols_per_block * cfg.symbol_period,
                           cfg.blocks_per_frame)])
-    h = (links.g_los_w + links.g_nlos_weight * fades) @ q_omega  # (B+1, N_k, N_t)
+    g = links.g_los_w + links.g_nlos_weight * fades  # (B+1, N_k, N)
+    # one 2-D product over all (B+1) * N_k rows: (B+1, N_k, N_t)
+    h = (g.reshape(-1, g.shape[-1]) @ q_omega).reshape(g.shape[:-1] + q_omega.shape[1:])
     if links.direct_rows is not None:
         h = h + links.direct_rows
     h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))

@@ -176,6 +176,17 @@ def test_series_truncation_exit_code(fast_cfg, tmp_path):
     assert "truncation" in proc.stderr
 
 
+def test_rank_deficient_baseline_estimate_exit_code(tmp_path):
+    # two RIS elements and no direct link give every user's row one 2-D span:
+    # the noiseless 4-user baseline Gram is singular, never truncated
+    cfg = tmp_path / "rank2.cfg"
+    cfg.write_text(FAST_CFG + "n_ris_elements: 2\nnoise_sigma2: 0\nspeed: 0\n")
+    proc = run_cli("downlink-ber", "--config", str(cfg), "--scheme", "qam_ml_baseline",
+                   "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3, proc.stderr
+    assert "baseline estimate is rank deficient" in proc.stderr
+
+
 def test_io_error_exit_code(fast_cfg, tmp_path):
     proc = run_cli("output-snr", "--config", str(fast_cfg), "--grid", "16",
                    "--out", str(tmp_path / "missing_dir" / "x.csv"))

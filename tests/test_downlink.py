@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard as scipy_hadamard
 
 from rislink import downlink as dl
 from rislink.waveform import ComplementarySymbol
@@ -82,6 +83,24 @@ class TestLsEstimate:
         pilots = np.ones((4, 8))
         with pytest.raises(dl.RankDeficientPilots):
             dl.ls_estimate(dl.PilotBlock(pilots, np.ones((2, 8))))
+
+
+class TestHadamardPilots:
+    def test_sylvester_matches_scipy(self):
+        for n_rows in range(1, 257):
+            order = dl.hadamard_order(n_rows)
+            assert order >= n_rows and order & (order - 1) == 0
+            assert order < 2 * n_rows or n_rows == 1
+            np.testing.assert_array_equal(dl.hadamard_pilots(n_rows),
+                                          scipy_hadamard(order)[:n_rows])
+
+    @pytest.mark.parametrize("n_t, pilot_len",
+                             [(4, 20), (32, 20), (128, 20), (8, 16), (16, 40)])
+    def test_gram_is_exactly_order_identity(self, n_t, pilot_len):
+        order = dl.hadamard_order(n_t, pilot_len)
+        p = dl.hadamard_pilots(n_t, pilot_len)
+        assert p.shape == (n_t, order)
+        np.testing.assert_array_equal(p @ p.T, order * np.eye(n_t))
 
 
 class TestJointDetect:

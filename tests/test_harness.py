@@ -232,15 +232,16 @@ def per_block_qam(frame, cfg, sigma2, rng):
     return errors, bits.size
 
 
-@pytest.mark.parametrize("direct_link", [False, True], ids=["ris", "direct"])
-@pytest.mark.parametrize("speed", [0.0, 50.0])
-@pytest.mark.parametrize("scale", ["desk", "paper"])
-def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
-    sizes = {"desk": {}, "paper": dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)}
-    cfg = desk_cfg(**sizes[scale], speed=speed, ebn0_db=10.0, direct_link=direct_link)
+PAPER_SIZES = dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)
+
+
+def check_qam_against_per_block_loop(cfg):
+    """Run the batched baseline and its per-block oracle on 3 seeds x 3
+    frames, require equal (errors, bits) on each, and return the frames'
+    largest true-channel Gram condition number."""
     sigma2 = hn.scheme_noise_sigma2(cfg, "qam_ml_baseline")
     tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["qam_ml_baseline"].stream_id
-    total_errors = 0
+    total_errors, worst_cond = 0, 0.0
     for seed in (1, 7, 20250811):
         for frame_idx in range(3):
             frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
@@ -252,7 +253,50 @@ def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
             got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
             assert got == per_block_qam(frame, cfg, sigma2, rng)
             total_errors += got[0]
+            gram = frame.h_blocks @ np.conj(np.swapaxes(frame.h_blocks, -1, -2))
+            worst_cond = max(worst_cond, np.linalg.cond(gram).max())
     assert total_errors > 0
+    return worst_cond
+
+
+@pytest.mark.parametrize("direct_link", [False, True], ids=["ris", "direct"])
+@pytest.mark.parametrize("speed", [0.0, 50.0])
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
+    sizes = {"desk": {}, "paper": PAPER_SIZES}
+    check_qam_against_per_block_loop(
+        desk_cfg(**sizes[scale], speed=speed, ebn0_db=10.0, direct_link=direct_link))
+
+
+def test_qam_gram_zf_matches_pinv_at_worst_conditioning():
+    # strong LoS on both hops at 50 dB: the most ill-conditioned Gram the
+    # baseline meets at paper scale
+    cfg = desk_cfg(**PAPER_SIZES, rician_K=100.0, rician_V=100.0, ebn0_db=50.0)
+    assert check_qam_against_per_block_loop(cfg) > 1e6
+
+
+def ls_train(frame, cfg, scale, sigma2, rng_noise):
+    """``harness._train``'s pilot observation estimated by the generic
+    ``downlink.ls_estimate``, kept as the oracle of the closed-form LS."""
+    pilots = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len)
+    s_t = (1.0 + pilots) / 2.0
+    c1 = scale * (frame.h_pilot @ s_t)
+    c2 = scale * (frame.h_pilot @ (1.0 - s_t))
+    v = complex_normal(rng_noise, (2,) + c1.shape, sigma2)
+    z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
+    return dl.ls_estimate(dl.PilotBlock(pilots, z_t))
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["unit_scale", "joint_scale"])
+@pytest.mark.parametrize("n_t, pilot_len",
+                         [(4, 20), (32, 20), (128, 20), (8, 16), (16, 40)])
+def test_train_matches_ls_estimate(n_t, pilot_len, joint):
+    cfg = desk_cfg(n_bs_antennas=n_t, pilot_len=pilot_len)
+    scale = 1.0 / np.sqrt(n_t) if joint else 1.0
+    sigma2 = hn.scheme_noise_sigma2(cfg, "linear_precoded")
+    frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
+    got = hn._train(frame, cfg, scale, sigma2, stream(3, 3))
+    assert np.array_equal(got, ls_train(frame, cfg, scale, sigma2, stream(3, 3)))
 
 
 def test_ks_statistic_matches_scipy():
