@@ -19,8 +19,8 @@ from .harness import (CurveResult, export_csv, read_curve_csv, run_downlink_ber,
                       run_output_snr, run_pdf_fit, run_uplink_ser)
 from .uplink import (DecisionRegions, LinearGains, UplinkChannelSet,
                      antenna_observation, array_average, bipolar_constellation,
-                     build_regions, exact_linear_gains, ml_detect,
-                     pilot_gain_estimate, region_detect)
+                     build_regions, exact_linear_gains, pilot_gain_estimate,
+                     region_detect)
 from .waveform import (ComplementarySymbol, CorrelatorPair, NoiseModel,
                        TonePair, equivalent_noise, magnitude_difference)
 

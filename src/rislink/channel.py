@@ -212,15 +212,22 @@ class JakesFading:
 
 
 def cascade(g: np.ndarray, pattern: ReflectionPattern, q: np.ndarray) -> np.ndarray:
-    """Cascaded link g * diag(exp(j*phases)) * Q as an exact matrix product."""
+    """Cascaded link g * diag(exp(j*phases)) * Q, the one place a cascade is
+    formed.
+
+    The pattern is applied to the rows of Q, and any stack of RIS-side rows
+    ``g`` of shape (..., N) goes through one 2-D product, giving
+    (...,) + Q.shape[1:].
+    """
     g = np.asarray(g)
     q = np.asarray(q)
     n = pattern.phases.shape[0]
-    if g.shape[-1] != n or q.shape[0] != n:
+    if q.ndim != 2 or g.shape[-1] != n or q.shape[0] != n:
         raise ValueError(
             f"dimension mismatch: g has {g.shape[-1]} columns, pattern has "
-            f"{n} elements, Q has {q.shape[0]} rows")
-    return (g * pattern.diagonal) @ q
+            f"{n} elements, Q has shape {q.shape}")
+    q_omega = pattern.diagonal[:, None] * q
+    return (g.reshape(-1, n) @ q_omega).reshape(g.shape[:-1] + q.shape[1:])
 
 
 def cascade_decomposition(g_los: np.ndarray, g_nlos: np.ndarray,

@@ -159,37 +159,10 @@ def _parse_floats(raw: str) -> tuple:
     return tuple(float(v) for v in raw.replace(",", " ").split())
 
 
-_PARSERS = {
-    "bs_position": _parse_floats,
-    "ris_position": _parse_floats,
-    "coverage_length": float,
-    "n_users": int,
-    "n_ris_elements": int,
-    "n_bs_antennas": int,
-    "rician_factor": float,
-    "rician_K": float,
-    "rician_V": float,
-    "pathloss_exponents": _parse_floats,
-    "carrier_f1": float,
-    "symbol_period": float,
-    "speed": float,
-    "blocks_per_frame": int,
-    "symbols_per_block": int,
-    "pilot_len": int,
-    "noise_sigma2": float,
-    "ebn0_db": float,
-    "ebn0_db_grid": _parse_floats,
-    "seed": int,
-    "ris_phase_mode": str,
-    "direct_link": _parse_bool,
-    "mc_min_errors": int,
-    "mc_min_trials": int,
-    "mc_trial_ceiling": int,
-    "mc_symbol_chunk": int,
-    "mc_symbol_ceiling": int,
-    "snr_channel_draws": int,
-    "pdf_fit_samples": int,
-}
+# one parser per field, chosen by its annotation
+_PARSERS = {f.name: {"int": int, "float": float, "float | None": float,
+                     "tuple": _parse_floats, "bool": _parse_bool, "str": str}[f.type]
+            for f in fields(ScenarioConfig) if f.name != "explicit_keys"}
 
 
 def load_scenario(path) -> ScenarioConfig:

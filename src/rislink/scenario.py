@@ -7,11 +7,14 @@ BS-RIS hop is static within a frame while the RIS-user hops evolve with the
 time-correlated fading process; the common mobility-induced phase rotation is
 applied per symbol on top.
 
-A downlink frame samples its fading once at the pilot instant t = 0 with
+Both link directions take their cascades from ``channel.cascade``.  A
+downlink frame samples its fading once at the pilot instant t = 0 with
 ``JakesFading.sample_at`` and at every block start by phasor rotation on the
 evenly spaced block grid (``JakesFading.sample_grid``), then forms all its
-cascades in one 2-D product over the stacked user rows; ``sample_at`` stays
-the per-instant oracle.
+cascades in one call over the stacked user rows; ``sample_at`` stays the
+per-instant oracle.  The optional direct BS-user path fades with its own
+process at the same Doppler.  The uplink is one snapshot: the transposed
+downlink cascade terms, by reciprocity.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
+from .uplink import UplinkChannelSet
 
 # Road in front of the RIS: along x at fixed lateral offset and antenna height.
 ROAD_Y = 55.0
@@ -46,17 +50,20 @@ def path_amplitude(distance: float, exponent: float) -> float:
 @dataclass
 class LinkSet:
     """Weighted LoS/NLoS pieces of the BS-RIS and RIS-user hops plus the
-    reflection pattern, shared by both link directions via reciprocity."""
+    reflection pattern, shared by both link directions via reciprocity.  The
+    BS-RIS hop is static within a frame, so its NLoS draw is part of the set;
+    the RIS-user and direct-path fading belong to each direction's builder."""
 
     q_los_w: np.ndarray      # (N, N_t) BS->RIS LoS, weights and gain applied
-    q_nlos_weight: float     # multiplies a unit-variance NLoS draw
+    q_nlos_w: np.ndarray     # (N, N_t) BS->RIS NLoS draw, weights and gain applied
     g_los_w: np.ndarray      # (N_k, N) RIS->user LoS rows, weighted
     g_nlos_weight: np.ndarray  # (N_k, 1) per-user NLoS amplitude weight
     pattern: ch.ReflectionPattern
-    direct_rows: np.ndarray | None  # (N_k, N_t) optional direct BS-user rows
+    direct_weight: np.ndarray | None  # (N_k, 1) optional direct BS-user amplitude
 
 
-def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator) -> LinkSet:
+def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
+                rng_fade: np.random.Generator) -> LinkSet:
     n = cfg.n_ris_elements
     nx, ny = cfg.ris_grid
     lam = cfg.wavelength
@@ -104,16 +111,15 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator) -> LinkSet:
 
     direct = None
     if cfg.direct_link:
-        pg_d = np.array([path_amplitude(np.linalg.norm(user_pos[m] - bs), alpha_bu)
-                         for m in range(cfg.n_users)])
-        direct = pg_d[:, None] * ch.complex_normal(rng_geo, (cfg.n_users, cfg.n_bs_antennas))
+        direct = np.array([[path_amplitude(np.linalg.norm(user_pos[m] - bs), alpha_bu)]
+                           for m in range(cfg.n_users)])
 
     return LinkSet(q_los_w=q_los_w,
-                   q_nlos_weight=pg_q * wk_nlos,
+                   q_nlos_w=pg_q * wk_nlos * ch.complex_normal(rng_fade, q_los_w.shape),
                    g_los_w=g_los_w,
                    g_nlos_weight=(pg_g * wv_nlos)[:, None],
                    pattern=pattern,
-                   direct_rows=direct)
+                   direct_weight=direct)
 
 
 @dataclass
@@ -126,28 +132,28 @@ class DownlinkFrame:
     h_blocks: np.ndarray   # (B, N_k, N_t) at each block start
 
 
-def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
-                         rng_fade: np.random.Generator) -> DownlinkFrame:
-    """One frame at the config's speed and Rician factors."""
-    links = _draw_links(cfg, rng_geo)
-
-    q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)  # static within frame
-    q_total = links.q_los_w + links.q_nlos_weight * q_nlos
-    q_omega = links.pattern.diagonal[:, None] * q_total  # (N, N_t)
-
-    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
-                                  rng_fade)
-    # the pilot instant, then every block start, by rotation on the block grid
-    fades = np.concatenate([
+def _frame_fades(jakes: ch.JakesFading, cfg: ScenarioConfig) -> np.ndarray:
+    """Fading at the pilot instant, then at every block start by rotation on
+    the block grid: (B+1,) + entry shape."""
+    return np.concatenate([
         jakes.sample_at(0.0)[None],
         jakes.sample_grid(cfg.pilot_len * cfg.symbol_period,
                           cfg.symbols_per_block * cfg.symbol_period,
                           cfg.blocks_per_frame)])
-    g = links.g_los_w + links.g_nlos_weight * fades  # (B+1, N_k, N)
-    # one 2-D product over all (B+1) * N_k rows: (B+1, N_k, N_t)
-    h = (g.reshape(-1, g.shape[-1]) @ q_omega).reshape(g.shape[:-1] + q_omega.shape[1:])
-    if links.direct_rows is not None:
-        h = h + links.direct_rows
+
+
+def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
+                         rng_fade: np.random.Generator) -> DownlinkFrame:
+    """One frame at the config's speed and Rician factors."""
+    links = _draw_links(cfg, rng_geo, rng_fade)
+    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
+                                  rng_fade)
+    g = links.g_los_w + links.g_nlos_weight * _frame_fades(jakes, cfg)  # (B+1, N_k, N)
+    h = ch.cascade(g, links.pattern, links.q_los_w + links.q_nlos_w)  # (B+1, N_k, N_t)
+    if links.direct_weight is not None:
+        direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
+                                       rng_fade)
+        h = h + links.direct_weight * _frame_fades(direct, cfg)
     h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))
     return DownlinkFrame(h_pilot=h[0], h_blocks=h[1:])
 
@@ -156,26 +162,20 @@ def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                           rng_fade: np.random.Generator):
     """Snapshot uplink channel set via TDD reciprocity.
 
-    The array-side hop keeps the BS-RIS Rician factor and the user-side hop
-    the RIS-user factor.  Components are scaled by the RMS cascade entry so
-    noise levels reference a unit-mean-power channel; returns the channel set
-    and the applied scale.
+    The user-to-array rows are the transposed downlink cascade terms: ``a``
+    the LoS-LoS term, ``b`` the two single-NLoS terms, ``o`` the NLoS-NLoS
+    term.  Components are scaled by the RMS cascade entry so noise levels
+    reference a unit-mean-power channel; returns the channel set and the
+    applied scale.  The uplink model has no direct path, so ``direct_link``
+    is refused rather than ignored.
     """
-    from .uplink import UplinkChannelSet
-
-    links = _draw_links(cfg, rng_geo)
-    q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)
-    g_nlos = ch.complex_normal(rng_fade, links.g_los_w.shape)
-
-    omega = links.pattern.diagonal
-    # reciprocity: array side (N_t, N) rows = transposed BS->RIS hop
-    left_los = links.q_los_w.T * omega[None, :]
-    left_nlos = (links.q_nlos_weight * q_nlos).T * omega[None, :]
-    right_los = links.g_los_w.T                      # (N, N_k)
-    right_nlos = (links.g_nlos_weight * g_nlos).T
-
-    a = left_los @ right_los
-    b = left_los @ right_nlos + left_nlos @ right_los
-    o = left_nlos @ right_nlos
+    if cfg.direct_link:
+        raise ConfigError("direct_link is downlink-only: the uplink model has no "
+                          "direct BS-user path", key="direct_link")
+    links = _draw_links(cfg, rng_geo, rng_fade)
+    g_nlos_w = links.g_nlos_weight * ch.complex_normal(rng_fade, links.g_los_w.shape)
+    los_los, los_nlos, nlos_los, nlos_nlos = ch.cascade_decomposition(
+        links.g_los_w, g_nlos_w, links.pattern, links.q_los_w, links.q_nlos_w)
+    a, b, o = los_los.T, (los_nlos + nlos_los).T, nlos_nlos.T
     rms = np.sqrt(np.mean(np.abs(a + b + o) ** 2))
     return UplinkChannelSet(a=a / rms, b=b / rms, o=o / rms), float(rms)

@@ -1,6 +1,6 @@
 """Improved uplink linear model: per-antenna magnitude observations, the
 antenna-averaged scalar, its per-user gain decomposition, pilot estimation,
-and decision-region / ML detection on the scalar observation."""
+and decision-region detection on the scalar observation."""
 
 from __future__ import annotations
 
@@ -201,13 +201,3 @@ def region_detect(xi, regions: DecisionRegions):
     boundary values assigned upward); scalar in, scalar out."""
     idx = regions.locate(xi)
     return regions.representatives[idx] if np.ndim(xi) else int(regions.representatives[idx])
-
-
-def ml_detect(xi: float, mu: np.ndarray, sigma2: np.ndarray) -> int:
-    """Gaussian ML detection: argmin ln(sigma^2) + (xi - mu)^2 / sigma^2,
-    ties broken toward the lowest candidate index."""
-    mu = np.asarray(mu, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(sigma2 <= 0):
-        raise ValueError("candidate variances must be > 0")
-    return int(np.argmin(np.log(sigma2) + (xi - mu) ** 2 / sigma2))

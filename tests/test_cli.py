@@ -93,6 +93,18 @@ def test_seed_reproducibility_across_worker_counts_direct_link(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["uplink-ser", "pdf-fit"])
+def test_uplink_refuses_direct_link(command, tmp_path):
+    # the uplink model has no direct path; the key must not be ignored
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(FAST_CFG + "direct_link: true\n")
+    out = tmp_path / "out.csv"
+    proc = run_cli(command, "--config", str(cfg), "--grid", "4", "--out", str(out))
+    assert proc.returncode == 2
+    assert "direct_link" in proc.stderr
+    assert not out.exists()
+
+
 def test_uplink_csv_identical_across_worker_counts(fast_cfg, tmp_path):
     outs = []
     for workers in ("1", "2"):

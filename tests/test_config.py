@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from rislink.config import ConfigError, ScenarioConfig, load_scenario
@@ -87,6 +89,37 @@ class TestParsing:
     def test_noise_override(self, tmp_path):
         cfg = load_scenario(write(tmp_path, "noise_sigma2: 0\n"))
         assert cfg.noise_sigma2 == 0.0
+
+
+class TestEveryKey:
+    VALUES = dict(
+        bs_position=(1.0, -2.0, 3.5), ris_position=(0.0, 40.0, 12.0),
+        coverage_length=80.0, n_users=3, n_ris_elements=12, n_bs_antennas=16,
+        rician_factor=2.5, rician_K=0.5, rician_V=7.25,
+        pathloss_exponents=(2.0, 2.2, 2.4), carrier_f1=2.4e9, symbol_period=4e-6,
+        speed=12.5, blocks_per_frame=10, symbols_per_block=5, pilot_len=8,
+        noise_sigma2=0.125, ebn0_db=3.5, ebn0_db_grid=(-2.0, 1.0, 6.0),
+        seed=2 ** 64 - 1, ris_phase_mode="random", direct_link=True,
+        mc_min_errors=7, mc_min_trials=9, mc_trial_ceiling=11, mc_symbol_chunk=13,
+        mc_symbol_ceiling=17, snr_channel_draws=19, pdf_fit_samples=23)
+
+    @staticmethod
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(map(str, value))
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    def test_every_field_is_a_key_that_round_trips(self, tmp_path):
+        keys = {f.name for f in fields(ScenarioConfig)} - {"explicit_keys"}
+        assert set(self.VALUES) == keys
+        defaults = ScenarioConfig()
+        assert all(getattr(defaults, k) != v for k, v in self.VALUES.items())
+        body = "".join(f"{k}: {self.text(v)}\n" for k, v in self.VALUES.items())
+        cfg = load_scenario(write(tmp_path, body))
+        assert cfg == ScenarioConfig(**self.VALUES)
+        assert cfg.explicit_keys == frozenset(keys)
 
 
 class TestReplace:

@@ -264,8 +264,12 @@ def check_qam_against_per_block_loop(cfg):
 @pytest.mark.parametrize("scale", ["desk", "paper"])
 def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
     sizes = {"desk": {}, "paper": PAPER_SIZES}
+    # the direct path conditions the channel well: at 10 dB the static desk
+    # frames decide every bit right (none wrong in these 9 frames), leaving
+    # nothing to compare
+    ebn0_db = 5.0 if direct_link else 10.0
     check_qam_against_per_block_loop(
-        desk_cfg(**sizes[scale], speed=speed, ebn0_db=10.0, direct_link=direct_link))
+        desk_cfg(**sizes[scale], speed=speed, ebn0_db=ebn0_db, direct_link=direct_link))
 
 
 def test_qam_gram_zf_matches_pinv_at_worst_conditioning():

@@ -33,23 +33,45 @@ def test_stream_seeds_above_2_63_do_not_alias():
 
 def per_instant_frame(cfg, rng_geo, rng_fade):
     """The downlink frame with one ``sample_at`` call and one cascade per
-    instant, kept as the oracle of the rotation-sampled, batched builder."""
-    links = _draw_links(cfg, rng_geo)
-    q_nlos = ch.complex_normal(rng_fade, links.q_los_w.shape)
-    q_omega = links.pattern.diagonal[:, None] * (links.q_los_w
-                                                 + links.q_nlos_weight * q_nlos)
+    instant, kept as the oracle of the rotation-sampled, batched builder.
+    The direct path, when on, fades with its own process drawn after the
+    RIS-user one."""
+    links = _draw_links(cfg, rng_geo, rng_fade)
+    q_omega = links.pattern.diagonal[:, None] * (links.q_los_w + links.q_nlos_w)
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)
+    direct = None
+    if links.direct_weight is not None:
+        direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
+                                       rng_fade)
     block_times = (cfg.pilot_len + np.arange(cfg.blocks_per_frame)
                    * cfg.symbols_per_block) * cfg.symbol_period
 
     def cascade_at(t):
         h = (links.g_los_w + links.g_nlos_weight * jakes.sample_at(t)) @ q_omega
-        return h if links.direct_rows is None else h + links.direct_rows
+        return h if direct is None else h + links.direct_weight * direct.sample_at(t)
 
     h_pilot = cascade_at(0.0)
     scale = 1.0 / np.linalg.norm(h_pilot, axis=1, keepdims=True)
     return h_pilot * scale, np.stack([cascade_at(t) for t in block_times]) * scale
+
+
+def hand_split_uplink(cfg, rng_geo, rng_fade):
+    """The uplink a, b, o and RMS scale with the transposed hops multiplied
+    out term by term, kept as the oracle of the reciprocal
+    ``cascade_decomposition``."""
+    links = _draw_links(cfg, rng_geo, rng_fade)
+    g_nlos = ch.complex_normal(rng_fade, links.g_los_w.shape)
+    omega = links.pattern.diagonal
+    left_los = links.q_los_w.T * omega[None, :]
+    left_nlos = links.q_nlos_w.T * omega[None, :]
+    right_los = links.g_los_w.T
+    right_nlos = (links.g_nlos_weight * g_nlos).T
+    a = left_los @ right_los
+    b = left_los @ right_nlos + left_nlos @ right_los
+    o = left_nlos @ right_nlos
+    rms = np.sqrt(np.mean(np.abs(a + b + o) ** 2))
+    return a / rms, b / rms, o / rms, rms
 
 
 SCALES = {"desk": dict(n_users=4, n_bs_antennas=32, n_ris_elements=16),
@@ -69,6 +91,19 @@ def test_frame_matches_per_instant_builder(scale, speed, direct_link):
             assert frame.h_blocks.shape == h_blocks.shape
             assert np.abs(frame.h_pilot - h_pilot).max() < 1e-12
             assert np.abs(frame.h_blocks - h_blocks).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["aligned", "fixed", "random"])
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_uplink_matches_hand_split(scale, mode):
+    cfg = ScenarioConfig(**SCALES[scale], ris_phase_mode=mode)
+    for seed in (1, 7, 20250811):
+        keys = (seed, 13, 1), (seed, 13, 2)
+        chans, rms = build_uplink_instance(cfg, *(stream(*k) for k in keys))
+        *parts, rms_ref = hand_split_uplink(cfg, *(stream(*k) for k in keys))
+        assert abs(rms - rms_ref) <= 1e-14 * rms_ref
+        for got, ref in zip((chans.a, chans.b, chans.o), parts):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_frame_rows_unit_normalized_at_start():
@@ -126,3 +161,16 @@ def test_direct_link_switch():
     cfg_off = cfg.replace(direct_link=False)
     frame_off = build_downlink_frame(cfg_off, stream(6, 1), stream(6, 2))
     assert np.abs(frame.h_pilot - frame_off.h_pilot).max() > 1e-9
+
+
+def test_direct_path_fades_with_speed():
+    # a near-pure-LoS RIS-user hop leaves the direct path as the only fading
+    cfg = desk_cfg(speed=50.0, rician_V=1e12)
+    drift = {}
+    for direct_link in (False, True):
+        frame = build_downlink_frame(cfg.replace(direct_link=direct_link),
+                                     stream(8, 1), stream(8, 2))
+        drift[direct_link] = np.abs(frame.h_blocks[-1] - frame.h_blocks[0]).max()
+    assert drift[False] < 1e-3
+    assert drift[True] > 0.1
+

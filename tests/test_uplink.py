@@ -185,41 +185,6 @@ class TestRegions:
         assert ul.region_detect(-0.4, regions) == 1
 
 
-class TestMlDetect:
-    def test_equal_variances_reduce_to_nearest_mean(self):
-        g = rng(11)
-        gains = np.array([0.83, -0.57, 0.21])  # no subset-sum collisions
-        const = ul.bipolar_constellation(3)
-        regions = ul.build_regions(gains, const)
-        mu = const @ gains
-        sigma2 = np.full(mu.size, 0.3)
-        for _ in range(500):
-            xi = g.uniform(-2, 2)
-            if np.min(np.abs(regions.boundaries - xi)) < 1e-6:
-                continue
-            assert ul.ml_detect(xi, mu, sigma2) == ul.region_detect(xi, regions)
-
-    def test_wide_variance_can_win(self):
-        mu = np.array([-1.0, 1.0])
-        sigma2 = np.array([1.0, 100.0])
-        xi = 0.9
-        obj = np.log(sigma2) + (xi - mu) ** 2 / sigma2
-        assert ul.ml_detect(xi, mu, sigma2) == int(np.argmin(obj))
-
-    def test_matches_exhaustive_objective(self):
-        g = rng(12)
-        for _ in range(10_000 // 50):
-            mu = g.standard_normal(8)
-            sigma2 = g.uniform(0.1, 2.0, 8)
-            for xi in g.standard_normal(50):
-                obj = np.log(sigma2) + (xi - mu) ** 2 / sigma2
-                assert ul.ml_detect(xi, mu, sigma2) == int(np.argmin(obj))
-
-    def test_requires_positive_variance(self):
-        with pytest.raises(ValueError):
-            ul.ml_detect(0.0, np.array([0.0]), np.array([0.0]))
-
-
 def test_region_index_invariant_to_common_mean_shift():
     gains = np.array([1.0, 0.5])
     const = ul.bipolar_constellation(2)
