@@ -14,7 +14,7 @@ from .downlink import (PilotBlock, Precoder, RankDeficientChannel,
                        RankDeficientPilots, SearchTooLarge, equivalent_channel,
                        hadamard_pilots, joint_detect, ls_estimate,
                        output_snr_asymptotic, output_snr_exact,
-                       precoded_roundtrip, zf_precoder)
+                       precoded_ber_exact, precoded_roundtrip, zf_precoder)
 from .harness import (CurveResult, export_csv, read_curve_csv, run_downlink_ber,
                       run_output_snr, run_pdf_fit, run_uplink_ser)
 from .uplink import (DecisionRegions, LinearGains, UplinkChannelSet,

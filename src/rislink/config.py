@@ -29,6 +29,10 @@ class ConfigError(ValueError):
         self.line = line
 
 
+# annotations of the real-valued fields (scalar, optional or tuple)
+_REAL_TYPES = ("float", "float | None", "tuple")
+
+
 @dataclass
 class ScenarioConfig:
     """Full geometric and radio parameterization of one experiment."""
@@ -69,6 +73,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        # nan passes every sign check below, so reject it (and inf) first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _REAL_TYPES and value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{f.name} must be finite", key=f.name)
         for key in ("n_users", "n_ris_elements", "n_bs_antennas",
                     "blocks_per_frame", "symbols_per_block", "pilot_len",
                     "mc_min_errors", "mc_min_trials", "mc_trial_ceiling",

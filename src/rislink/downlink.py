@@ -202,6 +202,17 @@ def output_snr_exact(h_bar: np.ndarray, sigma2: float,
     return rho / (2.0 * sigma2 + 0.75 * sigma2 ** 2)
 
 
+def precoded_ber_exact(rho, sigma2: float):
+    """Per-bit error probability 0.5 exp(-rho / (2 sigma^2)) of the precoded
+    link when the equivalent channel through the precoder is the identity
+    (zero forcing on the true channel): the bit errs exactly when
+    |sqrt(rho) + v1|^2 < |v2|^2 with v1, v2 ~ CN(0, sigma^2).  Elementwise
+    in rho, so a frame's per-block gains give the law for each block."""
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be > 0")
+    return 0.5 * np.exp(-rho / (2.0 * sigma2))
+
+
 def output_snr_asymptotic(n_t: int, n_k: int, sigma2: float) -> float:
     """Large-array output SNR (N_t - N_k - 1) / (4 N_k sigma^2); valid for
     unit-variance equivalent-channel entries and N_t > N_k + 1."""

@@ -125,6 +125,21 @@ def test_config_error_exit_code(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("line", [
+    "noise_sigma2: nan",      # ran and wrote a CSV
+    "speed: nan",             # failed inside an SVD (exit 3)
+    "coverage_length: nan",   # uncaught OverflowError (exit 1)
+])
+def test_non_finite_config_exit_code(tmp_path, line):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(FAST_CFG + line + "\n")
+    out = tmp_path / "x.csv"
+    proc = run_cli("downlink-ber", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite [key: %s]" % line.split(":")[0] in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, extra", [
     ("4", ""),                    # n_t <= n_k + 1 with 4 users
     ("16.7", ""),                 # array sizes are integers

@@ -131,3 +131,32 @@ class TestReplace:
     def test_replace_validates(self):
         with pytest.raises(ConfigError):
             ScenarioConfig().replace(n_users=0)
+
+
+REAL_FIELDS = [f.name for f in fields(ScenarioConfig)
+               if f.type in ("float", "float | None", "tuple")]
+
+
+class TestNonFinite:
+    def test_every_real_field_is_covered(self):
+        # a real-valued field under another annotation would escape the check
+        others = {f.type for f in fields(ScenarioConfig) if f.name not in REAL_FIELDS}
+        assert others == {"int", "str", "bool", "frozenset"}
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", REAL_FIELDS)
+    def test_rejected(self, tmp_path, key, bad):
+        # nan compares false against every bound, so a sign check alone lets it through
+        default = getattr(ScenarioConfig(), key)
+        if isinstance(default, tuple):
+            text = ", ".join(map(str, default[:-1] + (bad,)))
+        else:
+            text = bad
+        with pytest.raises(ConfigError) as err:
+            load_scenario(write(tmp_path, f"{key}: {text}\n"))
+        assert f"[key: {key}]" in str(err.value)
+        assert "finite" in str(err.value)
+
+    def test_replace_rejects_nan(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig().replace(ebn0_db=float("nan"))

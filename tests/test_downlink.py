@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import hadamard as scipy_hadamard
 
 from rislink import downlink as dl
+from rislink.harness import _precoded_link
 from rislink.waveform import ComplementarySymbol
 from conftest import complex_gauss, rng
 
@@ -314,6 +315,30 @@ class TestOutputSnr:
                          for _ in range(200)])
         asym = dl.output_snr_asymptotic(n_t, n_k, sigma2)
         assert abs(10 * np.log10(exact / asym)) < 1.0
+
+
+class TestPrecodedBerExact:
+    def test_reference_values(self):
+        assert dl.precoded_ber_exact(0.0, 1.0) == 0.5
+        assert abs(dl.precoded_ber_exact(2.0, 0.5) - 0.5 * np.exp(-2.0)) < 1e-16
+        np.testing.assert_array_equal(dl.precoded_ber_exact(np.array([0.0, 0.0]), 3.0),
+                                      [0.5, 0.5])
+        with pytest.raises(ValueError):
+            dl.precoded_ber_exact(1.0, 0.0)
+
+    @pytest.mark.parametrize("ber", [0.2, 0.02, 0.002])
+    def test_matches_identity_link(self, ber):
+        # W = I: each bit rides its own branch pair at amplitude sqrt(rho)
+        n_k, rho = 4, 1.0
+        sigma2 = rho / (2.0 * np.log(0.5 / ber))
+        g = rng(29)
+        bits = g.integers(0, 2, size=(60_000, n_k))
+        _, _, z = _precoded_link(np.eye(n_k), rho, bits.astype(float), sigma2, g)
+        n = bits.size
+        measured = np.count_nonzero((z >= 0) != bits) / n
+        law = dl.precoded_ber_exact(rho, sigma2)
+        assert abs(law - ber) < 1e-12
+        assert abs(measured - law) < 4.0 * np.sqrt(law * (1.0 - law) / n)
 
 
 def test_detection_invariant_to_common_rotation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rislink import analysis
 from rislink import downlink as dl
 from rislink import harness as hn
 from rislink import uplink as ul
@@ -456,6 +457,43 @@ class TestPdfFit:
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=1_000_000)
         res = hn.run_pdf_fit(cfg, (18.0,))
         assert self.ks_by_point(res)["18dB"][0] < 0.02
+
+    @pytest.mark.parametrize("n_users", [1, 4])
+    def test_gaussian_bit_equal_to_scipy_norm(self, monkeypatch, n_users):
+        # the harness writes norm.pdf / norm.cdf out by hand; scipy.stats.norm
+        # stays the oracle, and the match must be exact, not approximate
+        cfg = desk_cfg(n_users=n_users, n_bs_antennas=16, pdf_fit_samples=20_000)
+        snr_points = (18.0, 10.0, 3.0)
+        model_cdfs = []
+        ks_statistic = hn._ks_statistic
+
+        def recording_ks(cdf):
+            model_cdfs.append(cdf)
+            return ks_statistic(cdf)
+
+        monkeypatch.setattr(hn, "_ks_statistic", recording_ks)
+        res = hn.run_pdf_fit(cfg, snr_points)
+
+        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, hn._TAG_PDF, 1),
+                                         stream(cfg.seed, hn._TAG_PDF, 2))
+        row = chans.c[0]
+        sym = ComplementarySymbol(np.arange(cfg.n_users) % 2, levels=2)
+        gamma_ref = max(float(np.abs(row @ sym.s) ** 2), float(np.abs(row @ sym.s_bar) ** 2))
+        ks = self.ks_by_point(res)
+        for pi, snr_db in enumerate(snr_points):
+            sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
+            v = complex_normal(stream(cfg.seed, hn._TAG_PDF, 3, pi),
+                               (2, cfg.pdf_fit_samples), 2.0 * sv2)
+            samples = np.sort(np.abs(row @ sym.s + v[0]) ** 2
+                              - np.abs(row @ sym.s_bar + v[1]) ** 2)
+            model = analysis.gaussian_approx(row, sym, sv2)
+            mu, sd = model.mu, np.sqrt(model.sigma2)
+            tag = format(snr_db, "g")
+            assert np.array_equal(res.series[f"gaussian_{tag}dB"].values,
+                                  stats.norm.pdf(res.x_values, mu, sd))
+            cdf = stats.norm.cdf(samples, mu, sd)
+            assert np.array_equal(model_cdfs[2 * pi], cdf)
+            assert ks[f"{tag}dB"][0] == float("%.9g" % ks_statistic(cdf))
 
     @staticmethod
     def ks_by_point(res):
