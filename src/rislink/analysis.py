@@ -17,10 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln, ive
-
-from .uplink import DecisionRegions, LinearGains, UplinkChannelSet, build_regions
-from .waveform import ComplementarySymbol, NoiseModel
+from scipy.special import erfc, gammaln, ive
 
 
 @dataclass(frozen=True)
@@ -62,23 +59,6 @@ class SeriesTruncationError(ArithmeticError):
         super().__init__(message)
         self.partial_sum = partial_sum
         self.tail_bound = tail_bound
-
-
-@dataclass(frozen=True)
-class GaussianSerModel:
-    """Gaussian surrogate (mean, variance) for one observation."""
-
-    mu: float
-    sigma2: float
-
-
-@dataclass(frozen=True)
-class SerResult:
-    """Closed-form average symbol error rate with degeneracy diagnostics."""
-
-    probability: float
-    degenerate: bool
-    per_symbol_correct: np.ndarray
 
 
 def generalized_gamma_pdf(x, p: GammaParams) -> np.ndarray:
@@ -230,97 +210,40 @@ def gamma_difference_pdf(x, p: GammaParams, p_prime: GammaParams,
     return float(out[0]) if scalar else out
 
 
-def branch_power_params(chan_row: np.ndarray, sym: ComplementarySymbol,
-                        sigma_v2: float) -> tuple[GammaParams, GammaParams]:
-    """Generalized gamma parameters of the two branch powers for one
-    cascaded row: beta = 2 sigma_v2, noncentralities |c s|^2 and |c s_bar|^2."""
-    c = np.asarray(chan_row)
-    return (GammaParams(beta=2.0 * sigma_v2, gamma=float(np.abs(c @ sym.s) ** 2)),
-            GammaParams(beta=2.0 * sigma_v2, gamma=float(np.abs(c @ sym.s_bar) ** 2)))
-
-
-def gaussian_approx(chan_row: np.ndarray, sym: ComplementarySymbol,
-                    sigma_v2: float) -> GaussianSerModel:
-    """High-SNR Gaussian surrogate of one antenna observation:
-    mu = |c s|^2 - |c s_bar|^2 and
-    sigma^2 = 4 sigma_v2 (|c s|^2 + |c s_bar|^2) + 8 sigma_v2^2.
+def gaussian_approx(e1, e2, sigma_v2: float, n: int = 1):
+    """High-SNR Gaussian surrogate (mean, variance) of the antenna average
+    of n observations whose two branch energies, summed over the n antennas,
+    are e1 = sum_m |c_m s|^2 and e2 = sum_m |c_m s_bar|^2:
+    mu = (e1 - e2) / n and
+    var = (4 sigma_v2 (e1 + e2) + 8 sigma_v2^2 n) / n^2.
 
     Both moments are exact for the sampled observation; only the shape is
     approximate.  The branch powers |v|^2 are exponential with mean
-    2 sigma_v2, hence the 8 sigma_v2^2 term.
+    2 sigma_v2, hence the 8 sigma_v2^2 term per antenna.  Scalars or arrays.
     """
     if sigma_v2 < 0:
         raise ValueError("sigma_v2 must be >= 0")
-    c = np.asarray(chan_row)
-    g1 = float(np.abs(c @ sym.s) ** 2)
-    g2 = float(np.abs(c @ sym.s_bar) ** 2)
-    return GaussianSerModel(mu=g1 - g2,
-                            sigma2=4.0 * sigma_v2 * (g1 + g2) + 8.0 * sigma_v2 ** 2)
+    return (e1 - e2) / n, (4.0 * sigma_v2 * (e1 + e2) + 8.0 * sigma_v2 ** 2 * n) / n ** 2
 
 
-def candidate_xi_models(chans: UplinkChannelSet, constellation: np.ndarray,
-                        sigma_v2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-constellation-point (mu, sigma^2) of the averaged observation,
-    vectorized over the binary constellation given as bipolar rows."""
-    if sigma_v2 < 0:
-        raise ValueError("sigma_v2 must be >= 0")
-    c = chans.c
-    n_t = c.shape[0]
-    s = (np.asarray(constellation, dtype=float) + 1.0) / 2.0
-    g1 = np.abs(c @ s.T) ** 2          # (n_t, n_points)
-    g2 = np.abs(c @ (1.0 - s).T) ** 2
-    mu = (g1 - g2).mean(axis=0)
-    s2 = (4.0 * sigma_v2 * (g1 + g2) + 8.0 * sigma_v2 ** 2).sum(axis=0) / n_t ** 2
-    return mu, s2
+def closed_form_ser(regions, e1: np.ndarray, e2: np.ndarray, n_t: int,
+                    sigma2: float) -> float:
+    """Average symbol error rate under the Gaussian surrogate.
 
-
-def gaussian_interval_prob(lo: float, hi: float, mu: float, sigma2: float) -> float:
-    """Gaussian mass of [lo, hi) via the error function; infinite endpoints
-    contribute erf terms of -1/+1."""
+    Constellation point i, with array-summed branch energies e1[i], e2[i]
+    and complex branch noise variance sigma2 (sigma_v2 = sigma2 / 2), errs
+    with the Gaussian mass outside its own region [lo, hi), written as two
+    erfc tails so that small rates keep their digits.  Points that share a
+    collapsed region are counted as errors outright.  ``regions`` (an
+    ``uplink.DecisionRegions``) may come from other gains than the ones
+    behind (e1, e2): that is the SER of a receiver with mismatched gains.
+    """
     if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    denom = np.sqrt(2.0 * sigma2)
-    e_hi = 1.0 if np.isposinf(hi) else erf((hi - mu) / denom)
-    e_lo = -1.0 if np.isneginf(lo) else erf((lo - mu) / denom)
-    return float(0.5 * (e_hi - e_lo))
-
-
-def symbol_prob(region_index: int, regions: DecisionRegions,
-                model: GaussianSerModel) -> float:
-    """Probability that the observation lands in one decision region under
-    the Gaussian surrogate.
-
-    The error-function argument uses the standard deviation sqrt(sigma2), the
-    only scaling under which these masses integrate the surrogate density.
-    """
-    b = regions.boundaries
-    lo = b[region_index - 1] if region_index > 0 else -np.inf
-    hi = b[region_index] if region_index < b.size else np.inf
-    return gaussian_interval_prob(lo, hi, model.mu, model.sigma2)
-
-
-def closed_form_ser(gains: LinearGains, noise: NoiseModel,
-                    chans: UplinkChannelSet, constellation: np.ndarray) -> SerResult:
-    """Average symbol error rate 1 - mean_r P(region(r) | transmit r).
-
-    Each candidate's correct-decision probability is the Gaussian mass of its
-    own midpoint region under the (mu, sigma^2) conditioned on transmitting
-    it.  Constellation points that share a collapsed region are counted as
-    errors outright and flagged as degenerate.
-    """
-    constellation = np.asarray(constellation, dtype=float)
-    regions = build_regions(gains, constellation)
-    mu, s2 = candidate_xi_models(chans, constellation, noise.sigma_v2)
-    if np.any(s2 <= 0):
         raise ValueError("noise variance must be > 0 for the closed form")
-    n_points = constellation.shape[0]
-    correct = np.zeros(n_points)
-    for i in range(n_points):
-        reg = int(regions.symbol_region[i])
-        if regions.region_sizes[reg] > 1:
-            continue  # indistinguishable point: counted as an error
-        correct[i] = symbol_prob(reg, regions,
-                                 GaussianSerModel(float(mu[i]), float(s2[i])))
-    return SerResult(probability=float(1.0 - correct.mean()),
-                     degenerate=regions.degenerate,
-                     per_symbol_correct=correct)
+    mu, var = gaussian_approx(e1, e2, sigma2 / 2.0, n_t)
+    edges = np.concatenate([[-np.inf], regions.boundaries, [np.inf]])
+    reg = regions.symbol_region
+    denom = np.sqrt(2.0 * var)
+    err = 0.5 * (erfc((edges[reg + 1] - mu) / denom) + erfc((mu - edges[reg]) / denom))
+    err[regions.region_sizes[reg] > 1] = 1.0
+    return float(err.mean())

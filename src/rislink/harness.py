@@ -35,7 +35,7 @@ from scipy import special
 from . import analysis, channel, downlink, uplink
 from .config import ConfigError, ScenarioConfig
 from .scenario import build_downlink_frame, build_uplink_instance, stream
-from .waveform import ComplementarySymbol, NoiseModel
+from .waveform import ComplementarySymbol
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
 FRAMES_PER_TASK = 2
@@ -182,17 +182,19 @@ def _rate_halfwidth(errors: int, total: int) -> float:
 # downlink BER
 # --------------------------------------------------------------------------
 
-def scheme_noise_sigma2(cfg: ScenarioConfig, scheme: str) -> float:
-    """Per-branch complex noise variance from the config's Eb/N0.
+def branch_noise_sigma2(cfg: ScenarioConfig, bits: int = 1) -> float:
+    """Per-branch complex noise variance 10^(-EbN0/10) / bits from the
+    config's Eb/N0, for a unit transmit budget per symbol carrying ``bits``
+    bits over a unit-normalized channel; a configured noise_sigma2
+    overrides the mapping.
 
-    Channels are normalized to unit frame-start row norm; the transmit budget
-    is 1 per symbol, so Eb is 1 over the scheme's bits per symbol in SCHEMES:
-    N_k (precoded, 1 bit/user), N_t (joint, 1 bit/antenna), 2*N_k (4-QAM).
-    A configured noise_sigma2 overrides the mapping for every scheme.
+    Downlink schemes pass their bits per symbol from SCHEMES: N_k (precoded,
+    1 bit/user), N_t (joint, 1 bit/antenna), 2*N_k (4-QAM).  The uplink
+    carries one bit per user at one antenna, so bits = 1.
     """
     if cfg.noise_sigma2 is not None:
         return float(cfg.noise_sigma2)
-    return 10.0 ** (-cfg.ebn0_db / 10.0) / SCHEMES[scheme].bits(cfg)
+    return 10.0 ** (-cfg.ebn0_db / 10.0) / bits
 
 
 def qam_demodulate(y_eq: np.ndarray) -> np.ndarray:
@@ -398,7 +400,8 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     runs = []  # (frames, {scheme: [bit_errors, bits]}) per point
     with _task_map(workers) as task_map:
         for pi, point in enumerate(points):
-            sigma2s = {s: scheme_noise_sigma2(point, s) for s in schemes}
+            sigma2s = {s: branch_noise_sigma2(point, SCHEMES[s].bits(point))
+                       for s in schemes}
             runs.append(_monte_carlo(
                 task_map, _downlink_task, (point, tuple(schemes), sigma2s, pi),
                 FRAMES_PER_TASK, TASKS_PER_BATCH, min_frames, max_frames,
@@ -507,14 +510,6 @@ def _uplink_task(args):
     return {"monte_carlo": (int(np.count_nonzero(detected != idx)), n)}
 
 
-def uplink_noise_sigma2(cfg: ScenarioConfig) -> float:
-    """Per-branch complex noise variance at one antenna for a unit-mean-power
-    normalized cascade carrying one bit per user; noise_sigma2 overrides."""
-    if cfg.noise_sigma2 is not None:
-        return float(cfg.noise_sigma2)
-    return 10.0 ** (-cfg.ebn0_db / 10.0)
-
-
 def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                    workers: int = 1) -> CurveResult:
     """SER of the averaged-observation uplink on one frozen channel instance,
@@ -523,7 +518,8 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     The Monte Carlo and the noiseless points see the channel only through
     each symbol's branch energies summed over the array, computed once per
     run; from them ``_averaged_observation`` draws the averaged observation
-    exactly, two draws per symbol.
+    exactly, two draws per symbol, and the closed form takes its Gaussian
+    law from the same energies.
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -535,7 +531,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),
                                        stream(cfg.seed, _TAG_UPLINK, 2))
     gains = uplink.exact_linear_gains(chans)
-    const = uplink.bipolar_constellation(cfg.n_users)
+    const = downlink.bipolar_candidates(cfg.n_users)
     regions = uplink.build_regions(gains, const)
     s_all = (const + 1.0) / 2.0
     n_t = chans.n_antennas
@@ -546,7 +542,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     mc, cf = [], []
     with _task_map(workers) as task_map:
         for pi, point in enumerate(points):
-            sigma2 = uplink_noise_sigma2(point)
+            sigma2 = branch_noise_sigma2(point)
             if sigma2 == 0.0:
                 xi = (e1 - e2) / n_t
                 detected = uplink.region_detect(xi, regions)
@@ -561,8 +557,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                     cfg.mc_symbol_ceiling, cfg.mc_min_errors)
                 mc.append(totals["monte_carlo"])
             if mode != "monte_carlo":
-                cf.append(analysis.closed_form_ser(
-                    gains, NoiseModel(sigma2), chans, const).probability)
+                cf.append(analysis.closed_form_ser(regions, e1, e2, n_t, sigma2))
 
     result = CurveResult(x_name="ebn0_db", x_values=np.asarray(grid))
     result.notes = ("experiment=uplink-ser seed=%d users=%d antennas=%d mode=%s"
@@ -612,9 +607,9 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
 
     # moments at the widest noise fix the shared grid
     sv2_max = gamma_ref / (2.0 * 10.0 ** (min(snr_points) / 10.0))
-    wide = analysis.gaussian_approx(row, sym, sv2_max)
-    lo = wide.mu - 8.0 * np.sqrt(wide.sigma2)
-    hi = wide.mu + 8.0 * np.sqrt(wide.sigma2)
+    mu, var = analysis.gaussian_approx(g1, g2, sv2_max)
+    lo = mu - 8.0 * np.sqrt(var)
+    hi = mu + 8.0 * np.sqrt(var)
     grid = np.linspace(lo, hi, 401)
     edges = np.concatenate([[lo - (hi - lo) / 800.0],
                             0.5 * (grid[1:] + grid[:-1]),
@@ -633,10 +628,10 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
                    - np.abs(row @ sym.s_bar + v[1]) ** 2)
         hist, _ = np.histogram(samples, bins=edges, density=True)
 
-        model = analysis.gaussian_approx(row, sym, sv2)
+        mu, var = analysis.gaussian_approx(g1, g2, sv2)
         # scipy.stats.norm.pdf and .cdf, operation for operation
-        sd = np.sqrt(model.sigma2)
-        u = (grid - model.mu) / sd
+        sd = np.sqrt(var)
+        u = (grid - mu) / sd
         gauss = np.exp(-u ** 2 / 2.0) / np.sqrt(2 * np.pi) / sd
         p1 = analysis.GammaParams(beta=2.0 * sv2, gamma=g1)
         p2 = analysis.GammaParams(beta=2.0 * sv2, gamma=g2)
@@ -648,7 +643,7 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
                 partial_sum=exc.partial_sum, tail_bound=exc.tail_bound) from exc
 
         sorted_s = np.sort(samples)
-        ks_gauss = _ks_statistic(special.ndtr((sorted_s - model.mu) / sd))
+        ks_gauss = _ks_statistic(special.ndtr((sorted_s - mu) / sd))
         fine = np.linspace(lo, hi, 2001)
         fine_pdf = analysis.gamma_difference_pdf(fine, p1, p2, series_ctl)
         cdf = np.concatenate([[0.0], np.cumsum(

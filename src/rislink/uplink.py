@@ -11,8 +11,6 @@ import numpy as np
 from . import channel
 from .waveform import ComplementarySymbol
 
-CONSTELLATION_CAP = 16  # users; 2**16 enumerable points
-
 
 @dataclass
 class UplinkChannelSet:
@@ -93,14 +91,6 @@ def antenna_observation(chan_row: np.ndarray, sym: ComplementarySymbol,
             - np.abs(c @ sym.s_bar + noise[1]) ** 2)
 
 
-def array_average(z_tilde: np.ndarray) -> float:
-    """Arithmetic mean of the per-antenna observations."""
-    z = np.asarray(z_tilde, dtype=float)
-    if z.size < 1:
-        raise ValueError("need at least one antenna")
-    return float(z.mean())
-
-
 def _pair_gain(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (1/N_t) sum_m Re(conj(sum_j u_mj) * w_mn), vector over n
     return np.real(np.conj(u.sum(axis=1))[:, None] * w).mean(axis=0)
@@ -149,16 +139,6 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
         z = np.abs(cs + v[0]) ** 2 - np.abs(cbar + v[1]) ** 2
         total += z.mean()
     return float(total / repeats)
-
-
-def bipolar_constellation(n_users: int) -> np.ndarray:
-    """All 2**n bipolar rows in lexicographic order of the amplitude vector
-    (user 0 most significant)."""
-    if n_users > CONSTELLATION_CAP:
-        raise ValueError(f"constellation enumeration capped at {CONSTELLATION_CAP} users")
-    idx = np.arange(2 ** n_users)
-    bits = (idx[:, None] >> np.arange(n_users - 1, -1, -1)) & 1
-    return 2.0 * bits - 1.0
 
 
 def build_regions(gains: LinearGains | np.ndarray,

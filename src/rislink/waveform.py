@@ -77,26 +77,6 @@ class CorrelatorPair:
     y2: complex | np.ndarray
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Complex noise variance per correlator branch.
-
-    ``sigma2`` is the total (complex) variance of one branch output; the
-    per-quadrature variance sigma_v2 = sigma2 / 2 is what the closed-form
-    distribution stack is parameterized by.
-    """
-
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
-
-    @property
-    def sigma_v2(self) -> float:
-        return self.sigma2 / 2.0
-
-
 def modulate(sym: ComplementarySymbol, tones: TonePair, sample_rate: float) -> np.ndarray:
     """Sampled baseband waveform, one row per transmit element.
 

@@ -1,10 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from rislink import analysis as an
+from rislink import downlink as dl
 from rislink import uplink as ul
-from rislink.waveform import ComplementarySymbol, NoiseModel
+from rislink.config import ScenarioConfig
+from rislink.harness import run_uplink_ser
+from rislink.waveform import ComplementarySymbol
 from conftest import chi2_gof_pvalue, complex_gauss, rng
 
 
@@ -180,131 +184,175 @@ class TestGammaDifferencePdf:
         np.testing.assert_allclose(impl, oracle, atol=1e-3)
 
 
+def branch_energies(c, x_bar):
+    """Per-antenna branch energies |c s|^2, |c s_bar|^2 of bipolar rows,
+    shaped (n_points, n_antennas)."""
+    s = (np.atleast_2d(x_bar) + 1.0) / 2.0
+    return (np.abs(np.atleast_2d(c) @ s.T).T ** 2,
+            np.abs(np.atleast_2d(c) @ (1.0 - s).T).T ** 2)
+
+
 class TestGaussianApprox:
     def test_reference_moments(self):
         # |c s|^2 = 1, |c s_bar|^2 = 0 at sigma_v2 = 0.1
-        model = an.gaussian_approx(np.array([1.0 + 0j]),
-                                   ComplementarySymbol(np.array([1])), 0.1)
-        assert abs(model.mu - 1.0) < 1e-12
-        assert abs(model.sigma2 - 0.48) < 1e-12
+        mu, var = an.gaussian_approx(1.0, 0.0, 0.1)
+        assert abs(mu - 1.0) < 1e-12
+        assert abs(var - 0.48) < 1e-12
 
     def test_balanced_amplitudes_center_at_zero(self):
         # s equal to its complement (levels=3, s=1) gives mu = 0
-        g = rng(4)
-        c = complex_gauss(g, 5)
-        model = an.gaussian_approx(c, ComplementarySymbol(np.ones(5, dtype=int), levels=3), 0.05)
-        assert abs(model.mu) < 1e-12
+        c = complex_gauss(rng(4), 5)
+        sym = ComplementarySymbol(np.ones(5, dtype=int), levels=3)
+        mu, _ = an.gaussian_approx(abs(c @ sym.s) ** 2, abs(c @ sym.s_bar) ** 2, 0.05)
+        assert abs(mu) < 1e-12
 
     def test_moments_match_simulation(self):
         g = rng(5)
         c = complex_gauss(g, 4)
         sym = ComplementarySymbol(np.array([1, 0, 1, 1]))
         sv2 = 0.01
-        model = an.gaussian_approx(c, sym, sv2)
+        mu, var = an.gaussian_approx(abs(c @ sym.s) ** 2, abs(c @ sym.s_bar) ** 2, sv2)
         n = 1_000_000
         v1 = np.sqrt(sv2) * (g.standard_normal(n) + 1j * g.standard_normal(n))
         v2 = np.sqrt(sv2) * (g.standard_normal(n) + 1j * g.standard_normal(n))
         z = np.abs(c @ sym.s + v1) ** 2 - np.abs(c @ sym.s_bar + v2) ** 2
-        assert abs(z.mean() - model.mu) / abs(model.mu) < 0.01
-        assert abs(z.var() - model.sigma2) / model.sigma2 < 0.01
+        assert abs(z.mean() - mu) / abs(mu) < 0.01
+        assert abs(z.var() - var) / var < 0.01
 
 
 class TestXiGaussian:
-    """candidate_xi_models against the per-antenna gaussian_approx moments:
-    the averaged observation has the mean of the per-antenna means and the
-    sum of their variances over the squared antenna count."""
+    """gaussian_approx over n_t antennas against the per-antenna moments
+    summed by brute force: the averaged observation has the mean of the
+    per-antenna means and the sum of their variances over n_t^2."""
 
     @staticmethod
-    def chans(c):
-        zero = np.zeros_like(c)
-        return ul.UplinkChannelSet(a=c, b=zero, o=zero)
+    def averaged(c, sv2):
+        g1, g2 = branch_energies(c, dl.bipolar_candidates(c.shape[1]))
+        return an.gaussian_approx(g1.sum(axis=1), g2.sum(axis=1), sv2, c.shape[0])
 
     @staticmethod
     def per_antenna(c, sv2):
-        const = ul.bipolar_constellation(c.shape[1])
-        return [[an.gaussian_approx(row, ComplementarySymbol((x + 1) // 2), sv2)
-                 for row in c] for x in const.astype(int)]
+        # (n_points, n_antennas) single-antenna moments, one call per entry
+        g1, g2 = branch_energies(c, dl.bipolar_candidates(c.shape[1]))
+        moments = [[an.gaussian_approx(float(a), float(b), sv2) for a, b in zip(r1, r2)]
+                   for r1, r2 in zip(g1, g2)]
+        return np.moveaxis(np.array(moments), -1, 0)
 
     def test_identical_antennas(self):
         row = complex_gauss(rng(6), 3)
         c = np.tile(row, (10, 1))
-        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(3), 0.05)
-        for i, models in enumerate(self.per_antenna(c[:1], 0.05)):
-            assert abs(mu[i] - models[0].mu) < 1e-12
-            assert abs(s2[i] - models[0].sigma2 / 10) < 1e-14
+        mu, s2 = self.averaged(c, 0.05)
+        mu1, s21 = self.per_antenna(c[:1], 0.05)
+        np.testing.assert_allclose(mu, mu1[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s2, s21[:, 0] / 10, rtol=0, atol=1e-14)
 
     def test_single_antenna_passthrough(self):
         c = complex_gauss(rng(7), (1, 2))
-        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(2), 0.3)
-        for i, models in enumerate(self.per_antenna(c, 0.3)):
-            assert abs(mu[i] - models[0].mu) < 1e-12
-            assert abs(s2[i] - models[0].sigma2) < 1e-12
+        mu, s2 = self.averaged(c, 0.3)
+        mu1, s21 = self.per_antenna(c, 0.3)
+        np.testing.assert_array_equal(mu, mu1[:, 0])
+        np.testing.assert_array_equal(s2, s21[:, 0])
 
     def test_matches_direct_sums(self):
         c = complex_gauss(rng(8), (9, 3))
-        mu, s2 = an.candidate_xi_models(self.chans(c), ul.bipolar_constellation(3), 0.02)
-        for i, models in enumerate(self.per_antenna(c, 0.02)):
-            assert abs(mu[i] - np.mean([m.mu for m in models])) < 1e-12
-            assert abs(s2[i] - sum(m.sigma2 for m in models) / 81) < 1e-12
+        mu, s2 = self.averaged(c, 0.02)
+        mu1, s21 = self.per_antenna(c, 0.02)
+        np.testing.assert_allclose(mu, mu1.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s2, s21.sum(axis=1) / 81, rtol=0, atol=1e-12)
 
 
 class TestSymbolProb:
-    def regions2(self):
-        return ul.build_regions(np.array([1.0]), ul.bipolar_constellation(1))
+    """Per-symbol region masses of closed_form_ser.  Each point's law is set
+    through its energies at n_t = 1: mu = e1 - e2 and
+    var = 4 sigma_v2 (e1 + e2) + 8 sigma_v2^2."""
+
+    @staticmethod
+    def energies(mu, e_sum):
+        return (np.asarray(e_sum) + mu) / 2.0, (np.asarray(e_sum) - mu) / 2.0
 
     def test_half_line_mass(self):
-        model = an.GaussianSerModel(0.0, 1.0)
-        assert abs(an.symbol_prob(0, self.regions2(), model) - 0.5) < 1e-12
+        # both points at the boundary with unit variance (sigma_v2 = 1/4, e = 1/4)
+        regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
+        e1, e2 = self.energies(0.0, [0.5, 0.5])
+        assert abs(an.closed_form_ser(regions, e1, e2, 1, 0.5) - 0.5) < 1e-12
 
     def test_one_sigma_interval(self):
-        regions = ul.build_regions(np.array([1.0, 0.5]), ul.bipolar_constellation(2))
-        # middle region spans (-1, 1) after boundary construction? means -1.5,-0.5,.5,1.5
-        model = an.GaussianSerModel(0.0, 1.0)
-        # mass of (-1,0) + (0,1) around mean 0 equals erf(1/sqrt(2))
-        mass = an.symbol_prob(1, regions, model) + an.symbol_prob(2, regions, model)
+        # means -1.5, -0.5, 0.5, 1.5: the inner regions are [-1, 0) and
+        # [0, 1); points 1 and 2 sit at 0 with unit variance, points 0 and 3
+        # far inside their outer regions, so the SER is (2 - mass(-1, 1)) / 4
+        regions = ul.build_regions(np.array([1.0, 0.5]), dl.bipolar_candidates(2))
+        sv2 = 1e-4
+        e_mid = (1.0 - 8.0 * sv2 ** 2) / (8.0 * sv2)
+        e1, e2 = self.energies(np.array([-100.0, 0.0, 0.0, 100.0]),
+                               [100.0, 2 * e_mid, 2 * e_mid, 100.0])
+        mass = 2.0 - 4.0 * an.closed_form_ser(regions, e1, e2, 1, 2 * sv2)
         oracle = integrate.quad(lambda x: stats.norm.pdf(x), -1, 1)[0]
         assert abs(mass - 0.6826894921370859) < 1e-12
         assert abs(mass - oracle) < 1e-9
 
     def test_partition_sums_to_one(self):
+        # one law for every point: the correct masses of the 8 regions sum to 1
         g = rng(7)
-        regions = ul.build_regions(g.standard_normal(3), ul.bipolar_constellation(3))
-        model = an.GaussianSerModel(0.3, 0.7)
-        total = sum(an.symbol_prob(r, regions, model)
-                    for r in range(regions.region_means.size))
-        assert abs(total - 1.0) < 1e-12
+        regions = ul.build_regions(g.standard_normal(3), dl.bipolar_candidates(3))
+        e1, e2 = self.energies(np.full(8, 0.3), np.full(8, 0.7))
+        assert not regions.degenerate
+        assert abs(an.closed_form_ser(regions, e1, e2, 1, 0.6) - 7.0 / 8.0) < 1e-12
 
     def test_rejects_bad_variance(self):
+        regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
         with pytest.raises(ValueError):
-            an.gaussian_interval_prob(-1.0, 1.0, 0.0, 0.0)
+            an.closed_form_ser(regions, np.ones(2), np.zeros(2), 1, 0.0)
 
 
 class TestClosedFormSer:
-    def two_point_setup(self):
-        # single user, |c| = 1: means +-1; sigma_xi^2 = 1 at this sigma_v2
-        sv2 = (np.sqrt(3.0) - 1.0) / 4.0
-        chans = ul.UplinkChannelSet(a=np.array([[1.0 + 0j]]),
-                                    b=np.zeros((1, 1), dtype=complex),
-                                    o=np.zeros((1, 1), dtype=complex))
-        gains = ul.exact_linear_gains(chans)
-        return chans, gains, NoiseModel(2 * sv2)
+    @staticmethod
+    def ser(chans, sigma2, gains=None):
+        """closed_form_ser on the regions of ``gains`` (default: the exact
+        gains) and the channel's array-summed branch energies."""
+        gains = ul.exact_linear_gains(chans) if gains is None else gains
+        const = dl.bipolar_candidates(chans.n_users)
+        g1, g2 = branch_energies(chans.c, const)
+        regions = ul.build_regions(gains, const)
+        return an.closed_form_ser(regions, g1.sum(axis=1), g2.sum(axis=1),
+                                  chans.n_antennas, sigma2), regions
+
+    @staticmethod
+    def unit_user():
+        return ul.UplinkChannelSet(a=np.array([[1.0 + 0j]]),
+                                   b=np.zeros((1, 1), dtype=complex),
+                                   o=np.zeros((1, 1), dtype=complex))
 
     def test_two_point_reference_value(self):
-        chans, gains, noise = self.two_point_setup()
-        out = an.closed_form_ser(gains, noise, chans, ul.bipolar_constellation(1))
+        # single user, |c| = 1: means +-1; sigma_xi^2 = 1 at this sigma_v2
+        sv2 = (np.sqrt(3.0) - 1.0) / 4.0
+        out, regions = self.ser(self.unit_user(), 2 * sv2)
         # Gaussian tail mass beyond the midpoint at unit variance
-        assert abs(out.probability - 0.15865525393145707) < 1e-12
-        assert not out.degenerate
+        assert abs(out - 0.15865525393145707) < 1e-12
+        assert not regions.degenerate
+
+    def test_high_snr_tail_keeps_its_digits(self):
+        # at sigma_v2 = 1e-3 the rate is ~1e-55; 1 - P(correct) would read 0
+        sv2 = 1e-3
+        out, _ = self.ser(self.unit_user(), 2 * sv2)
+        with mpmath.workdps(50):
+            v = 4 * mpmath.mpf(sv2) + 8 * mpmath.mpf(sv2) ** 2
+            ref = float(mpmath.erfc(1 / mpmath.sqrt(2 * v)) / 2)
+        assert 0.0 < ref < 1e-50
+        assert abs(out - ref) <= 1e-9 * ref
+
+        # acceptance-07 geometry: the high-SNR curve stays positive and falls
+        cfg = ScenarioConfig(n_users=4, n_bs_antennas=64, n_ris_elements=16,
+                             rician_factor=10.0, ris_phase_mode="random", seed=7)
+        cf = run_uplink_ser(cfg, "closed_form", (30, 33, 36, 40)).series["closed_form"].values
+        assert np.all(cf > 0.0)
+        assert np.all(np.diff(cf) <= 0.0)
 
     def test_vanishing_noise(self):
         g = rng(8)
         chans = ul.UplinkChannelSet(a=complex_gauss(g, (8, 3)),
                                     b=0.2 * complex_gauss(g, (8, 3)),
                                     o=0.05 * complex_gauss(g, (8, 3)))
-        gains = ul.exact_linear_gains(chans)
-        out = an.closed_form_ser(gains, NoiseModel(2e-8), chans,
-                                 ul.bipolar_constellation(3))
-        assert out.probability < 1e-12
+        assert self.ser(chans, 2e-8)[0] < 1e-12
 
     def test_degenerate_points_counted_as_errors(self):
         chans = ul.UplinkChannelSet(a=np.array([[1.0 + 0j, 1.0 + 0j]]),
@@ -312,20 +360,21 @@ class TestClosedFormSer:
                                     o=np.zeros((1, 2), dtype=complex))
         gains = ul.LinearGains(np.stack([np.array([1.0, 1.0]), np.zeros(2),
                                          np.zeros(2), np.zeros(2)]))
-        out = an.closed_form_ser(gains, NoiseModel(0.02), chans,
-                                 ul.bipolar_constellation(2))
-        assert out.degenerate
-        assert out.per_symbol_correct[1] == 0.0 and out.per_symbol_correct[2] == 0.0
+        out, regions = self.ser(chans, 0.02, gains)
+        assert regions.degenerate
+        # points 1 and 2 share the middle region; the outer two (energies 0
+        # and 4, so mean -+4 and variance 4 sigma_v2 * 4 + 8 sigma_v2^2) err
+        # with the Gaussian tail beyond the boundaries at -+1
+        sv2 = 0.01
+        tail = 0.5 * special.erfc(3.0 / np.sqrt(2.0 * (16 * sv2 + 8 * sv2 ** 2)))
+        assert abs(out - (2.0 + 2.0 * tail) / 4.0) < 1e-15
 
     def test_monotone_in_noise(self):
         g = rng(9)
         chans = ul.UplinkChannelSet(a=complex_gauss(g, (16, 3)),
                                     b=0.2 * complex_gauss(g, (16, 3)),
                                     o=0.05 * complex_gauss(g, (16, 3)))
-        gains = ul.exact_linear_gains(chans)
-        const = ul.bipolar_constellation(3)
-        sers = [an.closed_form_ser(gains, NoiseModel(s2), chans, const).probability
-                for s2 in (0.001, 0.01, 0.1, 1.0)]
+        sers = [self.ser(chans, s2)[0] for s2 in (0.001, 0.01, 0.1, 1.0)]
         assert sers[0] <= sers[1] <= sers[2] <= sers[3]
 
 
@@ -344,13 +393,3 @@ def test_gaussian_error_shrinks_at_high_snr():
         gauss = stats.norm.pdf(grid, mu, sd)
         errs.append(np.max(np.abs(series - gauss)) * sd)
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_branch_power_params_roundtrip():
-    g = rng(10)
-    c = complex_gauss(g, 4)
-    sym = ComplementarySymbol(np.array([1, 0, 0, 1]))
-    p, p_bar = an.branch_power_params(c, sym, 0.3)
-    assert abs(p.beta - 0.6) < 1e-15
-    assert abs(p.gamma - abs(c @ sym.s) ** 2) < 1e-12
-    assert abs(p_bar.gamma - abs(c @ sym.s_bar) ** 2) < 1e-12

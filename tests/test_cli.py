@@ -105,6 +105,18 @@ def test_uplink_refuses_direct_link(command, tmp_path):
     assert not out.exists()
 
 
+def test_uplink_ser_over_search_cap_is_numerical(tmp_path):
+    # 2^17 constellation points exceed the enumeration cap the uplink shares
+    # with joint detection
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(FAST_CFG.replace("n_users: 4", "n_users: 17"))
+    out = tmp_path / "out.csv"
+    proc = run_cli("uplink-ser", "--config", str(cfg), "--grid", "4", "--out", str(out))
+    assert proc.returncode == 3
+    assert "search cap" in proc.stderr
+    assert not out.exists()
+
+
 def test_uplink_csv_identical_across_worker_counts(fast_cfg, tmp_path):
     outs = []
     for workers in ("1", "2"):

@@ -192,7 +192,7 @@ def per_symbol_joint(frame, cfg, sigma2, rng):
 @pytest.mark.parametrize("seed", [1, 7, 20250811])
 def test_joint_frame_matches_per_symbol_loop(seed):
     cfg = desk_cfg(n_bs_antennas=4, speed=50.0, ebn0_db=12.0, seed=seed)
-    sigma2 = hn.scheme_noise_sigma2(cfg, "linear_joint")
+    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_joint"].bits(cfg))
     tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["linear_joint"].stream_id
     total_errors = 0
     for frame_idx in range(3):
@@ -240,7 +240,7 @@ def check_qam_against_per_block_loop(cfg):
     """Run the batched baseline and its per-block oracle on 3 seeds x 3
     frames, require equal (errors, bits) on each, and return the frames'
     largest true-channel Gram condition number."""
-    sigma2 = hn.scheme_noise_sigma2(cfg, "qam_ml_baseline")
+    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
     tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["qam_ml_baseline"].stream_id
     total_errors, worst_cond = 0, 0.0
     for seed in (1, 7, 20250811):
@@ -298,7 +298,7 @@ def ls_train(frame, cfg, scale, sigma2, rng_noise):
 def test_train_matches_ls_estimate(n_t, pilot_len, joint):
     cfg = desk_cfg(n_bs_antennas=n_t, pilot_len=pilot_len)
     scale = 1.0 / np.sqrt(n_t) if joint else 1.0
-    sigma2 = hn.scheme_noise_sigma2(cfg, "linear_precoded")
+    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
     frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
     got = hn._train(frame, cfg, scale, sigma2, stream(3, 3))
     assert np.array_equal(got, ls_train(frame, cfg, scale, sigma2, stream(3, 3)))
@@ -422,7 +422,7 @@ class TestUplinkSampler:
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random")
         chans, _ = build_uplink_instance(cfg, stream(3, 1), stream(3, 2))
         c, n_t = chans.c, chans.n_antennas
-        s = (ul.bipolar_constellation(cfg.n_users)[symbol] + 1.0) / 2.0
+        s = (dl.bipolar_candidates(cfg.n_users)[symbol] + 1.0) / 2.0
         sym = ComplementarySymbol(s.astype(int))
         sigma2 = 10.0 ** (-ebn0_db / 10.0)
 
@@ -486,8 +486,9 @@ class TestPdfFit:
                                (2, cfg.pdf_fit_samples), 2.0 * sv2)
             samples = np.sort(np.abs(row @ sym.s + v[0]) ** 2
                               - np.abs(row @ sym.s_bar + v[1]) ** 2)
-            model = analysis.gaussian_approx(row, sym, sv2)
-            mu, sd = model.mu, np.sqrt(model.sigma2)
+            mu, var = analysis.gaussian_approx(np.abs(row @ sym.s) ** 2,
+                                               np.abs(row @ sym.s_bar) ** 2, sv2)
+            sd = np.sqrt(var)
             tag = format(snr_db, "g")
             assert np.array_equal(res.series[f"gaussian_{tag}dB"].values,
                                   stats.norm.pdf(res.x_values, mu, sd))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from rislink import downlink as dl
 from rislink import uplink as ul
+from rislink.config import ScenarioConfig
+from rislink.harness import run_uplink_ser
 from rislink.waveform import ComplementarySymbol
 from conftest import complex_gauss, rng
 
@@ -34,23 +37,6 @@ class TestAntennaObservation:
             assert abs(z - expected) < 1e-12
 
 
-class TestArrayAverage:
-    def test_constant(self):
-        assert ul.array_average(np.ones(7)) == 1.0
-
-    def test_two_values(self):
-        assert ul.array_average(np.array([2.0, 0.0])) == 1.0
-
-    def test_matches_mean(self):
-        g = rng(1)
-        x = g.standard_normal(33)
-        assert abs(ul.array_average(x) - x.mean()) < 1e-15
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ul.array_average(np.array([]))
-
-
 class TestExactLinearGains:
     def test_pure_los_collapses_to_first_part(self):
         g = rng(2)
@@ -65,10 +51,10 @@ class TestExactLinearGains:
         g = rng(3)
         chans = random_chanset(g)
         gains = ul.exact_linear_gains(chans)
-        for x_bar in ul.bipolar_constellation(4):
+        for x_bar in dl.bipolar_candidates(4):
             sym = ComplementarySymbol(((x_bar + 1) / 2).astype(int))
-            xi = ul.array_average([ul.antenna_observation(chans.c[m], sym)
-                                   for m in range(chans.n_antennas)])
+            xi = np.mean([ul.antenna_observation(chans.c[m], sym)
+                          for m in range(chans.n_antennas)])
             assert abs(xi - gains.total @ x_bar) < 1e-10
 
     def test_parts_sum_to_total(self):
@@ -119,8 +105,8 @@ class TestPilotGainEstimate:
         g = rng(8)
         chans = random_chanset(g, n_k=1)
         sym = ComplementarySymbol(np.array([1]))
-        xi = ul.array_average([ul.antenna_observation(chans.c[m], sym)
-                               for m in range(chans.n_antennas)])
+        xi = np.mean([ul.antenna_observation(chans.c[m], sym)
+                      for m in range(chans.n_antennas)])
         assert abs(ul.pilot_gain_estimate(chans, 0) - xi) < 1e-12
 
     def test_noisy_estimate_close(self):
@@ -145,24 +131,24 @@ class TestPilotGainEstimate:
 
 class TestRegions:
     def test_single_user(self):
-        regions = ul.build_regions(np.array([1.0]), ul.bipolar_constellation(1))
+        regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
         np.testing.assert_allclose(regions.region_means, [-1.0, 1.0])
         np.testing.assert_allclose(regions.boundaries, [0.0])
 
     def test_two_users_sorted_midpoints(self):
-        regions = ul.build_regions(np.array([1.0, 0.5]), ul.bipolar_constellation(2))
+        regions = ul.build_regions(np.array([1.0, 0.5]), dl.bipolar_candidates(2))
         np.testing.assert_allclose(regions.region_means, [-1.5, -0.5, 0.5, 1.5])
         np.testing.assert_allclose(regions.boundaries, [-1.0, 0.0, 1.0])
         assert not regions.degenerate
 
     def test_degenerate_means_collapse(self):
-        regions = ul.build_regions(np.array([1.0, 1.0]), ul.bipolar_constellation(2))
+        regions = ul.build_regions(np.array([1.0, 1.0]), dl.bipolar_candidates(2))
         np.testing.assert_allclose(regions.region_means, [-2.0, 0.0, 2.0])
         assert regions.degenerate
         assert regions.region_sizes[1] == 2
 
     def test_region_detect_below_and_boundary(self):
-        regions = ul.build_regions(np.array([1.0, 0.5]), ul.bipolar_constellation(2))
+        regions = ul.build_regions(np.array([1.0, 0.5]), dl.bipolar_candidates(2))
         assert regions.locate(-10.0) == 0
         # boundary belongs to the upper region
         assert regions.locate(-1.0) == 1
@@ -171,7 +157,7 @@ class TestRegions:
     def test_region_detect_matches_linear_scan(self):
         g = rng(10)
         gains = np.array([0.9, 0.4, -0.3])
-        regions = ul.build_regions(gains, ul.bipolar_constellation(3))
+        regions = ul.build_regions(gains, dl.bipolar_candidates(3))
         xs = g.uniform(-3, 3, 100_000)
         fast = regions.locate(xs)
         slow = (xs[:, None] >= regions.boundaries[None, :]).sum(axis=1)
@@ -179,7 +165,7 @@ class TestRegions:
 
     def test_detect_returns_symbol_index(self):
         gains = np.array([1.0, 0.5])
-        regions = ul.build_regions(gains, ul.bipolar_constellation(2))
+        regions = ul.build_regions(gains, dl.bipolar_candidates(2))
         # means per constellation index: [-1.5, -0.5, 0.5, 1.5] in order 00,01,10,11
         assert ul.region_detect(1.4, regions) == 3
         assert ul.region_detect(-0.4, regions) == 1
@@ -187,7 +173,7 @@ class TestRegions:
 
 def test_region_index_invariant_to_common_mean_shift():
     gains = np.array([1.0, 0.5])
-    const = ul.bipolar_constellation(2)
+    const = dl.bipolar_candidates(2)
     regions = ul.build_regions(gains, const)
     shift = 3.7
     shifted = ul.DecisionRegions(boundaries=regions.boundaries + shift,
@@ -201,5 +187,7 @@ def test_region_index_invariant_to_common_mean_shift():
 
 
 def test_constellation_cap():
-    with pytest.raises(ValueError):
-        ul.bipolar_constellation(17)
+    # the uplink enumerates its constellation under the joint search cap
+    cfg = ScenarioConfig(n_users=17, n_bs_antennas=8, n_ris_elements=4)
+    with pytest.raises(dl.SearchTooLarge, match="search cap"):
+        run_uplink_ser(cfg, "closed_form", (10.0,))

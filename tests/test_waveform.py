@@ -195,11 +195,6 @@ class TestNoiseModel:
         corr = np.mean(y1 * np.conj(y2)) / np.sqrt(v1 * v2)
         assert abs(corr) < 0.01
 
-    def test_sigma_v2_is_half(self):
-        assert wf.NoiseModel(0.5).sigma_v2 == 0.25
-        with pytest.raises(ValueError):
-            wf.NoiseModel(-1.0)
-
 
 def test_end_to_end_modulate_correlate_detect():
     # full chain: modulate, channel, correlators, magnitude difference
