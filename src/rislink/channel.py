@@ -98,12 +98,14 @@ def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0,
     """
     shape = tuple(np.atleast_1d(shape).astype(int))
     n = 1 if blocks is None else blocks
-    out = np.zeros((n,) + shape, dtype=complex)
-    if sigma2 != 0.0:
+    if sigma2 == 0.0:
+        out = np.zeros((n,) + shape, dtype=complex)
+    else:
+        out = np.empty((n,) + shape, dtype=complex)
         g = rng.standard_normal((n, 2) + shape)
+        g *= np.sqrt(sigma2 / 2.0)
         out.real = g[:, 0]
         out.imag = g[:, 1]
-        out *= np.sqrt(sigma2 / 2.0)
     return out[0] if blocks is None else out
 
 
@@ -139,7 +141,7 @@ def upa_steering(angles: Angles, geom: ArrayGeometry) -> np.ndarray:
     scale = _TWO_PI * geom.element_spacing / geom.wavelength
     u = np.exp(1j * scale * np.arange(nx) * np.sin(angles.phi) * np.sin(angles.theta))
     v = np.exp(1j * scale * np.arange(ny) * np.cos(angles.theta))
-    return np.kron(u, v) / np.sqrt(nx * ny)
+    return np.outer(u, v).reshape(-1) / np.sqrt(nx * ny)
 
 
 def los_component(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarray:
@@ -184,11 +186,10 @@ class JakesFading:
 
     def sample_at(self, t: float) -> np.ndarray:
         """Fading matrix at absolute time t seconds."""
-        wd_t = _TWO_PI * self.f_max * t
-        m = self.phi.shape[-1]
-        re = np.cos(wd_t * self.cos_alpha + self.phi).sum(axis=-1)
-        im = np.cos(wd_t * self.sin_alpha + self.psi).sum(axis=-1)
-        return (re + 1j * im) / np.sqrt(m)
+        rate, phase = self._oscillators()
+        cos = np.zeros(rate.shape, dtype=complex)  # only the real parts are summed
+        np.cos(rate * t + phase, out=cos.real)
+        return self._entries(_real_sums(cos))
 
     def sample_grid(self, t0: float, dt: float, count: int) -> np.ndarray:
         """Fading matrices at t0 + k*dt for k < count, stacked as
@@ -196,19 +197,56 @@ class JakesFading:
 
         On evenly spaced instants each oscillator's phasor advances by the
         fixed factor exp(j*w_d*dt*c) per step (c the cosine or sine of its
-        arrival angle), so the grid costs two complex exponentials per
-        oscillator and one complex multiply per instant instead of a cosine
-        pass per instant.  Agrees with ``sample_at`` to rounding; the
-        rounding of the repeated product grows with k.
+        arrival angle), so the grid costs one cosine and one sine pass to set
+        the phasors up, then one complex multiply and one matrix-vector sum
+        per instant instead of a cosine pass per instant.  Agrees with
+        ``sample_at`` to rounding, and bit for bit at f_max = 0; the rounding
+        of the repeated product grows with k.
         """
-        rate = _TWO_PI * self.f_max * np.stack([self.cos_alpha, self.sin_alpha])
-        phasor = np.exp(1j * (rate * t0 + np.stack([self.phi, self.psi])))
-        step = np.exp(1j * rate * dt)
-        parts = np.empty((count, 2) + self.phi.shape[:-1])
+        rate, phase = self._oscillators()
+        phasor = _unit_phasor(rate * t0 + phase)
+        step = _unit_phasor(rate * dt)
+        sums = np.empty((count, rate.shape[0]))
         for k in range(count):
-            parts[k] = phasor.real.sum(axis=-1)
+            _real_sums(phasor, out=sums[k])
             phasor *= step
-        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(self.phi.shape[-1])
+        return self._entries(sums)
+
+    def _oscillators(self):
+        """Angular rate and initial phase of every oscillator as rows of
+        (2 * entries, oscillators): the real parts' rows, then the
+        imaginary parts'."""
+        m = self.phi.shape[-1]
+        rate = _TWO_PI * self.f_max * np.stack([self.cos_alpha, self.sin_alpha])
+        return rate.reshape(-1, m), np.stack([self.phi, self.psi]).reshape(-1, m)
+
+    def _entries(self, sums: np.ndarray) -> np.ndarray:
+        """Oscillator sums (..., 2 * entries) as (...,) + entry shape complex
+        fading of unit power."""
+        shape = sums.shape[:-1] + self.phi.shape[:-1]
+        half = sums.shape[-1] // 2
+        return (sums[..., :half].reshape(shape) + 1j * sums[..., half:].reshape(shape)) \
+            / np.sqrt(self.phi.shape[-1])
+
+
+def _unit_phasor(x: np.ndarray) -> np.ndarray:
+    """exp(j*x) for real x, bit for bit, with its cosine and sine written
+    straight into one complex buffer."""
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _real_sums(phasor: np.ndarray, out=None) -> np.ndarray:
+    """Row sums of the real parts of a C-contiguous complex 2-D array, as
+    one BLAS matrix-vector product over its interleaved (re, im) float view
+    with weights 1, 0: no strided reduction.  A finite imaginary part adds
+    an exact zero, so equal real parts give equal sums bit for bit; every
+    oscillator sum goes through here."""
+    pick = np.zeros(2 * phasor.shape[-1])
+    pick[::2] = 1.0
+    return np.matmul(phasor.view(float), pick, out=out)
 
 
 def cascade(g: np.ndarray, pattern: ReflectionPattern, q: np.ndarray) -> np.ndarray:

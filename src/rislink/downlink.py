@@ -15,6 +15,7 @@ full-rank pilot block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,18 +81,23 @@ def hadamard_order(n_rows: int, length: int | None = None) -> int:
     return 1 << (max(n_rows, length or 0, 1) - 1).bit_length()
 
 
+@lru_cache(maxsize=16)
 def hadamard_pilots(n_rows: int, length: int | None = None) -> np.ndarray:
     """The first n_rows rows of the Sylvester-Hadamard matrix of order
     ``hadamard_order(n_rows, length)``, as floats.
 
     Sylvester's construction doubles H to [[H, H], [H, -H]] from H = [[1]].
     Rows are mutually orthogonal, so the pilot Gram matrix is order * I.
+    The 16 most recent argument pairs are cached, so the returned array
+    is read-only.
     """
     order = hadamard_order(n_rows, length)
     h = np.ones((1, 1))
     while h.shape[0] < order:
         h = np.vstack([np.hstack([h, h]), np.hstack([h, -h])])
-    return h[:n_rows]
+    h = h[:n_rows]
+    h.flags.writeable = False
+    return h
 
 
 def ls_estimate(pilots: PilotBlock) -> np.ndarray:
@@ -191,15 +197,18 @@ def precoded_roundtrip(h_bar: np.ndarray, precoder: Precoder,
 
 def output_snr_exact(h_bar: np.ndarray, sigma2: float,
                      power_budget: float = 1.0) -> float:
-    """Closed-form precoded output SNR rho / (2 sigma^2 + 3 sigma^4 / 4).
+    """Precoded output SNR rho / (2 sigma^2 + 2 sigma^4 / rho) of the
+    zero-forced channel ``h_bar``.
 
-    The denominator constants are taken as printed in the source analysis;
-    the Monte Carlo harness cross-checks them rather than assuming them.
+    Through W = I a bit's clean output is rho (2b - 1), and its noise
+    2 sqrt(rho) Re(v) + |v1|^2 - |v2|^2 under CN(0, sigma^2) branch noise
+    has power 2 rho sigma^2 + 2 sigma^4.  The source analysis prints
+    rho / (2 sigma^2 + 3 sigma^4 / 4), which no noise convention gives.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
     rho = zf_precoder(h_bar, power_budget).rho
-    return rho / (2.0 * sigma2 + 0.75 * sigma2 ** 2)
+    return rho / (2.0 * sigma2 + 2.0 * sigma2 ** 2 / rho)
 
 
 def precoded_ber_exact(rho, sigma2: float):

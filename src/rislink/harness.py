@@ -11,7 +11,8 @@ than the configured minimum number of trials.  A run uses one worker pool.
 
 No downlink frame takes an SVD outside ``downlink.zf_precoder``: training
 divides by the Hadamard order in closed form, and the 4-QAM baseline
-zero-forces each block through its N_k x N_k Gram matrix.
+zero-forces each block through its N_k x N_k Gram matrix, drawn with the
+cross product it needs from N_k x N_k statistics of the estimate error.
 
 Of scipy, the module loads ``scipy.special`` only: ``run_pdf_fit`` writes
 the Gaussian density and CDF out with the arithmetic ``scipy.stats.norm``
@@ -271,37 +272,84 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
     return int(np.count_nonzero(sym.s != bits.reshape(-1, n_t))), bits.size
 
 
+def _estimate_error(rng, n_k, n_t, sigma2, blocks):
+    """The part (A, T) of a CN(0, sigma2) estimate error E (N_k x N_t) that
+    the QAM baseline reads, for ``blocks`` blocks at once.
+
+    Let H^H = Q R with Q (N_t x N_k) orthonormal, and V (N_t x m) orthonormal
+    and orthogonal to Q, m = min(N_k, N_t - N_k).  Then E = A Q^H + T V^H in
+    law: A = E Q is CN(0, sigma2)^{N_k x N_k}, and T is the lower-trapezoidal
+    Bartlett factor of the complex Wishart matrix left by the rest of E
+    (Goodman, Ann. Math. Statist. 34(1), 1963).  Column j of T has a real
+    diagonal entry with |T_jj|^2 ~ (sigma2/2) chi^2 on 2 (N_t - N_k - j)
+    degrees of freedom and CN(0, sigma2) entries below it.  A is drawn
+    first, then the chi-squares, then the entries below the diagonal; no draw
+    is made at sigma2 == 0.  Needs N_t >= N_k."""
+    m = min(n_k, n_t - n_k)
+    a = channel.complex_normal(rng, (n_k, n_k), sigma2, blocks=blocks)
+    t = np.zeros((blocks, n_k, m), dtype=complex)
+    if sigma2 != 0.0:
+        diag = np.arange(m)
+        t[:, diag, diag] = np.sqrt(sigma2 / 2.0 * rng.chisquare(
+            2 * (n_t - n_k - diag), size=(blocks, m)))
+        below = np.tril_indices(n_k, -1, m)
+        t[:, below[0], below[1]] = channel.complex_normal(rng, below[0].size, sigma2,
+                                                          blocks=blocks)
+    return a, t
+
+
+def _estimate_statistics(h, rot, sigma2, rng):
+    """The Gram G = H_est H_est^H and the cross product H H_est^H of the
+    estimates H_est = rot H + E of a stack of channels ``h`` (B, N_k, N_t),
+    with ``rot`` (B,) unit rotations and E ~ CN(0, sigma2) i.i.d.
+
+    Both are drawn exactly from N_k x N_k statistics, never from E itself:
+    with H^H = Q R and (A, T) from ``_estimate_error``, H E^H = R^H A^H and
+    E E^H = A A^H + T T^H, so G = R^H R + rot H E^H + conj(rot) (H E^H)^H
+    + E E^H and H H_est^H = conj(rot) R^H R + H E^H.  A QR factor, unlike a
+    Cholesky factor of H H^H, exists for a rank-deficient H too."""
+    r_h = np.linalg.qr(h.mT.conj(), mode="r").mT.conj()  # R^H, (B, N_k, N_k)
+    a, t = _estimate_error(rng, h.shape[-2], h.shape[-1], sigma2, h.shape[0])
+    rot = rot[:, None, None]
+    hh = r_h @ r_h.mT.conj()                     # H H^H
+    he = r_h @ a.mT.conj()                       # H E^H
+    gram = hh + rot * he + np.conj(rot) * he.mT.conj() + a @ a.mT.conj() + t @ t.mT.conj()
+    return gram, np.conj(rot) * hh + he
+
+
 def _sim_qam_baseline(frame, cfg, sigma2, rng):
-    """4-QAM with a fresh noisy, Doppler-rotated estimate H_est per block and
-    zero forcing on it through the N_k x N_k Gram G = H_est H_est^H: the
-    precoder H_est^H G^-1 / sqrt(tr G^-1) has unit power, the true channel
-    sees (H H_est^H) G^-1 / sqrt(tr G^-1), and the receiver divides by the
-    diagonal of H_est times the same precoder.  A block whose Gram has
-    lambda_min <= RANK_RTOL * lambda_max raises RankDeficientChannel."""
-    n_k = cfg.n_users
+    """4-QAM with a fresh noisy, Doppler-rotated estimate H_est = r H + E per
+    block, E ~ CN(0, sigma2 / order) for the Hadamard pilot order, and zero
+    forcing on it through the N_k x N_k Gram G = H_est H_est^H: the precoder
+    H_est^H G^-1 / sqrt(tr G^-1) has unit power, the true channel sees
+    (H H_est^H) G^-1 / sqrt(tr G^-1), and the receiver divides by the
+    diagonal of H_est times the same precoder.  The scheme reads H_est only
+    through G and H H_est^H, which ``_estimate_statistics`` draws.  A block
+    whose Gram has lambda_min <= RANK_RTOL * lambda_max, or N_t < N_k, raises
+    RankDeficientChannel."""
+    n_k, n_t = cfg.n_users, cfg.n_bs_antennas
+    if n_t < n_k:
+        raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
-    est_sigma2 = sigma2 / downlink.hadamard_order(cfg.n_bs_antennas, cfg.pilot_len)
+    est_sigma2 = sigma2 / downlink.hadamard_order(n_t, cfg.pilot_len)
     rng_noise, rng_est = rng(3), rng(5)
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
     x = qam_modulate(bits)  # (B, S, N_k)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
     t0 = cfg.pilot_len + np.arange(blocks) * syms  # block start, in symbols
-    h_true = frame.h_blocks
     # a fresh noisy, Doppler-rotated estimate per block
-    h_est = np.exp(1j * dnu * t0)[:, None, None] * h_true \
-        + channel.complex_normal(rng_est, h_true.shape[1:], est_sigma2, blocks=blocks)
-    h_est_h = np.conj(np.swapaxes(h_est, -1, -2))
-    gram = h_est @ h_est_h                       # (B, N_k, N_k)
+    gram, cross = _estimate_statistics(frame.h_blocks, np.exp(1j * dnu * t0),
+                                       est_sigma2, rng_est)
     lam = np.linalg.eigvalsh(gram)               # ascending, per block
     if np.any(lam[:, 0] <= downlink.RANK_RTOL * lam[:, -1]):
         raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
     g_inv = np.linalg.inv(gram)
     norm = 1.0 / np.sqrt(np.trace(g_inv, axis1=-2, axis2=-1).real)[:, None, None]
-    composite = (h_true @ h_est_h) @ g_inv * norm              # (B, N_k, N_k)
+    composite = cross @ g_inv * norm                           # (B, N_k, N_k)
     gain = np.diagonal(gram @ g_inv * norm, axis1=-2, axis2=-1)  # receiver-side
     rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
-    y = rot[:, :, None] * (x @ np.swapaxes(composite, -1, -2)) \
+    y = rot[:, :, None] * (x @ composite.mT) \
         + channel.complex_normal(rng_noise, (syms, n_k), sigma2, blocks=blocks)
     detected = qam_demodulate(y / gain[:, None, :])
     return int(np.count_nonzero(detected != bits)), bits.size
@@ -496,18 +544,24 @@ def _averaged_observation(rng, e1, e2, n_t, sigma2):
     return sigma2 / (2.0 * n_t) * (x1 - x2)
 
 
+def _symbol_errors(xi, lo, hi):
+    """Observations outside their own symbol's decision interval [lo, hi),
+    which is exactly where ``uplink.region_detect`` errs."""
+    return int(xi.size - np.count_nonzero((lo <= xi) & (xi < hi)))
+
+
 def _uplink_task(args):
     """Monte Carlo symbol errors of one uplink grid point over the symbol
-    range [lo, hi); e1/e2 hold every constellation point's noiseless branch
-    energies summed over the n_t antennas.  The chunk stream is sub-stream 3
-    of the uplink tag (1 and 2 draw the channel)."""
-    e1, e2, n_t, regions, sigma2, seed, point_idx, lo, hi = args
-    rng = stream(seed, _TAG_UPLINK, 3, point_idx, lo)
-    n = hi - lo
+    range [first, last); e1/e2 hold every constellation point's noiseless
+    branch energies summed over the n_t antennas, and lo/hi its decision
+    interval (``DecisionRegions.intervals``).  The chunk stream is sub-stream
+    3 of the uplink tag (1 and 2 draw the channel)."""
+    e1, e2, n_t, lo, hi, sigma2, seed, point_idx, first, last = args
+    rng = stream(seed, _TAG_UPLINK, 3, point_idx, first)
+    n = last - first
     idx = rng.integers(0, e1.size, size=n)
     xi = _averaged_observation(rng, e1[idx], e2[idx], n_t, sigma2)
-    detected = uplink.region_detect(xi, regions)
-    return {"monte_carlo": (int(np.count_nonzero(detected != idx)), n)}
+    return {"monte_carlo": (_symbol_errors(xi, lo[idx], hi[idx]), n)}
 
 
 def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
@@ -533,6 +587,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     gains = uplink.exact_linear_gains(chans)
     const = downlink.bipolar_candidates(cfg.n_users)
     regions = uplink.build_regions(gains, const)
+    lo, hi = regions.intervals()
     s_all = (const + 1.0) / 2.0
     n_t = chans.n_antennas
     # (R,) noiseless branch energies sum_m |amp_b|^2 per constellation point
@@ -544,15 +599,12 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
         for pi, point in enumerate(points):
             sigma2 = branch_noise_sigma2(point)
             if sigma2 == 0.0:
-                xi = (e1 - e2) / n_t
-                detected = uplink.region_detect(xi, regions)
-                mc.append((int(np.count_nonzero(detected != np.arange(const.shape[0]))),
-                           const.shape[0]))
+                mc.append((_symbol_errors((e1 - e2) / n_t, lo, hi), const.shape[0]))
                 cf.append(0.0 if not regions.degenerate else np.nan)
                 continue
             if mode != "closed_form":
                 _, totals = _monte_carlo(
-                    task_map, _uplink_task, (e1, e2, n_t, regions, sigma2, cfg.seed, pi),
+                    task_map, _uplink_task, (e1, e2, n_t, lo, hi, sigma2, cfg.seed, pi),
                     cfg.mc_symbol_chunk, UPLINK_TASKS_PER_BATCH, cfg.mc_min_trials,
                     cfg.mc_symbol_ceiling, cfg.mc_min_errors)
                 mc.append(totals["monte_carlo"])

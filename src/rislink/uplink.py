@@ -79,6 +79,16 @@ class DecisionRegions:
         idx = np.searchsorted(self.boundaries, xi, side="right")
         return idx if np.ndim(xi) else int(idx)
 
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per constellation index i, the half-open [lo_i, hi_i) of the
+        observations ``region_detect`` maps to i: its region's interval when
+        i is the region's representative, else the empty [+inf, -inf)."""
+        edges = np.concatenate([[-np.inf], self.boundaries, [np.inf]])
+        region = self.symbol_region
+        own = self.representatives[region] == np.arange(region.size)
+        return (np.where(own, edges[region], np.inf),
+                np.where(own, edges[region + 1], -np.inf))
+
 
 def antenna_observation(chan_row: np.ndarray, sym: ComplementarySymbol,
                         noise: tuple = (0.0, 0.0)):

@@ -57,6 +57,17 @@ class TestUpaSteering:
         expected /= np.sqrt(nx * ny)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (4, 16), (3, 5)])
+    def test_outer_product_equals_kron_bit_for_bit(self, nx, ny):
+        g = rng(2)
+        ang = ch.Angles(g.uniform(0, np.pi), g.uniform(0, 2 * np.pi))
+        scale = 2 * np.pi * 0.5
+        u = np.exp(1j * scale * np.arange(nx) * np.sin(ang.phi) * np.sin(ang.theta))
+        v = np.exp(1j * scale * np.arange(ny) * np.cos(ang.theta))
+        kron = np.kron(u, v) / np.sqrt(nx * ny)
+        out = ch.upa_steering(ang, self.geom(nx, ny))
+        assert np.array_equal(out.view(float), kron.view(float))
+
     def test_angle_ranges_enforced(self):
         with pytest.raises(ValueError):
             ch.Angles(-0.1, 0.0)
@@ -160,6 +171,19 @@ class TestComplexNormal:
         assert stacked.bit_generator.state == one.bit_generator.state
         np.testing.assert_array_equal(ch.complex_normal(rng(18), shape, 0.7), calls[0])
 
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7, 1e-9, 3.5])
+    def test_bit_identical_to_zero_filled_scaling(self, sigma2):
+        # the previous form: write the draws into zeros, then scale the
+        # complex result by a real factor
+        shape, n = (25, 8), 40
+        g = rng(19).standard_normal((n, 2) + shape)
+        old = np.zeros((n,) + shape, dtype=complex)
+        old.real = g[:, 0]
+        old.imag = g[:, 1]
+        old *= np.sqrt(sigma2 / 2.0)
+        got = ch.complex_normal(rng(19), shape, sigma2, blocks=n)
+        assert np.array_equal(got.view(float), old.view(float))
+
     def test_variance_split_between_quadratures(self):
         x = ch.complex_normal(rng(17), 400_000, 0.3)
         assert abs(np.mean(np.abs(x) ** 2) - 0.3) / 0.3 < 0.01
@@ -187,6 +211,18 @@ class TestJakesFading:
         if f_max == 0.0:
             still = state.sample_at(0.0)
             assert all(np.array_equal(g, still) for g in grid)
+
+    @pytest.mark.parametrize("t", [0.0, 1.6e-4, 0.37])
+    def test_sample_at_matches_cosine_sums(self, t):
+        # the written-out sum of sinusoids: one cosine per oscillator
+        state = ch.JakesFading.create((8, 64), 983.0, rng(12))
+        wd_t = 2 * np.pi * state.f_max * t
+        m = state.phi.shape[-1]
+        re = np.cos(wd_t * state.cos_alpha + state.phi).sum(axis=-1)
+        im = np.cos(wd_t * state.sin_alpha + state.psi).sum(axis=-1)
+        got = state.sample_at(t)
+        assert got.shape == (8, 64)
+        assert np.abs(got - (re + 1j * im) / np.sqrt(m)).max() < 1e-12
 
     def test_lag_one_autocorrelation_matches_bessel(self):
         f_max, dt = 1000.0, 8e-6

@@ -95,6 +95,13 @@ class TestHadamardPilots:
             np.testing.assert_array_equal(dl.hadamard_pilots(n_rows),
                                           scipy_hadamard(order)[:n_rows])
 
+    def test_built_once_and_read_only(self):
+        p = dl.hadamard_pilots(32, 20)
+        assert dl.hadamard_pilots(32, 20) is p
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = -1.0
+
     @pytest.mark.parametrize("n_t, pilot_len",
                              [(4, 20), (32, 20), (128, 20), (8, 16), (16, 40)])
     def test_gram_is_exactly_order_identity(self, n_t, pilot_len):
@@ -315,6 +322,24 @@ class TestOutputSnr:
                          for _ in range(200)])
         asym = dl.output_snr_asymptotic(n_t, n_k, sigma2)
         assert abs(10 * np.log10(exact / asym)) < 1.0
+
+
+    @pytest.mark.parametrize("sigma2", [0.3, 1.0, 3.0])
+    def test_exact_matches_simulated_link(self, sigma2):
+        # eta of the sampled precoded link, as run_output_snr measures it,
+        # against the mean law over the same i.i.d. channel draws
+        g = rng(31)
+        n_k, n_t = 4, 16
+        simulated, law = [], []
+        for _ in range(100):
+            h_bar = g.standard_normal((n_k, n_t))
+            pre = dl.zf_precoder(h_bar)
+            bits = g.integers(0, 2, size=(20_000, n_k)).astype(float)
+            a1, a2, z = _precoded_link(h_bar @ pre.p, pre.rho, bits, sigma2, g)
+            clean = a1 ** 2 - a2 ** 2
+            simulated.append(np.mean(clean ** 2) / np.mean((z - clean) ** 2))
+            law.append(dl.output_snr_exact(h_bar, sigma2))
+        assert abs(np.mean(simulated) / np.mean(law) - 1.0) < 0.02
 
 
 class TestPrecodedBerExact:

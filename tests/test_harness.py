@@ -208,12 +208,13 @@ def test_joint_frame_matches_per_symbol_loop(seed):
     assert total_errors > 0
 
 
-def per_block_qam(frame, cfg, sigma2, rng):
-    """The 4-QAM baseline frame simulation one block at a time, with per-block
-    estimation and noise draws, kept as the oracle of the batched baseline."""
+def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
+    """The 4-QAM baseline frame simulation one block at a time, through the
+    pseudo-inverse of an explicit estimate H_est = r H + E with
+    E = estimate_error(b, H) per block, and per-block noise draws; kept as
+    the oracle of the batched baseline."""
     n_k, syms = cfg.n_users, cfg.symbols_per_block
-    pilot_budget = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
-    rng_noise, rng_est = rng(3), rng(5)
+    rng_noise = rng(3)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, syms, n_k, 2))
     x = hn.qam_modulate(bits)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
@@ -221,8 +222,7 @@ def per_block_qam(frame, cfg, sigma2, rng):
     for b in range(cfg.blocks_per_frame):
         t0 = cfg.pilot_len + b * syms
         h_true = frame.h_blocks[b]
-        h_est = np.exp(1j * dnu * t0) * h_true \
-            + complex_normal(rng_est, h_true.shape, sigma2 / pilot_budget)
+        h_est = np.exp(1j * dnu * t0) * h_true + estimate_error(b, h_true)
         p_c = np.linalg.pinv(h_est)
         p_c = p_c / np.sqrt(np.trace(p_c.conj().T @ p_c).real)
         gain = np.diag(h_est @ p_c)
@@ -233,13 +233,36 @@ def per_block_qam(frame, cfg, sigma2, rng):
     return errors, bits.size
 
 
+def estimate_sigma2(cfg, sigma2):
+    pilot_budget = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
+    return sigma2 / pilot_budget
+
+
+def full_error(rng_est, sigma2):
+    """Brute force: every entry of E drawn, block by block."""
+    return lambda b, h: complex_normal(rng_est, h.shape, sigma2)
+
+
+def rebuilt_error(cfg, sigma2, rng_est):
+    """E = A Q^H + T V^H from the baseline's own (A, T) draws, with Q and V
+    the first N_k and the next m columns of a full QR of H^H."""
+    n_k, n_t = cfg.n_users, cfg.n_bs_antennas
+    a, t = hn._estimate_error(rng_est, n_k, n_t, sigma2, cfg.blocks_per_frame)
+
+    def error(b, h):
+        q = np.linalg.qr(h.conj().T, mode="complete")[0]
+        v = q[:, n_k:n_k + t.shape[-1]]
+        return a[b] @ q[:, :n_k].conj().T + t[b] @ v.conj().T
+    return error
+
+
 PAPER_SIZES = dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)
 
 
 def check_qam_against_per_block_loop(cfg):
-    """Run the batched baseline and its per-block oracle on 3 seeds x 3
-    frames, require equal (errors, bits) on each, and return the frames'
-    largest true-channel Gram condition number."""
+    """Run the batched baseline and its per-block oracle, fed the same draws,
+    on 3 seeds x 3 frames, require equal (errors, bits) on each, and return
+    the frames' largest true-channel Gram condition number."""
     sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
     tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["qam_ml_baseline"].stream_id
     total_errors, worst_cond = 0, 0.0
@@ -252,7 +275,8 @@ def check_qam_against_per_block_loop(cfg):
                 return stream(seed, tag, sub, 0, frame_idx, scheme_id)
 
             got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
-            assert got == per_block_qam(frame, cfg, sigma2, rng)
+            same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5))
+            assert got == per_block_qam(frame, cfg, sigma2, rng, same_draws)
             total_errors += got[0]
             gram = frame.h_blocks @ np.conj(np.swapaxes(frame.h_blocks, -1, -2))
             worst_cond = max(worst_cond, np.linalg.cond(gram).max())
@@ -278,6 +302,75 @@ def test_qam_gram_zf_matches_pinv_at_worst_conditioning():
     # baseline meets at paper scale
     cfg = desk_cfg(**PAPER_SIZES, rician_K=100.0, rician_V=100.0, ebn0_db=50.0)
     assert check_qam_against_per_block_loop(cfg) > 1e6
+
+
+def test_qam_refuses_fewer_antennas_than_users():
+    cfg = desk_cfg(n_users=4, n_bs_antennas=3)
+    frame = build_downlink_frame(cfg, stream(1, 1), stream(1, 2))
+    with pytest.raises(dl.RankDeficientChannel, match="baseline estimate"):
+        hn._sim_qam_baseline(frame, cfg, 0.1, lambda sub: stream(1, 3, sub))
+
+
+class TestQamEstimateSampler:
+    """The baseline's sufficient-statistic draw of (G_est, H H_est^H)
+    against the brute-force estimate rot H + E with every entry of E drawn."""
+
+    N = 4000
+    N_K = 4
+    SIGMA2 = 0.5
+
+    @staticmethod
+    def functionals(gram, cross):
+        return {"re_g00": gram[:, 0, 0].real, "im_g12": gram[:, 1, 2].imag,
+                "abs_c01": np.abs(cross[:, 0, 1]),
+                "tr_g_inv": np.trace(np.linalg.inv(gram), axis1=-2, axis2=-1).real}
+
+    def brute_force(self, h, rot, generator):
+        parts = []
+        for _ in range(4):  # in chunks, to keep E small at N_t = 128
+            e = complex_normal(generator, h.shape, self.SIGMA2, blocks=self.N // 4)
+            h_est = rot * h + e
+            h_est_h = h_est.conj().swapaxes(-1, -2)
+            parts.append((h_est @ h_est_h, h @ h_est_h))
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    def check(self, h, seed):
+        rot = np.exp(0.7j)
+        drawn = hn._estimate_statistics(np.broadcast_to(h, (self.N,) + h.shape),
+                                        np.full(self.N, rot), self.SIGMA2, stream(seed, 1))
+        oracle = self.brute_force(h, rot, stream(seed, 2))
+        got, want = self.functionals(*drawn), self.functionals(*oracle)
+        for name in got:
+            assert stats.ks_2samp(got[name], want[name]).pvalue > 1e-3, name
+
+    @pytest.mark.parametrize("n_t", [N_K, N_K + 1, 2 * N_K - 1, 2 * N_K, 32, 128])
+    def test_matches_full_error_draw(self, n_t):
+        self.check(complex_normal(stream(5, n_t), (self.N_K, n_t)), n_t)
+
+    def test_matches_full_error_draw_on_rank_one_channel(self):
+        g = stream(6)
+        h = np.outer(complex_normal(g, self.N_K), complex_normal(g, 32))
+        self.check(h, 99)
+
+    def test_ber_matches_full_error_draw(self):
+        # 200 paper-scale frames, same data and noise streams; the estimate
+        # errors come from the sampler and from a full draw on its own stream
+        cfg = desk_cfg(**PAPER_SIZES, speed=10.0, ebn0_db=0.0)
+        sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
+        counts = np.zeros((2, 2), dtype=np.int64)
+        for frame_idx in range(200):
+            frame = build_downlink_frame(cfg, stream(8, 1, frame_idx), stream(8, 2, frame_idx))
+
+            def rng(sub):
+                return stream(8, 3, sub, frame_idx)
+
+            counts[0] += hn._sim_qam_baseline(frame, cfg, sigma2, rng)
+            full = full_error(stream(8, 4, frame_idx), estimate_sigma2(cfg, sigma2))
+            counts[1] += per_block_qam(frame, cfg, sigma2, rng, full)
+        (e1, n1), (e2, n2) = counts
+        p = (e1 + e2) / (n1 + n2)
+        z = (e1 / n1 - e2 / n2) / np.sqrt(p * (1 - p) * (1 / n1 + 1 / n2))
+        assert e1 > 0 and abs(z) < 4.0
 
 
 def ls_train(frame, cfg, scale, sigma2, rng_noise):

@@ -163,6 +163,26 @@ class TestRegions:
         slow = (xs[:, None] >= regions.boundaries[None, :]).sum(axis=1)
         np.testing.assert_array_equal(fast, slow)
 
+    @pytest.mark.parametrize("gains", [[0.9, 0.4, -0.3], [1.0, 1.0, 0.5], [1.0, 0.5]],
+                             ids=["distinct", "degenerate", "two_users"])
+    def test_intervals_agree_with_region_detect(self, gains):
+        gains = np.array(gains)
+        const = dl.bipolar_candidates(gains.size)
+        regions = ul.build_regions(gains, const)
+        lo, hi = regions.intervals()
+        # random observations, every boundary exactly, and the means
+        xs = np.concatenate([rng(11).uniform(-4, 4, 50_000), regions.boundaries,
+                             np.nextafter(regions.boundaries, -np.inf),
+                             const @ gains])
+        detected = ul.region_detect(xs, regions)
+        for i in range(const.shape[0]):
+            inside = (lo[i] <= xs) & (xs < hi[i])
+            np.testing.assert_array_equal(inside, detected == i)
+        # a point that is not its region's representative is never detected
+        hidden = regions.representatives[regions.symbol_region] != np.arange(const.shape[0])
+        assert hidden.any() == regions.degenerate
+        assert np.all(lo[hidden] > hi[hidden])
+
     def test_detect_returns_symbol_index(self):
         gains = np.array([1.0, 0.5])
         regions = ul.build_regions(gains, dl.bipolar_candidates(2))
