@@ -109,6 +109,50 @@ def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0,
     return out[0] if blocks is None else out
 
 
+def power_difference(rng: np.random.Generator, c1, c2, sigma2: float, shape=None,
+                     *, branch_major: bool = False, axis: int = 0) -> np.ndarray:
+    """Magnitude-difference observation |c1 + v1|^2 - |c2 + v2|^2 with v1, v2
+    i.i.d. CN(0, sigma2), in real arithmetic only: no complex array is made.
+
+    The clean branch amplitudes c1, c2 (real or complex) broadcast to
+    ``shape``, by default their common shape.  The standard normals fill one
+    array of shape shape[:axis] + (2, 2) + shape[axis:] whose (2, 2) axes are
+    (part, branch): the real parts of v1 and v2, then their imaginary parts;
+    or, with ``branch_major``, (branch, part): v1's real and imaginary parts,
+    then v2's.  So the stream is read as ``complex_normal`` would read it for
+    the same noise: part-major is complex_normal(rng, (2,) + shape, sigma2),
+    branch-major at axis 0 is complex_normal(rng, shape, sigma2, blocks=2),
+    and at axis k those two blocks are drawn for each index of the first k
+    axes in turn.  Each branch power is re^2 + im^2, within a few ulps of
+    np.abs(c + v)**2.  For sigma2 == 0 the result is the clean difference
+    and the stream is left untouched.
+    """
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
+    draw = shape[:axis] + (2, 2) + shape[axis:]
+    g = np.zeros(draw) if sigma2 == 0.0 else rng.standard_normal(draw)
+    first = (axis + 1, axis) if branch_major else (axis, axis + 1)
+    planes = g.transpose(first + tuple(range(axis)) + tuple(range(axis + 2, g.ndim)))
+    if axis:
+        # the blocks interleave the planes: gather them once, scaled
+        g = planes = np.multiply(planes, np.sqrt(sigma2 / 2.0), order="C")
+    else:
+        g *= np.sqrt(sigma2 / 2.0)
+    # views, also when shape is () (plain indexing would return scalars)
+    re1, re2 = planes[0, 0, ...], planes[0, 1, ...]
+    im1, im2 = planes[1, 0, ...], planes[1, 1, ...]
+    re1 += c1.real
+    re2 += c2.real
+    if c1.dtype.kind == "c":
+        im1 += c1.imag
+    if c2.dtype.kind == "c":
+        im2 += c2.imag
+    g *= g
+    re1 += im1
+    re2 += im2
+    return np.subtract(re1, re2)
+
+
 def rician_weights(k: float) -> tuple[float, float]:
     """(LoS, NLoS) amplitude weights sqrt(K/(1+K)), sqrt(1/(1+K)) of a Rician
     mix; with unit-magnitude LoS entries and unit-variance NLoS entries the

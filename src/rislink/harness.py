@@ -223,8 +223,7 @@ def _train(frame, cfg, scale, sigma2, rng_noise):
     h0 = frame.h_pilot
     c1 = scale * (h0 @ s_t)
     c2 = scale * (h0 @ (1.0 - s_t))
-    v = channel.complex_normal(rng_noise, (2,) + c1.shape, sigma2)
-    z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
+    z_t = channel.power_difference(rng_noise, c1, c2, sigma2)
     return (z_t @ pilots.T) / order
 
 
@@ -236,8 +235,7 @@ def _precoded_link(w, rho, bits, sigma2, rng):
     amp = np.sqrt(rho)
     a1 = amp * bits @ w_t
     a2 = amp * (1.0 - bits) @ w_t
-    v = channel.complex_normal(rng, a1.shape, sigma2, blocks=2)  # v1, then v2
-    return a1, a2, np.abs(a1 + v[0]) ** 2 - np.abs(a2 + v[1]) ** 2
+    return a1, a2, channel.power_difference(rng, a1, a2, sigma2, branch_major=True)
 
 
 def _sim_linear_precoded(frame, cfg, sigma2, rng):
@@ -264,9 +262,7 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
     c1 = scale * (frame.h_blocks @ x)            # (B, N_k, S)
     c2 = scale * (frame.h_blocks @ (1.0 - x))
     # per block v1 then v2, as successive draws
-    v = channel.complex_normal(rng_noise, c1.shape[1:], sigma2, blocks=2 * blocks)
-    v = v.reshape((blocks, 2) + c1.shape[1:])
-    z = np.abs(c1 + v[:, 0]) ** 2 - np.abs(c2 + v[:, 1]) ** 2
+    z = channel.power_difference(rng_noise, c1, c2, sigma2, branch_major=True, axis=1)
     # one detection call for the frame's symbols, block-major
     sym = downlink.joint_detect(np.swapaxes(z, 0, 1).reshape(cfg.n_users, -1), h_hat)
     return int(np.count_nonzero(sym.s != bits.reshape(-1, n_t))), bits.size
@@ -476,6 +472,9 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
 # --------------------------------------------------------------------------
 
 def _output_snr_task(args):
+    """(simulated, exact) output SNR of each draw in [draw_lo, draw_hi): the
+    sampled link's signal over noise power, and ``downlink.output_snr_exact``
+    at the draw's channel."""
     cfg, point_idx, draw_lo, draw_hi, sigma2, n_sym = args
     n_k, n_t = cfg.n_users, cfg.n_bs_antennas
     etas = []
@@ -487,13 +486,16 @@ def _output_snr_task(args):
         a1, a2, z_noisy = _precoded_link(h_bar @ pre.p, pre.rho, bits, sigma2, rng)
         z_clean = a1 ** 2 - a2 ** 2
         noise = z_noisy - z_clean
-        etas.append(np.mean(z_clean ** 2) / np.mean(noise ** 2))
+        etas.append((np.mean(z_clean ** 2) / np.mean(noise ** 2),
+                     downlink.output_snr_exact(h_bar, sigma2)))
     return etas
 
 
 def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> CurveResult:
     """Simulated precoded output SNR (signal power over post-detection noise
-    power) against the large-array closed form, per transmit-array size."""
+    power) against the large-array closed form and the exact law, per
+    transmit-array size.  ``exact`` is the mean over the same channel draws
+    of ``downlink.output_snr_exact`` at each draw's channel."""
     if nt_grid is None:
         nt_grid = (32, 64, 128)
     if not all(float(n).is_integer() for n in nt_grid):
@@ -509,22 +511,24 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
     draws, n_sym = cfg.snr_channel_draws, 256
 
     result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
-    sim_vals, sim_hw, predicted = [], [], []
+    sim_vals, sim_hw, predicted, exact = [], [], [], []
     with _task_map(workers) as task_map:
         for pi, n_t in enumerate(nt_grid):
             point = cfg.replace(n_bs_antennas=n_t)
             tasks = [(point, pi, lo, min(lo + 25, draws), sigma2, n_sym)
                      for lo in range(0, draws, 25)]
-            etas = np.asarray([e for part in task_map(_output_snr_task, tasks)
-                               for e in part])
+            etas, laws = np.asarray([e for part in task_map(_output_snr_task, tasks)
+                                     for e in part]).T
             sim_vals.append(etas.mean())
             sim_hw.append(Z95 * etas.std(ddof=1) / np.sqrt(etas.size))
             predicted.append(downlink.output_snr_asymptotic(n_t, cfg.n_users, sigma2))
+            exact.append(laws.mean())
     result.notes = ("experiment=output-snr seed=%d sigma2=%g draws=%d users=%d"
                     % (cfg.seed, sigma2, draws, cfg.n_users),
                     "channel draws: unit-variance Gaussian equivalent rows")
     result.add("simulated", sim_vals, sim_hw, [draws] * len(nt_grid))
     result.add("closed_form", predicted, [0.0] * len(nt_grid), [0] * len(nt_grid))
+    result.add("exact", exact, [0.0] * len(nt_grid), [draws] * len(nt_grid))
     return result
 
 
@@ -630,22 +634,64 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 
 def _ks_statistic(model_cdf: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of n ascending samples, given
-    the model CDF at each: the largest gap between it and the empirical CDF
-    just after (i/n) or just before ((i-1)/n) each sample."""
+    the model CDF at each: max(D+, D-), the largest gap by which the
+    empirical CDF just after each sample (i/n) exceeds the model, or the
+    model exceeds it just before ((i-1)/n).  i/n - 1/n rounds to at most
+    i/n, so the two one-sided maxima cover both absolute gaps at either
+    step bit for bit.  ``model_cdf`` is only read."""
     n = model_cdf.size
-    ecdf_hi = np.arange(1, n + 1) / n
-    return float(np.max(np.maximum(np.abs(ecdf_hi - model_cdf),
-                                   np.abs(ecdf_hi - 1.0 / n - model_cdf))))
+    ecdf = np.arange(1.0, n + 1.0)
+    ecdf /= n
+    gap = np.subtract(ecdf, model_cdf)
+    d_plus = gap.max()
+    ecdf -= 1.0 / n
+    np.subtract(model_cdf, ecdf, out=gap)
+    return float(max(d_plus, gap.max()))
+
+
+def _density_histogram(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(samples, edges, density=True)`` of samples already in
+    ascending order, by numpy's own counting rule without its block sort:
+    every edge but the last searched from the left, the last from the
+    right (so it closes the last bin), then the differences."""
+    cum = np.concatenate([ascending.searchsorted(edges[:-1], "left"),
+                          ascending.searchsorted(edges[-1:], "right")])
+    counts = np.diff(cum)
+    return counts / np.diff(edges) / counts.sum()
+
+
+def _sample_fit(samples, edges, mu, sd, fine, series_cdf):
+    """Histogram density on ``edges`` and the KS statistics against N(mu,
+    sd^2) and against the series CDF tabulated on ``fine``, all read off
+    ``samples`` after sorting it in place: one new array of n at a time.
+    The Gaussian CDF is ``scipy.stats.norm.cdf``'s arithmetic, formed in
+    place."""
+    samples.sort()
+    hist = _density_histogram(samples, edges)
+    gauss_cdf = samples - mu
+    gauss_cdf /= sd
+    ks_gauss = _ks_statistic(special.ndtr(gauss_cdf, out=gauss_cdf))
+    del gauss_cdf
+    return hist, ks_gauss, _ks_statistic(np.interp(samples, fine, series_cdf))
 
 
 def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     """Empirical, series, and Gaussian densities of one antenna observation
-    on a shared grid, one group of series per branch SNR point (dB)."""
+    on a shared grid, one group of series per branch SNR point (dB).
+
+    A point evaluates the series once, on the output grid and the fine CDF
+    grid together, then draws its samples into one array that
+    ``_sample_fit`` sorts in place and reads the histogram and both KS
+    statistics off."""
     # default top point keeps the density series inside the diagonal budget
     # below; genuinely high-SNR requests still fail loudly with the bound
     if snr_points is None:
         snr_points = (18.0, 10.0, 3.0)
     snr_points = tuple(float(s) for s in snr_points)
+    tags = [format(snr_db, "g") for snr_db in snr_points]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"SNR points {snr_points} must have distinct column tags, "
+                          f"got {', '.join(tags)}")
     series_ctl = analysis.SeriesControl(max_terms=400)
 
     chans, _ = build_uplink_instance(cfg, stream(cfg.seed, _TAG_PDF, 1),
@@ -653,8 +699,9 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     row = chans.c[0]
     s_ref = np.arange(cfg.n_users) % 2  # alternating bit pattern
     sym = ComplementarySymbol(s_ref, levels=2)
-    g1 = float(np.abs(row @ sym.s) ** 2)
-    g2 = float(np.abs(row @ sym.s_bar) ** 2)
+    c1, c2 = row @ sym.s, row @ sym.s_bar
+    g1 = float(np.abs(c1) ** 2)
+    g2 = float(np.abs(c2) ** 2)
     gamma_ref = max(g1, g2)
 
     # moments at the widest noise fix the shared grid
@@ -666,20 +713,16 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     edges = np.concatenate([[lo - (hi - lo) / 800.0],
                             0.5 * (grid[1:] + grid[:-1]),
                             [hi + (hi - lo) / 800.0]])
+    fine = np.linspace(lo, hi, 2001)
+    both_grids = np.concatenate([grid, fine])
 
     result = CurveResult(x_name="observation", x_values=grid)
     notes = ["experiment=pdf-fit seed=%d samples=%d gamma_ref=%.9g"
              % (cfg.seed, cfg.pdf_fit_samples, gamma_ref),
              "noise map: sigma_v2 = gamma_ref / (2 * 10^(SNRdB/10)) per point"]
     n = cfg.pdf_fit_samples
-    for pi, snr_db in enumerate(snr_points):
+    for pi, (snr_db, tag) in enumerate(zip(snr_points, tags)):
         sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
-        rng = stream(cfg.seed, _TAG_PDF, 3, pi)
-        v = channel.complex_normal(rng, (2, n), 2.0 * sv2)
-        samples = (np.abs(row @ sym.s + v[0]) ** 2
-                   - np.abs(row @ sym.s_bar + v[1]) ** 2)
-        hist, _ = np.histogram(samples, bins=edges, density=True)
-
         mu, var = analysis.gaussian_approx(g1, g2, sv2)
         # scipy.stats.norm.pdf and .cdf, operation for operation
         sd = np.sqrt(var)
@@ -688,21 +731,23 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
         p1 = analysis.GammaParams(beta=2.0 * sv2, gamma=g1)
         p2 = analysis.GammaParams(beta=2.0 * sv2, gamma=g2)
         try:
-            series = analysis.gamma_difference_pdf(grid, p1, p2, series_ctl)
+            density = analysis.gamma_difference_pdf(both_grids, p1, p2, series_ctl)
         except analysis.SeriesTruncationError as exc:
             raise analysis.SeriesTruncationError(
                 f"series truncation at SNR point {snr_db} dB: {exc}",
-                partial_sum=exc.partial_sum, tail_bound=exc.tail_bound) from exc
-
-        sorted_s = np.sort(samples)
-        ks_gauss = _ks_statistic(special.ndtr((sorted_s - mu) / sd))
-        fine = np.linspace(lo, hi, 2001)
-        fine_pdf = analysis.gamma_difference_pdf(fine, p1, p2, series_ctl)
+                partial_sum=exc.partial_sum[:grid.size],
+                tail_bound=exc.tail_bound) from exc
+        series, fine_pdf = density[:grid.size], density[grid.size:]
         cdf = np.concatenate([[0.0], np.cumsum(
             (fine_pdf[1:] + fine_pdf[:-1]) / 2.0 * np.diff(fine))])
         cdf = np.clip(cdf / max(cdf[-1], 1e-300), 0.0, 1.0)
-        ks_series = _ks_statistic(np.interp(sorted_s, fine, cdf))
-        tag = format(snr_db, "g")
+
+        # the samples live only inside this call, so no point's array
+        # outlives it into the next point's draw
+        hist, ks_gauss, ks_series = _sample_fit(
+            channel.power_difference(stream(cfg.seed, _TAG_PDF, 3, pi),
+                                     c1, c2, 2.0 * sv2, (n,)),
+            edges, mu, sd, fine, cdf)
         notes.append("snr=%sdB sigma_v2=%.9g ks_gauss=%.9g ks_series=%.9g"
                      % (tag, sv2, ks_gauss, ks_series))
         result.add(f"empirical_{tag}dB", hist, np.zeros_like(hist), [n] * grid.size)

@@ -240,3 +240,20 @@ def test_10_cli_determinism(tmp_path):
     elapsed = time.perf_counter() - start
     report(10, "cli determinism", blobs[0] == blobs[1],
            f"{len(blobs[0])} bytes, identical across 1 and 8 workers", elapsed, 60.0)
+
+
+def test_11_output_snr_exact_law():
+    # acceptance 04's configuration at noise levels where the sigma^4 term
+    # matters: the printed rho / (2 sigma^2 + 3 sigma^4 / 4) is 8-44% off here
+    start = time.perf_counter()
+    gaps = []
+    for sigma2 in (0.3, 1.0, 3.0):
+        cfg = ScenarioConfig(n_users=8, snr_channel_draws=200, noise_sigma2=sigma2)
+        res = hn.run_output_snr(cfg, (32, 64, 128))
+        sim = res.series["simulated"].values
+        exact = res.series["exact"].values
+        gaps.extend(np.abs(sim / exact - 1.0))
+    elapsed = time.perf_counter() - start
+    report(11, "output snr exact law", bool(np.max(gaps) < 0.02),
+           "max |simulated/exact - 1| = %.4f over sigma2 {0.3, 1, 3}" % max(gaps),
+           elapsed, 60.0)

@@ -190,6 +190,65 @@ class TestComplexNormal:
         assert abs(np.var(x.real) - np.var(x.imag)) < 0.003
 
 
+class TestPowerDifference:
+    """The real-arithmetic observation kernel against the complex formula
+    with ``complex_normal`` noise drawn on the same stream."""
+
+    SHAPE = (6, 5, 7)
+    SIGMA2 = 0.7
+
+    @staticmethod
+    def complex_noise(g, shape, sigma2, branch_major, axis):
+        """(v1, v2) as the caller the kernel replaced drew them."""
+        if not branch_major:
+            v = ch.complex_normal(g, (2,) + shape, sigma2)
+            return v[0], v[1]
+        lead = int(np.prod(shape[:axis]))
+        v = ch.complex_normal(g, shape[axis:], sigma2, blocks=2 * lead)
+        v = v.reshape(shape[:axis] + (2,) + shape[axis:])
+        return np.take(v, 0, axis=axis), np.take(v, 1, axis=axis)
+
+    def amplitudes(self, g, kind):
+        c = complex_gauss(g, (2,) + self.SHAPE)
+        return c if kind is complex else c.real
+
+    @pytest.mark.parametrize("branch_major, axis", [(False, 0), (True, 0), (True, 1)],
+                             ids=["part_major", "branch_major", "branch_major_per_block"])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_matches_complex_formula(self, branch_major, axis, kind):
+        g = rng(41)
+        c1, c2 = self.amplitudes(g, kind)
+        got_rng, ref_rng = rng(42), rng(42)
+        got = ch.power_difference(got_rng, c1, c2, self.SIGMA2,
+                                  branch_major=branch_major, axis=axis)
+        v1, v2 = self.complex_noise(ref_rng, self.SHAPE, self.SIGMA2, branch_major, axis)
+        p1, p2 = np.abs(c1 + v1) ** 2, np.abs(c2 + v2) ** 2
+        assert got.shape == self.SHAPE and got.dtype == float
+        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [None, (50_000,)], ids=["scalar", "broadcast"])
+    def test_scalar_amplitudes(self, shape):
+        # the pdf-fit point broadcasts one clean pair to n noisy observations
+        c1, c2 = 0.8 - 0.3j, 0.2 + 0.5j
+        got = ch.power_difference(rng(43), c1, c2, self.SIGMA2, shape)
+        v = ch.complex_normal(rng(43), (2,) + (shape or ()), self.SIGMA2)
+        p1, p2 = np.abs(c1 + v[0]) ** 2, np.abs(c2 + v[1]) ** 2
+        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_zero_variance_is_clean_difference(self, kind):
+        g = rng(44)
+        c1, c2 = self.amplitudes(g, kind)
+        before = g.bit_generator.state
+        got = ch.power_difference(g, c1, c2, 0.0, branch_major=True, axis=1)
+        assert g.bit_generator.state == before
+        clean = (c1.real ** 2 + c1.imag ** 2) - (c2.real ** 2 + c2.imag ** 2)
+        assert np.array_equal(got, clean)
+        if kind is float:
+            assert np.array_equal(got, c1 ** 2 - c2 ** 2)
+
+
 class TestJakesFading:
     def test_zero_doppler_is_frozen(self):
         state = ch.JakesFading.create((16, 16), 0.0, rng(7))

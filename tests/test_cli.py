@@ -68,6 +68,16 @@ def test_pdf_fit(fast_cfg, tmp_path):
     assert any(name.startswith("empirical") for name in result.series)
 
 
+def test_pdf_fit_refuses_colliding_snr_tags(fast_cfg, tmp_path):
+    # both points print as "10": one group of series would overwrite the other
+    out = tmp_path / "pdf.csv"
+    proc = run_cli("pdf-fit", "--config", str(fast_cfg), "--grid", "10,10.0000001",
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert not out.exists()
+
+
 def speed_csvs_at_1_and_8_workers(cfg_path, tmp_path):
     outs = []
     for tag, workers in (("a", "1"), ("b", "8")):

@@ -1,14 +1,15 @@
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from rislink import analysis
 from rislink import downlink as dl
 from rislink import harness as hn
 from rislink import uplink as ul
-from rislink.channel import complex_normal
+from rislink.channel import complex_normal, power_difference
 from rislink.config import ScenarioConfig
 from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
 from rislink.waveform import ComplementarySymbol
@@ -375,13 +376,14 @@ class TestQamEstimateSampler:
 
 def ls_train(frame, cfg, scale, sigma2, rng_noise):
     """``harness._train``'s pilot observation estimated by the generic
-    ``downlink.ls_estimate``, kept as the oracle of the closed-form LS."""
+    ``downlink.ls_estimate``, kept as the oracle of the closed-form LS.  The
+    observation comes from ``channel.power_difference`` on the same stream,
+    so the LS solve is what is checked, bit for bit."""
     pilots = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len)
     s_t = (1.0 + pilots) / 2.0
     c1 = scale * (frame.h_pilot @ s_t)
     c2 = scale * (frame.h_pilot @ (1.0 - s_t))
-    v = complex_normal(rng_noise, (2,) + c1.shape, sigma2)
-    z_t = np.abs(c1 + v[0]) ** 2 - np.abs(c2 + v[1]) ** 2
+    z_t = power_difference(rng_noise, c1, c2, sigma2)
     return dl.ls_estimate(dl.PilotBlock(pilots, z_t))
 
 
@@ -401,6 +403,51 @@ def test_ks_statistic_matches_scipy():
     x = np.sort(np.random.default_rng(3).normal(0.2, 1.3, 5000))
     ref = stats.kstest(x, "norm", args=(0.1, 1.2)).statistic
     assert abs(hn._ks_statistic(stats.norm.cdf(x, 0.1, 1.2)) - ref) < 1e-12
+
+
+def absolute_gap_ks(model_cdf):
+    """The previous KS form, kept as the oracle: the larger absolute gap
+    between the model and the empirical CDF just after and just before
+    each sample."""
+    n = model_cdf.size
+    ecdf_hi = np.arange(1, n + 1) / n
+    return float(np.max(np.maximum(np.abs(ecdf_hi - model_cdf),
+                                   np.abs(ecdf_hi - 1.0 / n - model_cdf))))
+
+
+@pytest.mark.parametrize("n, shift", [
+    (1, 0.0), (7, 0.4), (5000, 0.0), (5000, 0.3), (5000, -0.3), (100_003, 0.01),
+])
+def test_ks_statistic_bit_equal_to_absolute_gaps(n, shift):
+    x = np.sort(np.random.default_rng(n).normal(size=n))
+    cdf = special.ndtr(x - shift)
+    kept = cdf.copy()
+    assert hn._ks_statistic(cdf) == absolute_gap_ks(cdf)
+    assert np.array_equal(cdf, kept)  # the model CDF is only read
+
+
+@pytest.mark.parametrize("n", [1, 10, 4096])
+def test_ks_statistic_bit_equal_on_the_steps(n):
+    # a model CDF exactly on the empirical steps, or halfway between them
+    steps = np.arange(1, n + 1) / n
+    for cdf in (steps, steps - 1.0 / n, steps - 0.5 / n):
+        assert hn._ks_statistic(cdf) == absolute_gap_ks(cdf)
+
+
+@pytest.mark.parametrize("edges", [
+    np.linspace(-3.0, 3.0, 41),
+    np.concatenate([[-3.1], np.sort(np.random.default_rng(6).uniform(-3, 3, 49)), [3.2]]),
+], ids=["uniform", "uneven"])
+def test_density_histogram_bit_equal_to_numpy(edges):
+    g = np.random.default_rng(7)
+    # more than numpy's 65536-sample sort block, every edge hit exactly
+    # (the last one closes the last bin), and samples outside the range
+    samples = np.concatenate([g.normal(0.0, 1.5, 100_000), edges, edges, edges[-1:],
+                              [-50.0, 50.0, np.nextafter(edges[0], -1.0),
+                               np.nextafter(edges[-1], 1.0)]])
+    samples.sort()
+    ref, _ = np.histogram(samples, bins=edges, density=True)
+    assert np.array_equal(hn._density_histogram(samples, edges), ref)
 
 
 class TestQamHelpers:
@@ -443,6 +490,16 @@ class TestOutputSnr:
                                       b.series["simulated"].values)
         np.testing.assert_array_equal(a.series["simulated"].half_widths,
                                       b.series["simulated"].half_widths)
+
+    def test_exact_is_mean_law_over_the_draws(self):
+        n_k, n_t, draws, sigma2 = 4, 16, 30, 0.5
+        cfg = desk_cfg(n_users=n_k, snr_channel_draws=draws, noise_sigma2=sigma2)
+        res = hn.run_output_snr(cfg, (n_t,))
+        laws = [dl.output_snr_exact(stream(cfg.seed, hn._TAG_OUTPUT_SNR, 0, d)
+                                    .standard_normal((n_k, n_t)), sigma2)
+                for d in range(draws)]
+        assert res.series["exact"].values[0] == np.mean(laws)
+        assert res.series["exact"].trials[0] == draws
 
     def test_simulated_close_to_prediction_small(self):
         cfg = desk_cfg(n_users=4, snr_channel_draws=50)
@@ -575,10 +632,9 @@ class TestPdfFit:
         ks = self.ks_by_point(res)
         for pi, snr_db in enumerate(snr_points):
             sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
-            v = complex_normal(stream(cfg.seed, hn._TAG_PDF, 3, pi),
-                               (2, cfg.pdf_fit_samples), 2.0 * sv2)
-            samples = np.sort(np.abs(row @ sym.s + v[0]) ** 2
-                              - np.abs(row @ sym.s_bar + v[1]) ** 2)
+            samples = np.sort(power_difference(
+                stream(cfg.seed, hn._TAG_PDF, 3, pi), row @ sym.s, row @ sym.s_bar,
+                2.0 * sv2, (cfg.pdf_fit_samples,)))
             mu, var = analysis.gaussian_approx(np.abs(row @ sym.s) ** 2,
                                                np.abs(row @ sym.s_bar) ** 2, sv2)
             sd = np.sqrt(var)
@@ -588,6 +644,43 @@ class TestPdfFit:
             cdf = stats.norm.cdf(samples, mu, sd)
             assert np.array_equal(model_cdfs[2 * pi], cdf)
             assert ks[f"{tag}dB"][0] == float("%.9g" % ks_statistic(cdf))
+
+    def test_truncation_carries_the_grid_density(self, monkeypatch):
+        # the series runs on the output grid and the fine CDF grid at once;
+        # the error reports the output grid's part, as a grid-only call did
+        calls = []
+
+        def truncated(x, p1, p2, ctl):
+            calls.append(x)
+            raise analysis.SeriesTruncationError("cut", partial_sum=2.0 * x, tail_bound=1.5)
+
+        monkeypatch.setattr(hn.analysis, "gamma_difference_pdf", truncated)
+        cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=2000)
+        with pytest.raises(analysis.SeriesTruncationError) as err:
+            hn.run_pdf_fit(cfg, (10.0,))
+        (x,) = calls
+        grid, fine = x[:401], x[401:]
+        assert np.array_equal(fine, np.linspace(grid[0], grid[-1], 2001))
+        assert np.array_equal(err.value.partial_sum, 2.0 * grid)
+        assert err.value.tail_bound == 1.5
+        assert "10.0 dB" in str(err.value)
+
+    @pytest.mark.parametrize("snr_points", [(10.0,), (18.0, 10.0, 3.0)],
+                             ids=["one_point", "three_points"])
+    def test_peak_memory_of_a_point(self, snr_points):
+        # one sample array, sorted in place; the peak is the observation
+        # kernel's 4 n normals and its n results, and no point's samples
+        # outlive it into the next point's draw
+        n = 200_000
+        cfg = desk_cfg(n_users=1, n_bs_antennas=16, pdf_fit_samples=n)
+        hn.run_pdf_fit(cfg, snr_points)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            hn.run_pdf_fit(cfg, snr_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n, peak / (8 * n)
 
     @staticmethod
     def ks_by_point(res):
