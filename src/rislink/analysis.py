@@ -226,24 +226,23 @@ def gaussian_approx(e1, e2, sigma_v2: float, n: int = 1):
     return (e1 - e2) / n, (4.0 * sigma_v2 * (e1 + e2) + 8.0 * sigma_v2 ** 2 * n) / n ** 2
 
 
-def closed_form_ser(regions, e1: np.ndarray, e2: np.ndarray, n_t: int,
-                    sigma2: float) -> float:
+def closed_form_ser(lo: np.ndarray, hi: np.ndarray, e1: np.ndarray,
+                    e2: np.ndarray, n_t: int, sigma2: float) -> float:
     """Average symbol error rate under the Gaussian surrogate.
 
     Constellation point i, with array-summed branch energies e1[i], e2[i]
     and complex branch noise variance sigma2 (sigma_v2 = sigma2 / 2), errs
-    with the Gaussian mass outside its own region [lo, hi), written as two
-    erfc tails so that small rates keep their digits.  Points that share a
-    collapsed region are counted as errors outright.  ``regions`` (an
-    ``uplink.DecisionRegions``) may come from other gains than the ones
-    behind (e1, e2): that is the SER of a receiver with mismatched gains.
+    with the Gaussian mass outside its decision interval [lo[i], hi[i]),
+    written as two erfc tails so that small rates keep their digits.  The
+    intervals are ``uplink.DecisionRegions.intervals()``, the ones the
+    detector and the Monte Carlo score against: a point whose interval is
+    empty (lo >= hi, it shares a collapsed region with a lower index) errs
+    outright.  The intervals may come from other gains than the ones behind
+    (e1, e2): that is the SER of a receiver with mismatched gains.
     """
     if sigma2 <= 0:
         raise ValueError("noise variance must be > 0 for the closed form")
     mu, var = gaussian_approx(e1, e2, sigma2 / 2.0, n_t)
-    edges = np.concatenate([[-np.inf], regions.boundaries, [np.inf]])
-    reg = regions.symbol_region
     denom = np.sqrt(2.0 * var)
-    err = 0.5 * (erfc((edges[reg + 1] - mu) / denom) + erfc((mu - edges[reg]) / denom))
-    err[regions.region_sizes[reg] > 1] = 1.0
-    return float(err.mean())
+    err = 0.5 * (erfc((hi - mu) / denom) + erfc((mu - lo) / denom))
+    return float(np.where(lo < hi, err, 1.0).mean())

@@ -10,6 +10,9 @@ Training pilots are rows of the Sylvester-Hadamard matrix of order
 exactly order * I and the least-squares estimate is z_t x_t^T / order with
 no rounding in the division; ``ls_estimate`` is the generic estimator for any
 full-rank pilot block.
+
+Symbols are 0/1 arrays s with complement 1 - s; joint detection returns them
+as int arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .waveform import ComplementarySymbol
 
 JOINT_SEARCH_CAP = 2 ** 16
 
@@ -36,30 +37,16 @@ class RankDeficientChannel(np.linalg.LinAlgError):
     """Equivalent channel Gram matrix is singular beyond tolerance."""
 
 
-class RankDeficientPilots(np.linalg.LinAlgError):
-    """Pilot Gram matrix is singular; pilots cannot support LS estimation."""
-
-
 class SearchTooLarge(ValueError):
     """Joint detection constellation exceeds the exhaustive-search cap."""
 
 
 @dataclass(frozen=True)
 class Precoder:
-    """Zero-forcing precoder with its amplitude gain under a power budget."""
+    """Zero-forcing precoder with its amplitude gain under unit power."""
 
     p: np.ndarray
     rho: float
-    power_budget: float = 1.0
-
-
-@dataclass
-class PilotBlock:
-    """Equivalent pilot symbols (rows = transmit elements) and the received
-    real observations (rows = users)."""
-
-    x_bar_t: np.ndarray
-    z_t: np.ndarray
 
 
 def equivalent_channel(h: np.ndarray) -> np.ndarray:
@@ -100,54 +87,50 @@ def hadamard_pilots(n_rows: int, length: int | None = None) -> np.ndarray:
     return h
 
 
-def ls_estimate(pilots: PilotBlock) -> np.ndarray:
-    """Least-squares estimate z_t x_t^T (x_t x_t^T)^{-1} of the equivalent
-    channel, one row per user."""
-    x = np.asarray(pilots.x_bar_t, dtype=float)
-    z = np.atleast_2d(np.asarray(pilots.z_t, dtype=float))
+def ls_estimate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Least-squares estimate z x^T (x x^T)^{-1} of the equivalent channel
+    from bipolar pilots ``x`` (rows = transmit elements) and the received
+    real observations ``z`` (rows = users), one row per user.  Raises
+    ``np.linalg.LinAlgError`` when the pilot Gram matrix is rank deficient."""
+    x = np.asarray(x, dtype=float)
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     gram = x @ x.T
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
-        raise RankDeficientPilots("pilot Gram matrix is rank deficient")
+        raise np.linalg.LinAlgError("pilot Gram matrix is rank deficient")
     return np.linalg.solve(gram, (z @ x.T).T).T
 
 
-def check_search_size(n: int, levels: int = 2) -> None:
-    """Raise SearchTooLarge when an n-element alphabet of size ``levels``
-    has more than JOINT_SEARCH_CAP candidates; builds no table."""
-    if levels ** n > JOINT_SEARCH_CAP:
-        raise SearchTooLarge(f"{levels}**{n} candidates exceed the search cap")
+def check_search_size(n: int) -> None:
+    """Raise SearchTooLarge when n binary elements have more than
+    JOINT_SEARCH_CAP candidates; builds no table."""
+    if 2 ** n > JOINT_SEARCH_CAP:
+        raise SearchTooLarge(f"2**{n} candidates exceed the search cap")
 
 
-def bipolar_candidates(n: int, levels: int = 2) -> np.ndarray:
-    """All bipolar symbol rows x_bar for an n-element alphabet of size
-    ``levels``, enumerated in lexicographic order of s (element 0 most
-    significant).  Capped at JOINT_SEARCH_CAP candidates."""
-    check_search_size(n, levels)
-    total = levels ** n
-    idx = np.arange(total)
-    digits = np.empty((total, n), dtype=int)
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = idx % levels
-        idx //= levels
-    return (2.0 * digits - (levels - 1)) / (levels - 1)
+def bipolar_candidates(n: int) -> np.ndarray:
+    """All bipolar symbol rows 2s - 1 of n binary elements, enumerated in
+    lexicographic order of s (element 0 most significant).  Capped at
+    JOINT_SEARCH_CAP candidates."""
+    check_search_size(n)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 2.0 * bits - 1.0
 
 
-def joint_detect(z: np.ndarray, h_bar: np.ndarray,
-                 levels: int = 2) -> ComplementarySymbol:
+def joint_detect(z: np.ndarray, h_bar: np.ndarray) -> np.ndarray:
     """Exhaustive minimum-Euclidean-norm detection over the full symbol set.
 
     ``z`` is one observation (N_k,) or a block of M observations (N_k, M);
-    the result's ``s`` is (N_t,) or (M, N_t).  Each observation is scored by
-    its exact residual against every candidate, and ties break toward the
-    lexicographically smallest s.  Symbols are scored in slices whose
-    residual holds at most JOINT_SLICE_ELEMENTS values (one symbol at least).
-    Exponential in the element count; intended for small-array experiments
-    only.
+    the result is the 0/1 int array s, (N_t,) or (M, N_t).  Each observation
+    is scored by its exact residual against every candidate, and ties break
+    toward the lexicographically smallest s.  Symbols are scored in slices
+    whose residual holds at most JOINT_SLICE_ELEMENTS values (one symbol at
+    least).  Exponential in the element count; intended for small-array
+    experiments only.
     """
     z = np.asarray(z, dtype=float)
     h_bar = np.asarray(h_bar, dtype=float)
-    cands = bipolar_candidates(h_bar.shape[1], levels)
+    cands = bipolar_candidates(h_bar.shape[1])
     hc = h_bar @ cands.T  # (N_k, C)
     zs = z.reshape(z.shape[0], -1)
     step = max(1, JOINT_SLICE_ELEMENTS // hc.size)
@@ -155,17 +138,17 @@ def joint_detect(z: np.ndarray, h_bar: np.ndarray,
     for lo in range(0, zs.shape[1], step):
         resid = zs[:, lo:lo + step, None] - hc[:, None, :]
         best[lo:lo + step] = np.argmin(np.einsum("ijk,ijk->jk", resid, resid), axis=1)
-    s = ((cands[best] * (levels - 1) + (levels - 1)) / 2.0).round().astype(int)
-    return ComplementarySymbol(s.reshape(z.shape[1:] + s.shape[1:]), levels=levels)
+    s = (cands[best] > 0).astype(int)
+    return s.reshape(z.shape[1:] + s.shape[1:])
 
 
-def zf_precoder(h_bar: np.ndarray, power_budget: float = 1.0) -> Precoder:
+def zf_precoder(h_bar: np.ndarray) -> Precoder:
     """Zero-forcing precoder P = H^T (H H^T)^{-1} with amplitude gain
-    rho = power_budget / (2 tr((H H^T)^{-1})).
+    rho = 1 / (2 tr((H H^T)^{-1})).
 
     With unit-power symbol streams on both tones the scaled average transmit
-    power equals the budget.  Raises RankDeficientChannel when the smallest
-    singular value of H falls below RANK_RTOL times the largest.
+    power is one.  Raises RankDeficientChannel when the smallest singular
+    value of H falls below RANK_RTOL times the largest.
     """
     h_bar = np.asarray(h_bar, dtype=float)
     n_k, n_t = h_bar.shape
@@ -178,27 +161,23 @@ def zf_precoder(h_bar: np.ndarray, power_budget: float = 1.0) -> Precoder:
     p = np.linalg.solve(gram, h_bar).T
     # tr((H H^T)^{-1}) equals tr(P^T P) for the pseudoinverse precoder
     trace_rinv = float(np.sum(1.0 / sv ** 2))
-    rho = power_budget / (2.0 * trace_rinv)
-    return Precoder(p=p, rho=rho, power_budget=power_budget)
+    return Precoder(p=p, rho=1.0 / (2.0 * trace_rinv))
 
 
-def precoded_roundtrip(h_bar: np.ndarray, precoder: Precoder,
-                       sym: ComplementarySymbol) -> np.ndarray:
+def precoded_roundtrip(h_bar: np.ndarray, precoder: Precoder, s) -> np.ndarray:
     """Noiseless magnitude-difference output of the precoded linear model:
-    |HP (1+x)/2|^2 - |HP (1-x)/2|^2 elementwise, which recovers the bipolar
-    symbol exactly when HP = I."""
-    if sym.levels != 2:
-        raise ValueError("roundtrip contract is defined for the binary alphabet")
+    |HP s|^2 - |HP (1 - s)|^2 elementwise, which recovers the bipolar
+    symbol 2s - 1 exactly when HP = I."""
     w = np.asarray(h_bar, dtype=float) @ precoder.p
-    a = w @ sym.s
-    b = w @ sym.s_bar
+    s = np.asarray(s)
+    a = w @ s
+    b = w @ (1 - s)
     return a * a - b * b
 
 
-def output_snr_exact(h_bar: np.ndarray, sigma2: float,
-                     power_budget: float = 1.0) -> float:
-    """Precoded output SNR rho / (2 sigma^2 + 2 sigma^4 / rho) of the
-    zero-forced channel ``h_bar``.
+def output_snr_exact(rho: float, sigma2: float) -> float:
+    """Precoded output SNR rho / (2 sigma^2 + 2 sigma^4 / rho) of a
+    zero-forced channel with amplitude gain ``rho`` (``zf_precoder``'s).
 
     Through W = I a bit's clean output is rho (2b - 1), and its noise
     2 sqrt(rho) Re(v) + |v1|^2 - |v2|^2 under CN(0, sigma^2) branch noise
@@ -207,7 +186,6 @@ def output_snr_exact(h_bar: np.ndarray, sigma2: float,
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    rho = zf_precoder(h_bar, power_budget).rho
     return rho / (2.0 * sigma2 + 2.0 * sigma2 ** 2 / rho)
 
 

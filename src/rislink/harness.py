@@ -36,7 +36,6 @@ from scipy import special
 from . import analysis, channel, downlink, uplink
 from .config import ConfigError, ScenarioConfig
 from .scenario import build_downlink_frame, build_uplink_instance, stream
-from .waveform import ComplementarySymbol
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
 FRAMES_PER_TASK = 2
@@ -264,8 +263,8 @@ def _sim_linear_joint(frame, cfg, sigma2, rng):
     # per block v1 then v2, as successive draws
     z = channel.power_difference(rng_noise, c1, c2, sigma2, branch_major=True, axis=1)
     # one detection call for the frame's symbols, block-major
-    sym = downlink.joint_detect(np.swapaxes(z, 0, 1).reshape(cfg.n_users, -1), h_hat)
-    return int(np.count_nonzero(sym.s != bits.reshape(-1, n_t))), bits.size
+    s = downlink.joint_detect(np.swapaxes(z, 0, 1).reshape(cfg.n_users, -1), h_hat)
+    return int(np.count_nonzero(s != bits.reshape(-1, n_t))), bits.size
 
 
 def _estimate_error(rng, n_k, n_t, sigma2, blocks):
@@ -474,7 +473,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
 def _output_snr_task(args):
     """(simulated, exact) output SNR of each draw in [draw_lo, draw_hi): the
     sampled link's signal over noise power, and ``downlink.output_snr_exact``
-    at the draw's channel."""
+    at the draw's ZF gain."""
     cfg, point_idx, draw_lo, draw_hi, sigma2, n_sym = args
     n_k, n_t = cfg.n_users, cfg.n_bs_antennas
     etas = []
@@ -487,7 +486,7 @@ def _output_snr_task(args):
         z_clean = a1 ** 2 - a2 ** 2
         noise = z_noisy - z_clean
         etas.append((np.mean(z_clean ** 2) / np.mean(noise ** 2),
-                     downlink.output_snr_exact(h_bar, sigma2)))
+                     downlink.output_snr_exact(pre.rho, sigma2)))
     return etas
 
 
@@ -603,8 +602,9 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
         for pi, point in enumerate(points):
             sigma2 = branch_noise_sigma2(point)
             if sigma2 == 0.0:
-                mc.append((_symbol_errors((e1 - e2) / n_t, lo, hi), const.shape[0]))
-                cf.append(0.0 if not regions.degenerate else np.nan)
+                errors = _symbol_errors((e1 - e2) / n_t, lo, hi)
+                mc.append((errors, const.shape[0]))
+                cf.append(errors / const.shape[0])
                 continue
             if mode != "closed_form":
                 _, totals = _monte_carlo(
@@ -613,7 +613,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                     cfg.mc_symbol_ceiling, cfg.mc_min_errors)
                 mc.append(totals["monte_carlo"])
             if mode != "monte_carlo":
-                cf.append(analysis.closed_form_ser(regions, e1, e2, n_t, sigma2))
+                cf.append(analysis.closed_form_ser(lo, hi, e1, e2, n_t, sigma2))
 
     result = CurveResult(x_name="ebn0_db", x_values=np.asarray(grid))
     result.notes = ("experiment=uplink-ser seed=%d users=%d antennas=%d mode=%s"
@@ -698,8 +698,7 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
                                      stream(cfg.seed, _TAG_PDF, 2))
     row = chans.c[0]
     s_ref = np.arange(cfg.n_users) % 2  # alternating bit pattern
-    sym = ComplementarySymbol(s_ref, levels=2)
-    c1, c2 = row @ sym.s, row @ sym.s_bar
+    c1, c2 = row @ s_ref, row @ (1 - s_ref)
     g1 = float(np.abs(c1) ** 2)
     g2 = float(np.abs(c2) ** 2)
     gamma_ref = max(g1, g2)

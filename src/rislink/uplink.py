@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .waveform import ComplementarySymbol
 
 
 @dataclass
@@ -90,15 +89,14 @@ class DecisionRegions:
                 np.where(own, edges[region + 1], -np.inf))
 
 
-def antenna_observation(chan_row: np.ndarray, sym: ComplementarySymbol,
-                        noise: tuple = (0.0, 0.0)):
-    """Per-antenna observation |c s + v1|^2 - |c s_bar + v2|^2 for one
-    cascaded row; equals the linear form Re(c* 1 c) x_bar without noise."""
-    if sym.levels != 2:
-        raise ValueError("observation contract is defined for the binary alphabet")
+def antenna_observation(chan_row: np.ndarray, s, noise: tuple = (0.0, 0.0)):
+    """Per-antenna observation |c s + v1|^2 - |c (1 - s) + v2|^2 for one
+    cascaded row and 0/1 symbol s; equals the linear form
+    Re(c* 1 c) (2s - 1) without noise."""
     c = np.asarray(chan_row)
-    return (np.abs(c @ sym.s + noise[0]) ** 2
-            - np.abs(c @ sym.s_bar + noise[1]) ** 2)
+    s = np.asarray(s)
+    return (np.abs(c @ s + noise[0]) ** 2
+            - np.abs(c @ (1 - s) + noise[1]) ** 2)
 
 
 def _pair_gain(u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dual-tone complementary amplitude waveform and its magnitude detector.
 
-Each transmit element carries an amplitude pair (s, s_bar) on two orthogonal
-tones whose sum is constant, so the receiver can form a real observation from
-the difference of the two correlator output powers.  A common phase rotation
-(e.g. from Doppler) multiplies both correlator outputs and cancels in the
-magnitude difference.
+Each transmit element carries a bit s in {0, 1} as the amplitude pair
+(s, 1 - s) on two orthogonal tones, so the receiver can form a real
+observation from the difference of the two correlator output powers.  A
+symbol is a plain 0/1 array; its bipolar equivalent is 2s - 1.  A common
+phase rotation (e.g. from Doppler) multiplies both correlator outputs and
+cancels in the magnitude difference.
 
 Baseband convention: the first tone sits at 0 Hz offset and the second at an
 integer multiple of 1/T_s, which keeps the discrete-time correlator exact for
@@ -16,37 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class ComplementarySymbol:
-    """Amplitude levels s in [0, A-1] per transmit element plus the
-    complement s_bar = (A-1) - s.  The bipolar equivalent x_bar = s - s_bar
-    normalized by (A-1) lands in [-1, 1] and equals 2s - 1 for A = 2."""
-
-    s: np.ndarray
-    levels: int = 2
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s)
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
-        if np.any(self.s < 0) or np.any(self.s > self.levels - 1):
-            raise ValueError("amplitudes must lie in [0, levels-1]")
-
-    @property
-    def s_bar(self) -> np.ndarray:
-        return (self.levels - 1) - self.s
-
-    @property
-    def x_bar(self) -> np.ndarray:
-        return (2.0 * self.s - (self.levels - 1)) / (self.levels - 1)
-
-    @property
-    def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tone amplitude pair (s, s_bar)/(A-1); sums to 1 per element."""
-        a = 1.0 / (self.levels - 1)
-        return a * self.s, a * self.s_bar
 
 
 @dataclass(frozen=True)
@@ -77,11 +47,11 @@ class CorrelatorPair:
     y2: complex | np.ndarray
 
 
-def modulate(sym: ComplementarySymbol, tones: TonePair, sample_rate: float) -> np.ndarray:
+def modulate(s, tones: TonePair, sample_rate: float) -> np.ndarray:
     """Sampled baseband waveform, one row per transmit element.
 
-    Element n carries (1/(A-1)) * (s_n e^{j w1 t} + s_bar_n e^{j w2 t}) on a
-    uniform grid over one symbol.  Requires an integer number of samples per
+    Element n carries s_n e^{j w1 t} + (1 - s_n) e^{j w2 t} on a uniform
+    grid over one symbol.  Requires an integer number of samples per
     symbol (>= 8) and integer cycles of both tones so the correlator sums
     are exact.
     """
@@ -94,10 +64,10 @@ def modulate(sym: ComplementarySymbol, tones: TonePair, sample_rate: float) -> n
         if abs(cycles - round(cycles)) > 1e-9:
             raise ValueError("each tone must complete integer cycles per symbol")
     t = np.arange(n_samples) / sample_rate
-    a1, a2 = sym.amplitudes
+    s = np.asarray(s)
     tone1 = np.exp(2j * np.pi * tones.f1 * t)
     tone2 = np.exp(2j * np.pi * tones.f2 * t)
-    return np.outer(a1, tone1) + np.outer(a2, tone2)
+    return np.outer(s, tone1) + np.outer(1 - s, tone2)
 
 
 def correlate(samples: np.ndarray, tone_freq: float, symbol_period: float):
@@ -128,26 +98,25 @@ def magnitude_difference(pair: CorrelatorPair):
     return np.abs(pair.y1) ** 2 - np.abs(pair.y2) ** 2
 
 
-def equivalent_noise(h: np.ndarray, sym: ComplementarySymbol,
-                     n1: complex, n2: complex) -> float:
-    """Post-detection noise 2*Re(hs n1*) + |n1|^2 - 2*Re(h s_bar n2*) - |n2|^2.
+def equivalent_noise(h: np.ndarray, s, n1: complex, n2: complex) -> float:
+    """Post-detection noise 2*Re(hs n1*) + |n1|^2 - 2*Re(h(1-s) n2*) - |n2|^2.
 
     Equals magnitude_difference(noisy) - magnitude_difference(noiseless)
     exactly for the same branch noise draws.
     """
-    a1, a2 = sym.amplitudes
-    c1 = np.dot(np.asarray(h), a1)
-    c2 = np.dot(np.asarray(h), a2)
+    s = np.asarray(s)
+    c1 = np.dot(np.asarray(h), s)
+    c2 = np.dot(np.asarray(h), 1 - s)
     return float(2.0 * np.real(c1 * np.conj(n1)) + abs(n1) ** 2
                  - 2.0 * np.real(c2 * np.conj(n2)) - abs(n2) ** 2)
 
 
-def branch_outputs(h: np.ndarray, sym: ComplementarySymbol,
-                   nu: float = 0.0, noise: tuple = (0.0, 0.0)) -> CorrelatorPair:
-    """Noiseless-channel correlator pair e^{j nu} * (h s, h s_bar) plus
+def branch_outputs(h: np.ndarray, s, nu: float = 0.0,
+                   noise: tuple = (0.0, 0.0)) -> CorrelatorPair:
+    """Noiseless-channel correlator pair e^{j nu} * (h s, h (1 - s)) plus
     per-branch additive noise; convenience for link-level tests."""
-    a1, a2 = sym.amplitudes
+    s = np.asarray(s)
     rot = np.exp(1j * nu)
     h = np.asarray(h)
-    return CorrelatorPair(rot * np.dot(h, a1) + noise[0],
-                          rot * np.dot(h, a2) + noise[1])
+    return CorrelatorPair(rot * np.dot(h, s) + noise[0],
+                          rot * np.dot(h, 1 - s) + noise[1])

@@ -33,10 +33,10 @@ def test_01_linear_model_exactness():
         n_t = int(g.integers(1, 9))
         n_k = int(g.integers(1, 5))
         h = complex_gauss(g, (n_k, n_t))
-        sym = wf.ComplementarySymbol(g.integers(0, 2, n_t))
+        s = g.integers(0, 2, n_t)
         h_bar = dl.equivalent_channel(h)
-        z = np.abs(h @ sym.s) ** 2 - np.abs(h @ sym.s_bar) ** 2
-        worst = max(worst, np.abs(z - h_bar @ sym.x_bar).max())
+        z = np.abs(h @ s) ** 2 - np.abs(h @ (1 - s)) ** 2
+        worst = max(worst, np.abs(z - h_bar @ (2 * s - 1)).max())
     elapsed = time.perf_counter() - start
     report(1, "linear-model exactness", worst < 1e-12,
            f"max |detect - linear form| = {worst:.2e} over 1e4 instances", elapsed, 10.0)
@@ -48,9 +48,9 @@ def test_02_doppler_invariance():
     worst = 0.0
     for _ in range(10_000):
         h = complex_gauss(g, 6)
-        sym = wf.ComplementarySymbol(g.integers(0, 2, 6))
+        s = g.integers(0, 2, 6)
         nu = g.uniform(0, 2 * np.pi)
-        pair = wf.branch_outputs(h, sym)
+        pair = wf.branch_outputs(h, s)
         rotated = wf.apply_doppler(pair, nu)
         worst = max(worst, abs(wf.magnitude_difference(pair)
                                - wf.magnitude_difference(rotated)))
@@ -74,9 +74,9 @@ def test_03_zf_identity_and_roundtrip():
             out = (w @ bits) ** 2 - (w @ (1.0 - bits)) ** 2
             worst_round = max(worst_round, np.abs(out - (2.0 * bits - 1.0)).max())
         # exercise the public single-symbol surface once per size
-        sym = wf.ComplementarySymbol(g.integers(0, 2, n_k))
-        out = dl.precoded_roundtrip(h_bar, pre, sym)
-        worst_round = max(worst_round, np.abs(out - sym.x_bar).max())
+        s = g.integers(0, 2, n_k)
+        out = dl.precoded_roundtrip(h_bar, pre, s)
+        worst_round = max(worst_round, np.abs(out - (2 * s - 1)).max())
     elapsed = time.perf_counter() - start
     ok = worst_resid < 1e-9 and worst_round < 1e-8
     report(3, "zf identity and roundtrip", ok,

@@ -7,8 +7,7 @@ from rislink import analysis as an
 from rislink import downlink as dl
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
-from rislink.harness import run_uplink_ser
-from rislink.waveform import ComplementarySymbol
+from rislink.harness import _uplink_task, run_uplink_ser
 from conftest import chi2_gof_pvalue, complex_gauss, rng
 
 
@@ -200,22 +199,25 @@ class TestGaussianApprox:
         assert abs(var - 0.48) < 1e-12
 
     def test_balanced_amplitudes_center_at_zero(self):
-        # s equal to its complement (levels=3, s=1) gives mu = 0
-        c = complex_gauss(rng(4), 5)
-        sym = ComplementarySymbol(np.ones(5, dtype=int), levels=3)
-        mu, _ = an.gaussian_approx(abs(c @ sym.s) ** 2, abs(c @ sym.s_bar) ** 2, 0.05)
-        assert abs(mu) < 1e-12
+        # a channel that repeats its element pair sends s = (1, 0, 1, 0) and
+        # its complement with equal energies, e1 == e2, so mu = 0
+        c = np.repeat(complex_gauss(rng(4), 2), 2)
+        s = np.array([1, 0, 1, 0])
+        e1, e2 = abs(c @ s) ** 2, abs(c @ (1 - s)) ** 2
+        assert e1 == e2
+        mu, _ = an.gaussian_approx(e1, e2, 0.05)
+        assert mu == 0.0
 
     def test_moments_match_simulation(self):
         g = rng(5)
         c = complex_gauss(g, 4)
-        sym = ComplementarySymbol(np.array([1, 0, 1, 1]))
+        s = np.array([1, 0, 1, 1])
         sv2 = 0.01
-        mu, var = an.gaussian_approx(abs(c @ sym.s) ** 2, abs(c @ sym.s_bar) ** 2, sv2)
+        mu, var = an.gaussian_approx(abs(c @ s) ** 2, abs(c @ (1 - s)) ** 2, sv2)
         n = 1_000_000
         v1 = np.sqrt(sv2) * (g.standard_normal(n) + 1j * g.standard_normal(n))
         v2 = np.sqrt(sv2) * (g.standard_normal(n) + 1j * g.standard_normal(n))
-        z = np.abs(c @ sym.s + v1) ** 2 - np.abs(c @ sym.s_bar + v2) ** 2
+        z = np.abs(c @ s + v1) ** 2 - np.abs(c @ (1 - s) + v2) ** 2
         assert abs(z.mean() - mu) / abs(mu) < 0.01
         assert abs(z.var() - var) / var < 0.01
 
@@ -274,7 +276,7 @@ class TestSymbolProb:
         # both points at the boundary with unit variance (sigma_v2 = 1/4, e = 1/4)
         regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
         e1, e2 = self.energies(0.0, [0.5, 0.5])
-        assert abs(an.closed_form_ser(regions, e1, e2, 1, 0.5) - 0.5) < 1e-12
+        assert abs(an.closed_form_ser(*regions.intervals(), e1, e2, 1, 0.5) - 0.5) < 1e-12
 
     def test_one_sigma_interval(self):
         # means -1.5, -0.5, 0.5, 1.5: the inner regions are [-1, 0) and
@@ -285,7 +287,7 @@ class TestSymbolProb:
         e_mid = (1.0 - 8.0 * sv2 ** 2) / (8.0 * sv2)
         e1, e2 = self.energies(np.array([-100.0, 0.0, 0.0, 100.0]),
                                [100.0, 2 * e_mid, 2 * e_mid, 100.0])
-        mass = 2.0 - 4.0 * an.closed_form_ser(regions, e1, e2, 1, 2 * sv2)
+        mass = 2.0 - 4.0 * an.closed_form_ser(*regions.intervals(), e1, e2, 1, 2 * sv2)
         oracle = integrate.quad(lambda x: stats.norm.pdf(x), -1, 1)[0]
         assert abs(mass - 0.6826894921370859) < 1e-12
         assert abs(mass - oracle) < 1e-9
@@ -296,12 +298,12 @@ class TestSymbolProb:
         regions = ul.build_regions(g.standard_normal(3), dl.bipolar_candidates(3))
         e1, e2 = self.energies(np.full(8, 0.3), np.full(8, 0.7))
         assert not regions.degenerate
-        assert abs(an.closed_form_ser(regions, e1, e2, 1, 0.6) - 7.0 / 8.0) < 1e-12
+        assert abs(an.closed_form_ser(*regions.intervals(), e1, e2, 1, 0.6) - 7.0 / 8.0) < 1e-12
 
     def test_rejects_bad_variance(self):
         regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
         with pytest.raises(ValueError):
-            an.closed_form_ser(regions, np.ones(2), np.zeros(2), 1, 0.0)
+            an.closed_form_ser(*regions.intervals(), np.ones(2), np.zeros(2), 1, 0.0)
 
 
 class TestClosedFormSer:
@@ -313,7 +315,7 @@ class TestClosedFormSer:
         const = dl.bipolar_candidates(chans.n_users)
         g1, g2 = branch_energies(chans.c, const)
         regions = ul.build_regions(gains, const)
-        return an.closed_form_ser(regions, g1.sum(axis=1), g2.sum(axis=1),
+        return an.closed_form_ser(*regions.intervals(), g1.sum(axis=1), g2.sum(axis=1),
                                   chans.n_antennas, sigma2), regions
 
     @staticmethod
@@ -362,12 +364,39 @@ class TestClosedFormSer:
                                          np.zeros(2), np.zeros(2)]))
         out, regions = self.ser(chans, 0.02, gains)
         assert regions.degenerate
-        # points 1 and 2 share the middle region; the outer two (energies 0
-        # and 4, so mean -+4 and variance 4 sigma_v2 * 4 + 8 sigma_v2^2) err
-        # with the Gaussian tail beyond the boundaries at -+1
+        # points 1 and 2 share the middle region [-1, 1), whose detector
+        # decides point 1: point 2 errs outright, and point 1 (energies 1
+        # and 1, so mean 0 and variance 8 sigma_v2 + 8 sigma_v2^2) with the
+        # mass outside it.  The outer two (energies 0 and 4, so mean -+4
+        # and variance 4 sigma_v2 * 4 + 8 sigma_v2^2) err with the Gaussian
+        # tail beyond the boundaries at -+1
         sv2 = 0.01
         tail = 0.5 * special.erfc(3.0 / np.sqrt(2.0 * (16 * sv2 + 8 * sv2 ** 2)))
-        assert abs(out - (2.0 + 2.0 * tail) / 4.0) < 1e-15
+        middle = special.erfc(1.0 / np.sqrt(2.0 * (8 * sv2 + 8 * sv2 ** 2)))
+        assert abs(out - (1.0 + middle + 2.0 * tail) / 4.0) < 1e-15
+
+    def test_degenerate_instance_matches_monte_carlo(self):
+        # two users with equal gains: points 1 and 2 share the middle region.
+        # The Monte Carlo scores each symbol against its decision interval,
+        # and the closed form must count the same errors: point 1 errs only
+        # outside the middle region, point 2 always.  256 antennas keep the
+        # surrogate's shape error below the Monte Carlo's interval (at 4
+        # antennas it is about 0.004); counting both shared points as
+        # errors would read about 0.5 here
+        n_t, sigma2, n = 256, 16.0, 400_000
+        a = np.ones((n_t, 2), dtype=complex)
+        chans = ul.UplinkChannelSet(a=a, b=np.zeros_like(a), o=np.zeros_like(a))
+        const = dl.bipolar_candidates(2)
+        regions = ul.build_regions(ul.exact_linear_gains(chans), const)
+        assert regions.degenerate
+        lo, hi = regions.intervals()
+        g1, g2 = branch_energies(chans.c, const)
+        e1, e2 = g1.sum(axis=1), g2.sum(axis=1)
+        errors, trials = _uplink_task((e1, e2, n_t, lo, hi, sigma2, 3, 0, 0, n))["monte_carlo"]
+        mc = errors / trials
+        half_width = 1.96 * np.sqrt(mc * (1.0 - mc) / trials)
+        cf = an.closed_form_ser(lo, hi, e1, e2, n_t, sigma2)
+        assert abs(mc - cf) < half_width
 
     def test_monotone_in_noise(self):
         g = rng(9)

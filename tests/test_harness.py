@@ -12,7 +12,6 @@ from rislink import uplink as ul
 from rislink.channel import complex_normal, power_difference
 from rislink.config import ScenarioConfig
 from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
-from rislink.waveform import ComplementarySymbol
 
 
 def desk_cfg(**kw):
@@ -185,8 +184,7 @@ def per_symbol_joint(frame, cfg, sigma2, rng):
         v2 = complex_normal(rng_noise, c1.shape, sigma2)
         z = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
         for s in range(cfg.symbols_per_block):
-            sym = dl.joint_detect(z[:, s], h_hat)
-            errors += int(np.count_nonzero(sym.s != bits[b, s]))
+            errors += int(np.count_nonzero(dl.joint_detect(z[:, s], h_hat) != bits[b, s]))
     return errors, bits.size
 
 
@@ -384,7 +382,7 @@ def ls_train(frame, cfg, scale, sigma2, rng_noise):
     c1 = scale * (frame.h_pilot @ s_t)
     c2 = scale * (frame.h_pilot @ (1.0 - s_t))
     z_t = power_difference(rng_noise, c1, c2, sigma2)
-    return dl.ls_estimate(dl.PilotBlock(pilots, z_t))
+    return dl.ls_estimate(pilots, z_t)
 
 
 @pytest.mark.parametrize("joint", [False, True], ids=["unit_scale", "joint_scale"])
@@ -495,11 +493,26 @@ class TestOutputSnr:
         n_k, n_t, draws, sigma2 = 4, 16, 30, 0.5
         cfg = desk_cfg(n_users=n_k, snr_channel_draws=draws, noise_sigma2=sigma2)
         res = hn.run_output_snr(cfg, (n_t,))
-        laws = [dl.output_snr_exact(stream(cfg.seed, hn._TAG_OUTPUT_SNR, 0, d)
-                                    .standard_normal((n_k, n_t)), sigma2)
-                for d in range(draws)]
+        h_bars = [stream(cfg.seed, hn._TAG_OUTPUT_SNR, 0, d).standard_normal((n_k, n_t))
+                  for d in range(draws)]
+        laws = [dl.output_snr_exact(dl.zf_precoder(h_bar).rho, sigma2) for h_bar in h_bars]
         assert res.series["exact"].values[0] == np.mean(laws)
         assert res.series["exact"].trials[0] == draws
+
+    def test_one_precoder_per_draw(self, monkeypatch):
+        # the exact law reads the draw's own ZF gain; no second factorization
+        calls = []
+        zf_precoder = dl.zf_precoder
+
+        def counting(h_bar):
+            calls.append(h_bar)
+            return zf_precoder(h_bar)
+
+        monkeypatch.setattr(hn.downlink, "zf_precoder", counting)
+        cfg = desk_cfg(n_bs_antennas=16)
+        etas = hn._output_snr_task((cfg, 0, 0, 7, 0.5, 64))
+        assert len(etas) == 7
+        assert len(calls) == 7
 
     def test_simulated_close_to_prediction_small(self):
         cfg = desk_cfg(n_users=4, snr_channel_draws=50)
@@ -515,6 +528,17 @@ class TestUplinkSer:
         res = hn.run_uplink_ser(cfg, "both", (0.0, 10.0))
         np.testing.assert_array_equal(res.series["monte_carlo"].values, [0.0, 0.0])
         np.testing.assert_array_equal(res.series["closed_form"].values, [0.0, 0.0])
+
+    def test_zero_noise_degenerate_rows_count_the_same_errors(self, monkeypatch):
+        # two users with equal gains share the middle region: its second
+        # point always errs, so both rows read 1/4 at sigma2 = 0
+        a = np.ones((4, 2), dtype=complex)
+        chans = ul.UplinkChannelSet(a=a, b=np.zeros_like(a), o=np.zeros_like(a))
+        monkeypatch.setattr(hn, "build_uplink_instance", lambda cfg, r1, r2: (chans, 1.0))
+        res = hn.run_uplink_ser(desk_cfg(n_users=2, noise_sigma2=0.0), "both", (0.0,))
+        assert "degenerate_regions=True" in res.notes
+        np.testing.assert_array_equal(res.series["monte_carlo"].values, [0.25])
+        np.testing.assert_array_equal(res.series["closed_form"].values, [0.25])
 
     def test_modes(self):
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
@@ -572,17 +596,16 @@ class TestUplinkSampler:
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random")
         chans, _ = build_uplink_instance(cfg, stream(3, 1), stream(3, 2))
         c, n_t = chans.c, chans.n_antennas
-        s = (dl.bipolar_candidates(cfg.n_users)[symbol] + 1.0) / 2.0
-        sym = ComplementarySymbol(s.astype(int))
+        s = ((dl.bipolar_candidates(cfg.n_users)[symbol] + 1.0) / 2.0).astype(int)
         sigma2 = 10.0 ** (-ebn0_db / 10.0)
 
         v = complex_normal(stream(3, 4), (2, self.N, n_t), sigma2)
-        oracle = ul.antenna_observation(c, sym, (v[0], v[1])).mean(axis=1)
+        oracle = ul.antenna_observation(c, s, (v[0], v[1])).mean(axis=1)
 
-        e1 = np.full(self.N, np.sum(np.abs(c @ sym.s) ** 2))
-        e2 = np.full(self.N, np.sum(np.abs(c @ sym.s_bar) ** 2))
+        e1 = np.full(self.N, np.sum(np.abs(c @ s) ** 2))
+        e2 = np.full(self.N, np.sum(np.abs(c @ (1 - s)) ** 2))
         if symbol == -1:
-            assert e2[0] == 0.0  # s_bar = 0: numpy's central chi-square path
+            assert e2[0] == 0.0  # 1 - s = 0: numpy's central chi-square path
         drawn = hn._averaged_observation(stream(3, 5), e1, e2, n_t, sigma2)
         assert stats.ks_2samp(drawn, oracle).pvalue > 0.01
 
@@ -627,16 +650,16 @@ class TestPdfFit:
         chans, _ = build_uplink_instance(cfg, stream(cfg.seed, hn._TAG_PDF, 1),
                                          stream(cfg.seed, hn._TAG_PDF, 2))
         row = chans.c[0]
-        sym = ComplementarySymbol(np.arange(cfg.n_users) % 2, levels=2)
-        gamma_ref = max(float(np.abs(row @ sym.s) ** 2), float(np.abs(row @ sym.s_bar) ** 2))
+        s_ref = np.arange(cfg.n_users) % 2
+        c1, c2 = row @ s_ref, row @ (1 - s_ref)
+        gamma_ref = max(float(np.abs(c1) ** 2), float(np.abs(c2) ** 2))
         ks = self.ks_by_point(res)
         for pi, snr_db in enumerate(snr_points):
             sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
             samples = np.sort(power_difference(
-                stream(cfg.seed, hn._TAG_PDF, 3, pi), row @ sym.s, row @ sym.s_bar,
+                stream(cfg.seed, hn._TAG_PDF, 3, pi), c1, c2,
                 2.0 * sv2, (cfg.pdf_fit_samples,)))
-            mu, var = analysis.gaussian_approx(np.abs(row @ sym.s) ** 2,
-                                               np.abs(row @ sym.s_bar) ** 2, sv2)
+            mu, var = analysis.gaussian_approx(np.abs(c1) ** 2, np.abs(c2) ** 2, sv2)
             sd = np.sqrt(var)
             tag = format(snr_db, "g")
             assert np.array_equal(res.series[f"gaussian_{tag}dB"].values,

@@ -13,22 +13,15 @@ def tones():
 
 class TestComplementarySymbol:
     def test_complement_and_bipolar(self):
-        sym = wf.ComplementarySymbol(np.array([0, 1, 1]))
-        np.testing.assert_array_equal(sym.s_bar, [1, 0, 0])
-        np.testing.assert_array_equal(sym.x_bar, [-1, 1, 1])
-
-    def test_complement_sums_for_general_levels(self):
-        g = rng(0)
-        for a in (2, 4, 8):
-            s = g.integers(0, a, size=6)
-            sym = wf.ComplementarySymbol(s, levels=a)
-            np.testing.assert_array_equal(sym.s + sym.s_bar, (a - 1) * np.ones(6))
-            a1, a2 = sym.amplitudes
-            np.testing.assert_allclose(a1 + a2, 1.0)
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            wf.ComplementarySymbol(np.array([0, 2]), levels=2)
+        # a symbol is a 0/1 array s: the first tone carries s, the second
+        # 1 - s, and the detector reads the bipolar 2s - 1
+        s = np.array([0, 1, 1])
+        h = np.array([1.0, 2.0, 4.0])
+        pair = wf.branch_outputs(h, s)
+        assert (pair.y1, pair.y2) == (6.0, 1.0)
+        from rislink.downlink import equivalent_channel
+        np.testing.assert_array_equal(wf.magnitude_difference(pair),
+                                      equivalent_channel(h[None, :])[0] @ (2 * s - 1))
 
 
 class TestTonePair:
@@ -44,32 +37,21 @@ class TestTonePair:
 class TestModulate:
     def test_binary_one_is_pure_first_tone(self):
         rate = 16 / TS
-        sym = wf.ComplementarySymbol(np.array([1]))
-        out = wf.modulate(sym, tones(), rate)
+        out = wf.modulate(np.array([1]), tones(), rate)
         t = np.arange(16) / rate
         np.testing.assert_allclose(out[0], np.exp(2j * np.pi * tones().f1 * t), atol=1e-12)
 
     def test_binary_zero_is_pure_second_tone(self):
         rate = 16 / TS
-        sym = wf.ComplementarySymbol(np.array([0]))
-        out = wf.modulate(sym, tones(), rate)
+        out = wf.modulate(np.array([0]), tones(), rate)
         t = np.arange(16) / rate
         np.testing.assert_allclose(out[0], np.exp(2j * np.pi * tones().f2 * t), atol=1e-12)
 
-    def test_four_level_amplitudes(self):
-        rate = 32 / TS
-        sym = wf.ComplementarySymbol(np.array([2]), levels=4)
-        out = wf.modulate(sym, tones(), rate)
-        t = np.arange(32) / rate
-        expected = (2 / 3) * np.exp(2j * np.pi * tones().f1 * t) \
-            + (1 / 3) * np.exp(2j * np.pi * tones().f2 * t)
-        np.testing.assert_allclose(out[0], expected, atol=1e-12)
-
     def test_non_integer_samples_rejected(self):
         with pytest.raises(ValueError):
-            wf.modulate(wf.ComplementarySymbol(np.array([1])), tones(), 10.5 / TS)
+            wf.modulate(np.array([1]), tones(), 10.5 / TS)
         with pytest.raises(ValueError):
-            wf.modulate(wf.ComplementarySymbol(np.array([1])), tones(), 4 / TS)
+            wf.modulate(np.array([1]), tones(), 4 / TS)
 
 
 class TestCorrelate:
@@ -123,8 +105,7 @@ class TestMagnitudeDifference:
     def test_single_antenna_phase_cancels(self):
         for theta in (0.0, 0.4, 2.2):
             h = np.array([np.exp(1j * theta)])
-            sym = wf.ComplementarySymbol(np.array([1]))
-            z = wf.magnitude_difference(wf.branch_outputs(h, sym))
+            z = wf.magnitude_difference(wf.branch_outputs(h, np.array([1])))
             assert abs(z - 1.0) < 1e-12
 
     def test_matches_double_sum_oracle(self):
@@ -132,8 +113,7 @@ class TestMagnitudeDifference:
         for _ in range(100):
             h = complex_gauss(g, 3)
             s = g.integers(0, 2, 3)
-            sym = wf.ComplementarySymbol(s)
-            z = wf.magnitude_difference(wf.branch_outputs(h, sym))
+            z = wf.magnitude_difference(wf.branch_outputs(h, s))
             mags, phases = np.abs(h), np.angle(h)
             oracle = 0.0
             for n in range(3):
@@ -146,9 +126,9 @@ class TestMagnitudeDifference:
         g = rng(2)
         for _ in range(200):
             h = complex_gauss(g, 5)
-            sym = wf.ComplementarySymbol(g.integers(0, 2, 5))
+            s = g.integers(0, 2, 5)
             nu = g.uniform(0, 2 * np.pi)
-            base = wf.branch_outputs(h, sym)
+            base = wf.branch_outputs(h, s)
             rotated = wf.apply_doppler(base, nu)
             assert abs(wf.magnitude_difference(base)
                        - wf.magnitude_difference(rotated)) < 1e-12
@@ -156,23 +136,21 @@ class TestMagnitudeDifference:
 
 class TestEquivalentNoise:
     def test_zero_noise(self):
-        sym = wf.ComplementarySymbol(np.array([1, 0]))
-        assert wf.equivalent_noise(np.array([1.0, 1j]), sym, 0.0, 0.0) == 0.0
+        assert wf.equivalent_noise(np.array([1.0, 1j]), np.array([1, 0]), 0.0, 0.0) == 0.0
 
     def test_hand_case(self):
-        sym = wf.ComplementarySymbol(np.array([1]))
-        u = wf.equivalent_noise(np.array([1.0]), sym, 1j, 0.0)
+        u = wf.equivalent_noise(np.array([1.0]), np.array([1]), 1j, 0.0)
         assert abs(u - 1.0) < 1e-15
 
     def test_matches_detection_difference(self):
         g = rng(3)
         for _ in range(100):
             h = complex_gauss(g, 4)
-            sym = wf.ComplementarySymbol(g.integers(0, 2, 4))
+            s = g.integers(0, 2, 4)
             n1, n2 = complex_gauss(g, 2)
-            clean = wf.magnitude_difference(wf.branch_outputs(h, sym))
-            noisy = wf.magnitude_difference(wf.branch_outputs(h, sym, noise=(n1, n2)))
-            u = wf.equivalent_noise(h, sym, n1, n2)
+            clean = wf.magnitude_difference(wf.branch_outputs(h, s))
+            noisy = wf.magnitude_difference(wf.branch_outputs(h, s, noise=(n1, n2)))
+            u = wf.equivalent_noise(h, s, n1, n2)
             assert abs((noisy - clean) - u) < 1e-12
 
 
@@ -204,13 +182,12 @@ def test_end_to_end_modulate_correlate_detect():
     for _ in range(20):
         h = complex_gauss(g, 4)
         s = g.integers(0, 2, 4)
-        sym = wf.ComplementarySymbol(s)
-        tx = wf.modulate(sym, tp, rate)
+        tx = wf.modulate(s, tp, rate)
         rx = h @ tx
         rx = wf.apply_doppler(rx, g.uniform(0, 2 * np.pi))
         pair = wf.CorrelatorPair(wf.correlate(rx, tp.f1, TS),
                                  wf.correlate(rx, tp.f2, TS))
         z = wf.magnitude_difference(pair)
         from rislink.downlink import equivalent_channel
-        expected = equivalent_channel(h[None, :])[0] @ sym.x_bar
+        expected = equivalent_channel(h[None, :])[0] @ (2 * s - 1)
         assert abs(z - expected) < 1e-10
