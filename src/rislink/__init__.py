@@ -1,13 +1,11 @@
 """Link-level simulation and closed-form analysis of RIS-aided high-mobility
 links built on a Doppler-robust real-domain linear model."""
 
-from .analysis import (GammaParams, SeriesControl, SeriesTruncationError,
-                       closed_form_ser, gamma_difference_pdf, gaussian_approx,
-                       generalized_gamma_pdf, rician_envelope_pdf)
-from .channel import (Angles, ArrayGeometry, JakesFading, ReflectionPattern,
-                      align_phases_to_los, cascade, cascade_decomposition,
-                      complex_normal, los_component, rician_weights,
-                      ula_steering, upa_steering)
+from .analysis import (SeriesTruncationError, closed_form_ser, gamma_difference_pdf,
+                       gaussian_approx, generalized_gamma_pdf, rician_envelope_pdf)
+from .channel import (JakesFading, align_phases_to_los, cascade, cascade_decomposition,
+                      complex_normal, los_component, rician_weights, ula_steering,
+                      upa_steering)
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .downlink import (Precoder, RankDeficientChannel, SearchTooLarge,
                        equivalent_channel, hadamard_pilots, joint_detect,
@@ -15,9 +13,9 @@ from .downlink import (Precoder, RankDeficientChannel, SearchTooLarge,
                        precoded_ber_exact, precoded_roundtrip, zf_precoder)
 from .harness import (CurveResult, export_csv, read_curve_csv, run_downlink_ber,
                       run_output_snr, run_pdf_fit, run_uplink_ser)
-from .uplink import (DecisionRegions, LinearGains, UplinkChannelSet,
-                     antenna_observation, build_regions, exact_linear_gains,
-                     pilot_gain_estimate, region_detect)
+from .uplink import (DecisionRegions, UplinkChannelSet, antenna_observation,
+                     build_regions, exact_linear_gains, pilot_gain_estimate,
+                     region_detect)
 from .waveform import (CorrelatorPair, TonePair, equivalent_noise,
                        magnitude_difference)
 

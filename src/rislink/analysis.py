@@ -14,42 +14,14 @@ which every printed formula here is the exact moment of the sampled system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc, gammaln, ive
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Generalized gamma parameters: shape alpha (1 for every use here),
-    scale beta = 2 * sigma_v2, noncentrality gamma = squared branch mean."""
-
-    beta: float
-    gamma: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the double series: terms are accumulated in
-    increasing diagonal order k + m, and the tail is bounded through the
-    ratio of consecutive Poisson diagonal weights."""
-
-    max_terms: int = 200
-    tail_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_terms < 1 or self.tail_tol <= 0:
-            raise ValueError("need max_terms >= 1 and tail_tol > 0")
+# the double series is summed over at most this many diagonals, and stops
+# once the bound on the density still to come is below the tolerance
+SERIES_MAX_TERMS = 400
+SERIES_TAIL_TOL = 1e-12
 
 
 class SeriesTruncationError(ArithmeticError):
@@ -61,32 +33,32 @@ class SeriesTruncationError(ArithmeticError):
         self.tail_bound = tail_bound
 
 
-def generalized_gamma_pdf(x, p: GammaParams) -> np.ndarray:
-    """Density (1/beta) (x/gamma)^{(alpha-1)/2} I_{alpha-1}(2 sqrt(gamma x)/beta)
-    exp(-(gamma+x)/beta) on x >= 0.
+def _check_branch(gamma: float, beta: float) -> None:
+    if not beta > 0:
+        raise ValueError("beta must be > 0")
+    if not gamma >= 0:
+        raise ValueError("gamma must be >= 0")
+
+
+def generalized_gamma_pdf(x, gamma: float, beta: float) -> np.ndarray:
+    """Density (1/beta) I_0(2 sqrt(gamma x)/beta) exp(-(gamma+x)/beta) on
+    x >= 0: the power of a complex Gaussian branch with squared mean
+    (noncentrality) gamma and complex noise variance beta = 2 * sigma_v2.
 
     Evaluated through the scaled Bessel function, so the exponent reduces to
     -(sqrt(x) - sqrt(gamma))^2 / beta and large noncentralities do not
-    overflow.  For alpha = 1 the power factor is 1 and gamma = 0 degenerates
-    to the exponential density analytically.
+    overflow; gamma = 0 is the exponential density.
     """
+    _check_branch(gamma, beta)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x >= 0
     xs = x[pos]
-    order = p.alpha - 1.0
-    if p.gamma == 0.0:
-        if p.alpha != 1.0:
-            raise ValueError("gamma = 0 limit is defined here only for alpha = 1")
-        out[pos] = np.exp(-xs / p.beta) / p.beta
-        return out if x.ndim else float(out)
-    z = 2.0 * np.sqrt(p.gamma * xs) / p.beta
-    body = ive(order, z) * np.exp(-((np.sqrt(xs) - np.sqrt(p.gamma)) ** 2) / p.beta)
-    if order != 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power = np.where(xs > 0, (xs / p.gamma) ** (order / 2.0), 0.0)
-        body = body * power
-    out[pos] = body / p.beta
+    if gamma == 0.0:
+        out[pos] = np.exp(-xs / beta) / beta
+    else:
+        z = 2.0 * np.sqrt(gamma * xs) / beta
+        out[pos] = ive(0, z) * np.exp(-((np.sqrt(xs) - np.sqrt(gamma)) ** 2) / beta) / beta
     return out if x.ndim else float(out)
 
 
@@ -113,8 +85,7 @@ def _poisson_logpmf(k: np.ndarray, lam: float) -> np.ndarray:
     return -lam + k * np.log(lam) - gammaln(k + 1.0)
 
 
-def _branch_log_coeffs(lam_same: float, lam_other: float,
-                       ctl: SeriesControl, beta: float):
+def _branch_log_coeffs(lam_same: float, lam_other: float, beta: float):
     """Log power-series coefficients of one branch of the difference density.
 
     The branch density for t = |x|/beta is (1/beta) e^{-t} sum_j A_j t^j with
@@ -126,8 +97,8 @@ def _branch_log_coeffs(lam_same: float, lam_other: float,
     """
     lam_total = lam_same + lam_other
     ln2 = np.log(2.0)
-    coeffs = np.zeros(ctl.max_terms + 1)
-    for d in range(ctl.max_terms + 1):
+    coeffs = np.zeros(SERIES_MAX_TERMS + 1)
+    for d in range(SERIES_MAX_TERMS + 1):
         ks = np.arange(d + 1)
         logw = _poisson_logpmf(ks, lam_same) + _poisson_logpmf(d - ks, lam_other)
         keep = logw > (logw.max() - 46.0) if np.any(np.isfinite(logw)) else []
@@ -141,10 +112,10 @@ def _branch_log_coeffs(lam_same: float, lam_other: float,
             ratio = lam_total / (d + 1.0)
             diag_mass = np.exp(_poisson_logpmf(np.array(d), lam_total))
             tail = diag_mass * ratio / (1.0 - ratio) / beta
-            if tail < ctl.tail_tol:
+            if tail < SERIES_TAIL_TOL:
                 with np.errstate(divide="ignore"):
                     return np.log(coeffs), None
-        elif d == ctl.max_terms:
+        elif d == SERIES_MAX_TERMS:
             tail = np.inf
     with np.errstate(divide="ignore"):
         return np.log(coeffs), float(tail)
@@ -171,29 +142,26 @@ def _branch_eval(t: np.ndarray, log_coeffs: np.ndarray, beta: float) -> np.ndarr
     return out
 
 
-def gamma_difference_pdf(x, p: GammaParams, p_prime: GammaParams,
-                         ctl: SeriesControl = SeriesControl()) -> np.ndarray:
-    """Two-sided density of the difference of two generalized gamma variates
-    with common scale, via the truncated double series.
+def gamma_difference_pdf(x, gamma1: float, gamma2: float, beta: float) -> np.ndarray:
+    """Two-sided density of P1 - P2 for independent branch powers with
+    noncentralities gamma1, gamma2 and common scale beta (the
+    ``generalized_gamma_pdf`` law of each), via the truncated double series.
 
     The x >= 0 branch sums over n <= k and the x < 0 branch is the same
     construction with the two noncentralities exchanged.  Raises
     SeriesTruncationError (carrying the partial density and the tail bound)
-    when the diagonal tail bound cannot reach ``ctl.tail_tol`` within
-    ``ctl.max_terms`` diagonals.
+    when the diagonal tail bound cannot reach ``SERIES_TAIL_TOL`` within
+    ``SERIES_MAX_TERMS`` diagonals.
     """
-    if p.alpha != 1.0 or p_prime.alpha != 1.0:
-        raise ValueError("difference series implemented for alpha = 1")
-    if not np.isclose(p.beta, p_prime.beta, rtol=1e-12):
-        raise ValueError("branches must share the scale parameter")
-    beta = p.beta
-    lam, lam_p = p.gamma / beta, p_prime.gamma / beta
+    _check_branch(gamma1, beta)
+    _check_branch(gamma2, beta)
+    lam, lam_p = gamma1 / beta, gamma2 / beta
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
 
-    log_pos, tail_pos = _branch_log_coeffs(lam, lam_p, ctl, beta)
-    log_neg, tail_neg = _branch_log_coeffs(lam_p, lam, ctl, beta)
+    log_pos, tail_pos = _branch_log_coeffs(lam, lam_p, beta)
+    log_neg, tail_neg = _branch_log_coeffs(lam_p, lam, beta)
 
     out = np.empty_like(x)
     pos = x >= 0
@@ -203,8 +171,8 @@ def gamma_difference_pdf(x, p: GammaParams, p_prime: GammaParams,
     bad = [t for t in (tail_pos, tail_neg) if t is not None]
     if bad:
         raise SeriesTruncationError(
-            f"series tail bound {max(bad):.3e} above tolerance {ctl.tail_tol:.1e} "
-            f"after {ctl.max_terms} diagonals",
+            f"series tail bound {max(bad):.3e} above tolerance {SERIES_TAIL_TOL:.1e} "
+            f"after {SERIES_MAX_TERMS} diagonals",
             partial_sum=out if not scalar else float(out[0]),
             tail_bound=max(bad))
     return float(out[0]) if scalar else out

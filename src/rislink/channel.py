@@ -20,65 +20,7 @@ import numpy as np
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class Angles:
-    """Elevation/azimuth pair in radians: theta in [0, pi], phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < _TWO_PI:
-            raise ValueError(f"phi {self.phi} outside [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Antenna array description.
-
-    ``kind`` is "ula" (counts = (n,)) or "upa" (counts = (nx, ny)).
-    Spacing and wavelength are in meters; half-wavelength spacing is the
-    usual configuration.
-    """
-
-    kind: str
-    counts: tuple
-    element_spacing: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.kind not in ("ula", "upa"):
-            raise ValueError(f"unknown array kind {self.kind!r}")
-        want = 1 if self.kind == "ula" else 2
-        if len(self.counts) != want or any(int(c) < 1 for c in self.counts):
-            raise ValueError(f"bad element counts {self.counts} for {self.kind}")
-        if self.element_spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("spacing and wavelength must be positive")
-
-    @property
-    def n_elements(self) -> int:
-        return int(np.prod(self.counts))
-
-
-@dataclass(frozen=True)
-class ReflectionPattern:
-    """Per-element RIS phase shifts; realized matrix is diag(exp(j*phases))."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.phases) != 1 or not np.all(np.isfinite(self.phases)):
-            raise ValueError("phases must be a finite 1-D vector")
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.exp(1j * np.asarray(self.phases, dtype=float))
+JAKES_OSCILLATORS = 16  # sinusoids summed per fading entry
 
 
 def doppler_shift(speed: float, carrier_freq: float) -> float:
@@ -173,18 +115,17 @@ def ula_steering(theta: float, n: int, spacing: float, wavelength: float) -> np.
     return np.exp(1j * _TWO_PI * k * (spacing / wavelength) * np.sin(theta))
 
 
-def upa_steering(angles: Angles, geom: ArrayGeometry) -> np.ndarray:
-    """Unit-norm UPA response as the Kronecker product of two 1-D responses.
+def upa_steering(theta: float, phi: float, nx: int, ny: int, spacing: float,
+                 wavelength: float) -> np.ndarray:
+    """Unit-norm response of an nx-by-ny UPA as the Kronecker product of two
+    1-D responses, for elevation theta and azimuth phi in radians.
 
     Element (m, n) carries phase (2*pi/lambda)*d*(m*sin(phi)*sin(theta)
     + n*cos(theta)); the 1/sqrt(nx*ny) factor makes the Euclidean norm 1.
     """
-    if geom.kind != "upa":
-        raise ValueError("upa_steering requires a UPA geometry")
-    nx, ny = (int(c) for c in geom.counts)
-    scale = _TWO_PI * geom.element_spacing / geom.wavelength
-    u = np.exp(1j * scale * np.arange(nx) * np.sin(angles.phi) * np.sin(angles.theta))
-    v = np.exp(1j * scale * np.arange(ny) * np.cos(angles.theta))
+    scale = _TWO_PI * spacing / wavelength
+    u = np.exp(1j * scale * np.arange(nx) * np.sin(phi) * np.sin(theta))
+    v = np.exp(1j * scale * np.arange(ny) * np.cos(theta))
     return np.outer(u, v).reshape(-1) / np.sqrt(nx * ny)
 
 
@@ -201,7 +142,7 @@ def los_component(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarra
 class JakesFading:
     """Sum-of-sinusoids fading with the classical Doppler autocorrelation.
 
-    Each entry sums ``oscillators`` sinusoids whose arrival angles tile a
+    Each entry sums ``JAKES_OSCILLATORS`` sinusoids whose arrival angles tile a
     quarter circle with a per-entry random offset, so the ensemble
     autocorrelation at lag tau equals J0(2*pi*f_max*tau) exactly in
     expectation while the marginal stays zero-mean unit-variance complex
@@ -215,16 +156,15 @@ class JakesFading:
     psi: np.ndarray
 
     @classmethod
-    def create(cls, shape, f_max: float, rng: np.random.Generator,
-               oscillators: int = 16) -> "JakesFading":
+    def create(cls, shape, f_max: float, rng: np.random.Generator) -> "JakesFading":
         if f_max < 0:
             raise ValueError("f_max must be >= 0")
         shape = tuple(np.atleast_1d(shape).astype(int))
-        m = np.arange(1, oscillators + 1)
+        m = np.arange(1, JAKES_OSCILLATORS + 1)
         theta = rng.uniform(-np.pi, np.pi, size=shape + (1,))
-        alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * oscillators)
-        phi = rng.uniform(-np.pi, np.pi, size=shape + (oscillators,))
-        psi = rng.uniform(-np.pi, np.pi, size=shape + (oscillators,))
+        alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * JAKES_OSCILLATORS)
+        phi = rng.uniform(-np.pi, np.pi, size=shape + (JAKES_OSCILLATORS,))
+        psi = rng.uniform(-np.pi, np.pi, size=shape + (JAKES_OSCILLATORS,))
         return cls(f_max=float(f_max), cos_alpha=np.cos(alpha),
                    sin_alpha=np.sin(alpha), phi=phi, psi=psi)
 
@@ -293,27 +233,26 @@ def _real_sums(phasor: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(phasor.view(float), pick, out=out)
 
 
-def cascade(g: np.ndarray, pattern: ReflectionPattern, q: np.ndarray) -> np.ndarray:
+def cascade(g: np.ndarray, phases: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cascaded link g * diag(exp(j*phases)) * Q, the one place a cascade is
     formed.
 
-    The pattern is applied to the rows of Q, and any stack of RIS-side rows
-    ``g`` of shape (..., N) goes through one 2-D product, giving
-    (...,) + Q.shape[1:].
+    The RIS phase shifts are applied to the rows of Q, and any stack of
+    RIS-side rows ``g`` of shape (..., N) goes through one 2-D product,
+    giving (...,) + Q.shape[1:].
     """
     g = np.asarray(g)
     q = np.asarray(q)
-    n = pattern.phases.shape[0]
+    n = phases.shape[0]
     if q.ndim != 2 or g.shape[-1] != n or q.shape[0] != n:
         raise ValueError(
-            f"dimension mismatch: g has {g.shape[-1]} columns, pattern has "
-            f"{n} elements, Q has shape {q.shape}")
-    q_omega = pattern.diagonal[:, None] * q
+            f"dimension mismatch: g has {g.shape[-1]} columns, {n} phases, "
+            f"Q has shape {q.shape}")
+    q_omega = np.exp(1j * phases)[:, None] * q
     return (g.reshape(-1, n) @ q_omega).reshape(g.shape[:-1] + q.shape[1:])
 
 
-def cascade_decomposition(g_los: np.ndarray, g_nlos: np.ndarray,
-                          pattern: ReflectionPattern,
+def cascade_decomposition(g_los: np.ndarray, g_nlos: np.ndarray, phases: np.ndarray,
                           q_los: np.ndarray, q_nlos: np.ndarray):
     """Four cascade terms (LoS*LoS, LoS*NLoS, NLoS*LoS, NLoS*NLoS).
 
@@ -321,17 +260,16 @@ def cascade_decomposition(g_los: np.ndarray, g_nlos: np.ndarray,
     gains applied), so the four terms sum to the full cascade exactly.
     """
     return (
-        cascade(g_los, pattern, q_los),
-        cascade(g_los, pattern, q_nlos),
-        cascade(g_nlos, pattern, q_los),
-        cascade(g_nlos, pattern, q_nlos),
+        cascade(g_los, phases, q_los),
+        cascade(g_los, phases, q_nlos),
+        cascade(g_nlos, phases, q_los),
+        cascade(g_nlos, phases, q_nlos),
     )
 
 
-def align_phases_to_los(q_los: np.ndarray, big_los: np.ndarray,
-                        target_col: int = 0) -> ReflectionPattern:
+def align_phases_to_los(q_los: np.ndarray, big_los: np.ndarray) -> np.ndarray:
     """Reflection phases that co-phase every term of the cascaded LoS sum
-    for one destination column, maximizing its magnitude.
+    for the first destination column, maximizing its magnitude.
 
     Stands in for an offline AoA-indexed coefficient database: with a
     rank-one LoS on both sides the same phases co-phase every column.
@@ -340,5 +278,4 @@ def align_phases_to_los(q_los: np.ndarray, big_los: np.ndarray,
     big_los = np.asarray(big_los)
     if big_los.shape[0] != q_los.shape[0]:
         raise ValueError("q_los length must match big_los row count")
-    phases = -np.angle(q_los * big_los[:, target_col])
-    return ReflectionPattern(phases)
+    return -np.angle(q_los * big_los[:, 0])

@@ -13,7 +13,6 @@ import numpy as np
 
 from .analysis import SeriesTruncationError
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .downlink import RankDeficientChannel, SearchTooLarge
 from .harness import (SCHEMES, SWEEPS, export_csv, run_downlink_ber, run_output_snr,
                       run_pdf_fit, run_uplink_ser)
 
@@ -106,8 +105,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RankDeficientChannel, SearchTooLarge, SeriesTruncationError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except (SeriesTruncationError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -33,6 +33,23 @@ class ConfigError(ValueError):
 _REAL_TYPES = ("float", "float | None", "tuple")
 
 
+def check_db(values, key=None) -> None:
+    """Raise ConfigError unless every dB value x keeps its linear ratio
+    r = 10^(x/10) usable: r^2 = 10^(x/5) and 1/r^2 must both be finite
+    positive floats, so |x| < 1541.27 dB.  Signal and noise levels are
+    formed from r or 1/r, and noise variances also enter squared (the
+    sigma_v2^2 term of the Gaussian surrogate's variance)."""
+    for x in np.atleast_1d(values):
+        try:
+            squares = (10.0 ** (float(x) / 5.0), 10.0 ** (-float(x) / 5.0))
+        except OverflowError:
+            squares = (0.0,)
+        if not all(0.0 < q < np.inf for q in squares):
+            raise ConfigError(f"{float(x):g} dB is out of range: 10^(x/5) and its "
+                              f"reciprocal must be finite positive floats "
+                              f"(|x| < 1541.27 dB)", key=key)
+
+
 @dataclass
 class ScenarioConfig:
     """Full geometric and radio parameterization of one experiment."""
@@ -103,6 +120,8 @@ class ScenarioConfig:
                               key="pathloss_exponents")
         if self.noise_sigma2 is not None and self.noise_sigma2 < 0:
             raise ConfigError("noise_sigma2 must be >= 0", key="noise_sigma2")
+        check_db(self.ebn0_db, key="ebn0_db")
+        check_db(self.ebn0_db_grid, key="ebn0_db_grid")
         grid = self.ebn0_db_grid
         if len(grid) and np.any(np.diff(grid) <= 0):
             raise ConfigError("ebn0_db_grid must be strictly increasing",
@@ -114,10 +133,6 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits", key="seed")
 
     # ---- derived quantities -------------------------------------------------
-
-    @property
-    def carrier_f2(self) -> float:
-        return self.carrier_f1 + 1.0 / self.symbol_period
 
     @property
     def wavelength(self) -> float:
@@ -143,10 +158,6 @@ class ScenarioConfig:
     @property
     def rician_v_ris_user(self) -> float:
         return self.rician_factor if self.rician_V is None else self.rician_V
-
-    @property
-    def symbols_per_frame(self) -> int:
-        return self.pilot_len + self.blocks_per_frame * self.symbols_per_block
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "explicit_keys"}

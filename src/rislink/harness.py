@@ -34,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from . import analysis, channel, downlink, uplink
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, check_db
 from .scenario import build_downlink_frame, build_uplink_instance, stream
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
@@ -508,6 +508,9 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
             raise ConfigError(f"every grid point must satisfy n_t > n_k + 1 = "
                               f"{cfg.n_users + 1}, got {n_t}")
     draws, n_sym = cfg.snr_channel_draws, 256
+    if draws < 2:
+        raise ConfigError("output SNR experiment needs at least 2 channel draws "
+                          "for its confidence half-width", key="snr_channel_draws")
 
     result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
     sim_vals, sim_hw, predicted, exact = [], [], [], []
@@ -587,7 +590,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),
                                        stream(cfg.seed, _TAG_UPLINK, 2))
-    gains = uplink.exact_linear_gains(chans)
+    gains = uplink.exact_linear_gains(chans).sum(axis=0)
     const = downlink.bipolar_candidates(cfg.n_users)
     regions = uplink.build_regions(gains, const)
     lo, hi = regions.intervals()
@@ -688,12 +691,11 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     if snr_points is None:
         snr_points = (18.0, 10.0, 3.0)
     snr_points = tuple(float(s) for s in snr_points)
+    check_db(snr_points)
     tags = [format(snr_db, "g") for snr_db in snr_points]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"SNR points {snr_points} must have distinct column tags, "
                           f"got {', '.join(tags)}")
-    series_ctl = analysis.SeriesControl(max_terms=400)
-
     chans, _ = build_uplink_instance(cfg, stream(cfg.seed, _TAG_PDF, 1),
                                      stream(cfg.seed, _TAG_PDF, 2))
     row = chans.c[0]
@@ -727,10 +729,8 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
         sd = np.sqrt(var)
         u = (grid - mu) / sd
         gauss = np.exp(-u ** 2 / 2.0) / np.sqrt(2 * np.pi) / sd
-        p1 = analysis.GammaParams(beta=2.0 * sv2, gamma=g1)
-        p2 = analysis.GammaParams(beta=2.0 * sv2, gamma=g2)
         try:
-            density = analysis.gamma_difference_pdf(both_grids, p1, p2, series_ctl)
+            density = analysis.gamma_difference_pdf(both_grids, g1, g2, 2.0 * sv2)
         except analysis.SeriesTruncationError as exc:
             raise analysis.SeriesTruncationError(
                 f"series truncation at SNR point {snr_db} dB: {exc}",

@@ -50,7 +50,7 @@ def path_amplitude(distance: float, exponent: float) -> float:
 @dataclass
 class LinkSet:
     """Weighted LoS/NLoS pieces of the BS-RIS and RIS-user hops plus the
-    reflection pattern, shared by both link directions via reciprocity.  The
+    RIS phase shifts, shared by both link directions via reciprocity.  The
     BS-RIS hop is static within a frame, so its NLoS draw is part of the set;
     the RIS-user and direct-path fading belong to each direction's builder."""
 
@@ -58,7 +58,7 @@ class LinkSet:
     q_nlos_w: np.ndarray     # (N, N_t) BS->RIS NLoS draw, weights and gain applied
     g_los_w: np.ndarray      # (N_k, N) RIS->user LoS rows, weighted
     g_nlos_weight: np.ndarray  # (N_k, 1) per-user NLoS amplitude weight
-    pattern: ch.ReflectionPattern
+    phases: np.ndarray       # (N,) RIS phase shifts, realized as diag(exp(j*phases))
     direct_weight: np.ndarray | None  # (N_k, 1) optional direct BS-user amplitude
 
 
@@ -68,7 +68,6 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     nx, ny = cfg.ris_grid
     lam = cfg.wavelength
     spacing = lam / 2.0
-    geom = ch.ArrayGeometry("upa", (nx, ny), spacing, lam)
 
     users_x = rng_geo.uniform(-cfg.coverage_length / 2.0,
                               cfg.coverage_length / 2.0, size=cfg.n_users)
@@ -87,14 +86,15 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     # per-entry power; angles uniform over their ranges, frozen per frame.
     theta_bs = rng_geo.uniform(0.0, np.pi)
     a_bs = ch.ula_steering(theta_bs, cfg.n_bs_antennas, spacing, lam)
-    ris_in = ch.Angles(rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi))
-    a_ris_in = ch.upa_steering(ris_in, geom) * np.sqrt(n)
+    theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
+    a_ris_in = ch.upa_steering(theta, phi, nx, ny, spacing, lam) * np.sqrt(n)
     q_los = ch.los_component(a_ris_in, a_bs)
 
     g_los = np.empty((cfg.n_users, n), dtype=complex)
     for m in range(cfg.n_users):
-        out = ch.Angles(rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi))
-        g_los[m] = ch.los_component(np.ones(1), ch.upa_steering(out, geom) * np.sqrt(n))[0]
+        theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
+        a_ris_out = ch.upa_steering(theta, phi, nx, ny, spacing, lam) * np.sqrt(n)
+        g_los[m] = ch.los_component(np.ones(1), a_ris_out)[0]
 
     wk_los, wk_nlos = ch.rician_weights(cfg.rician_k_bs_ris)
     wv_los, wv_nlos = ch.rician_weights(cfg.rician_v_ris_user)
@@ -103,11 +103,11 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     g_los_w = (pg_g * wv_los)[:, None] * g_los
 
     if cfg.ris_phase_mode == "aligned":
-        pattern = ch.align_phases_to_los(g_los[0], q_los, target_col=0)
+        phases = ch.align_phases_to_los(g_los[0], q_los)
     elif cfg.ris_phase_mode == "random":
-        pattern = ch.ReflectionPattern(rng_geo.uniform(0.0, 2.0 * np.pi, size=n))
+        phases = rng_geo.uniform(0.0, 2.0 * np.pi, size=n)
     else:
-        pattern = ch.ReflectionPattern(np.zeros(n))
+        phases = np.zeros(n)
 
     direct = None
     if cfg.direct_link:
@@ -118,7 +118,7 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                    q_nlos_w=pg_q * wk_nlos * ch.complex_normal(rng_fade, q_los_w.shape),
                    g_los_w=g_los_w,
                    g_nlos_weight=(pg_g * wv_nlos)[:, None],
-                   pattern=pattern,
+                   phases=phases,
                    direct_weight=direct)
 
 
@@ -149,7 +149,7 @@ def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)
     g = links.g_los_w + links.g_nlos_weight * _frame_fades(jakes, cfg)  # (B+1, N_k, N)
-    h = ch.cascade(g, links.pattern, links.q_los_w + links.q_nlos_w)  # (B+1, N_k, N_t)
+    h = ch.cascade(g, links.phases, links.q_los_w + links.q_nlos_w)  # (B+1, N_k, N_t)
     if links.direct_weight is not None:
         direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
                                        rng_fade)
@@ -175,7 +175,7 @@ def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     links = _draw_links(cfg, rng_geo, rng_fade)
     g_nlos_w = links.g_nlos_weight * ch.complex_normal(rng_fade, links.g_los_w.shape)
     los_los, los_nlos, nlos_los, nlos_nlos = ch.cascade_decomposition(
-        links.g_los_w, g_nlos_w, links.pattern, links.q_los_w, links.q_nlos_w)
+        links.g_los_w, g_nlos_w, links.phases, links.q_los_w, links.q_nlos_w)
     a, b, o = los_los.T, (los_nlos + nlos_los).T, nlos_nlos.T
     rms = np.sqrt(np.mean(np.abs(a + b + o) ** 2))
     return UplinkChannelSet(a=a / rms, b=b / rms, o=o / rms), float(rms)

@@ -42,19 +42,6 @@ class UplinkChannelSet:
 
 
 @dataclass
-class LinearGains:
-    """Per-user linear gains of the averaged observation and their four
-    component parts, stacked parts-first (4, n_users); part 0 is the pure-LoS
-    contribution, parts 1..3 carry increasing NLoS order."""
-
-    parts: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.parts.sum(axis=0)
-
-
-@dataclass
 class DecisionRegions:
     """Midpoint partition of the real line separating sorted noiseless means.
 
@@ -104,21 +91,22 @@ def _pair_gain(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.real(np.conj(u.sum(axis=1))[:, None] * w).mean(axis=0)
 
 
-def exact_linear_gains(chans: UplinkChannelSet) -> LinearGains:
-    """Per-user gains from the channel components, grouped by NLoS order.
+def exact_linear_gains(chans: UplinkChannelSet) -> np.ndarray:
+    """Per-user gains of the averaged observation from the channel
+    components, as parts-first (4, n_users) rows grouped by NLoS order.
 
     Part 0 uses only the LoS term; part 1 the LoS/single-NLoS crosses; part 2
     the terms quadratic in one NLoS factor; part 3 everything of higher NLoS
     order, which vanishes with many antennas since the NLoS mean is zero.
-    The parts sum to the exact gains: the noiseless averaged observation
-    equals total . x_bar for every bipolar symbol.
+    The parts sum (over axis 0) to the exact gains: the noiseless averaged
+    observation equals gains.sum(axis=0) . x_bar for every bipolar symbol.
     """
     a, b, o = chans.a, chans.b, chans.o
     xi1 = _pair_gain(a, a)
     xi2 = _pair_gain(a, b) + _pair_gain(b, a)
     xi3 = _pair_gain(b, b) + _pair_gain(a, o) + _pair_gain(o, a)
     xi4 = _pair_gain(b, o) + _pair_gain(o, b) + _pair_gain(o, o)
-    return LinearGains(np.stack([xi1, xi2, xi3, xi4]))
+    return np.stack([xi1, xi2, xi3, xi4])
 
 
 def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
@@ -149,17 +137,16 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     return float(total / repeats)
 
 
-def build_regions(gains: LinearGains | np.ndarray,
-                  constellation: np.ndarray) -> DecisionRegions:
-    """Decision regions from the noiseless means of every constellation point.
+def build_regions(total: np.ndarray, constellation: np.ndarray) -> DecisionRegions:
+    """Decision regions from the noiseless means ``constellation @ total`` of
+    every constellation point, for the (n_users,) per-user gains ``total``.
 
     Means are sorted ascending and consecutive duplicates collapse into one
     region whose representative is the lowest constellation index; boundaries
     sit at midpoints of consecutive distinct means.
     """
-    total = gains.total if isinstance(gains, LinearGains) else np.asarray(gains)
     constellation = np.asarray(constellation, dtype=float)
-    means = constellation @ total
+    means = constellation @ np.asarray(total)
     order = np.argsort(means, kind="stable")
     tol = 1e-12 * max(1.0, float(np.ptp(means)) if means.size else 1.0)
 

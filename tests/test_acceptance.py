@@ -103,12 +103,11 @@ def test_05_distribution_stack():
     checks = []
 
     for beta, gamma in ((0.5, 2.0), (0.2, 1.0), (1.0, 0.5)):
-        p = an.GammaParams(beta=beta, gamma=gamma)
-        total = integrate.quad(lambda x: an.generalized_gamma_pdf(x, p), 0, np.inf,
+        total = integrate.quad(lambda x: an.generalized_gamma_pdf(x, gamma, beta), 0, np.inf,
                                limit=200)[0]
         v = complex_gauss(g, n, sigma2=beta)  # per-quadrature variance beta/2
         eps = np.abs(np.sqrt(gamma) + v) ** 2
-        pval = chi2_gof_pvalue(eps, lambda x: an.generalized_gamma_pdf(x, p),
+        pval = chi2_gof_pvalue(eps, lambda x: an.generalized_gamma_pdf(x, gamma, beta),
                                lo=0.0, hi=eps.max() * 1.5)
         checks.append(("gamma", abs(total - 1.0) < 1e-6, pval > 0.01, total, pval))
 
@@ -121,16 +120,14 @@ def test_05_distribution_stack():
         checks.append(("rician", abs(total - 1.0) < 1e-6, pval > 0.01, total, pval))
 
     for beta, gamma, gamma_p in ((0.5, 1.0, 2.0), (0.4, 0.8, 0.3), (1.0, 2.0, 2.0)):
-        p1 = an.GammaParams(beta=beta, gamma=gamma)
-        p2 = an.GammaParams(beta=beta, gamma=gamma_p)
         mu = gamma - gamma_p
         sd = np.sqrt(2 * beta * (gamma + gamma_p) + 2 * beta ** 2)
         grid = np.linspace(mu - 18 * sd - 6 * beta, mu + 18 * sd + 6 * beta, 40_001)
-        total = np.trapezoid(an.gamma_difference_pdf(grid, p1, p2), grid)
+        total = np.trapezoid(an.gamma_difference_pdf(grid, gamma, gamma_p, beta), grid)
         v1 = complex_gauss(g, n, sigma2=beta)
         v2 = complex_gauss(g, n, sigma2=beta)
         z = np.abs(np.sqrt(gamma) + v1) ** 2 - np.abs(np.sqrt(gamma_p) + v2) ** 2
-        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, p1, p2),
+        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, gamma, gamma_p, beta),
                                lo=z.min() * 1.5, hi=z.max() * 1.5)
         checks.append(("diff", abs(total - 1.0) < 1e-6, pval > 0.01, total, pval))
 

@@ -13,14 +13,12 @@ from conftest import chi2_gof_pvalue, complex_gauss, rng
 
 class TestGeneralizedGammaPdf:
     def test_zero_noncentrality_is_exponential(self):
-        p = an.GammaParams(beta=0.7, gamma=0.0)
         x = np.linspace(0, 5, 50)
-        np.testing.assert_allclose(an.generalized_gamma_pdf(x, p),
+        np.testing.assert_allclose(an.generalized_gamma_pdf(x, 0.0, 0.7),
                                    np.exp(-x / 0.7) / 0.7, atol=1e-14)
 
     def test_integrates_to_one(self):
-        p = an.GammaParams(beta=0.5, gamma=2.0)
-        val, _ = integrate.quad(lambda x: an.generalized_gamma_pdf(x, p), 0, np.inf)
+        val, _ = integrate.quad(lambda x: an.generalized_gamma_pdf(x, 2.0, 0.5), 0, np.inf)
         assert abs(val - 1.0) < 1e-8
 
     def test_matches_sampled_branch_power(self):
@@ -29,18 +27,15 @@ class TestGeneralizedGammaPdf:
         sv2 = 0.25
         v = complex_gauss(g, n, sigma2=2 * sv2)  # per-quadrature variance sv2
         eps = np.abs(np.sqrt(2.0) + v) ** 2
-        p = an.GammaParams(beta=2 * sv2, gamma=2.0)
-        pval = chi2_gof_pvalue(eps, lambda x: an.generalized_gamma_pdf(x, p),
+        pval = chi2_gof_pvalue(eps, lambda x: an.generalized_gamma_pdf(x, 2.0, 2 * sv2),
                                lo=0.0, hi=eps.max() * 1.5)
         assert pval > 0.01
 
     def test_negative_x_is_zero(self):
-        p = an.GammaParams(beta=0.5, gamma=1.0)
-        assert an.generalized_gamma_pdf(-0.3, p) == 0.0
+        assert an.generalized_gamma_pdf(-0.3, 1.0, 0.5) == 0.0
 
     def test_large_noncentrality_stable(self):
-        p = an.GammaParams(beta=0.002, gamma=4.0)
-        val = an.generalized_gamma_pdf(4.0, p)
+        val = an.generalized_gamma_pdf(4.0, 4.0, 0.002)
         assert np.isfinite(val) and val > 0
 
 
@@ -54,9 +49,8 @@ class TestRicianEnvelopePdf:
     def test_change_of_variables_consistency(self):
         # squared-envelope density equals envelope density / (2 sqrt(x))
         r_bar, sv2 = 1.3, 0.4
-        p = an.GammaParams(beta=2 * sv2, gamma=r_bar ** 2)
         x = np.linspace(0.05, 8, 200)
-        lhs = an.generalized_gamma_pdf(x, p)
+        lhs = an.generalized_gamma_pdf(x, r_bar ** 2, 2 * sv2)
         rhs = an.rician_envelope_pdf(np.sqrt(x), r_bar, sv2) / (2 * np.sqrt(x))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -75,17 +69,14 @@ class TestRicianEnvelopePdf:
 
 class TestGammaDifferencePdf:
     def test_symmetric_when_parameters_match(self):
-        p = an.GammaParams(beta=0.5, gamma=1.0)
         x = np.linspace(0.0, 6.0, 61)
-        f_pos = an.gamma_difference_pdf(x, p, p)
-        f_neg = an.gamma_difference_pdf(-x, p, p)
+        f_pos = an.gamma_difference_pdf(x, 1.0, 1.0, 0.5)
+        f_neg = an.gamma_difference_pdf(-x, 1.0, 1.0, 0.5)
         np.testing.assert_allclose(f_pos, f_neg, atol=1e-9)
 
     def test_integrates_to_one(self):
-        p1 = an.GammaParams(beta=0.5, gamma=1.0)
-        p2 = an.GammaParams(beta=0.5, gamma=2.0)
         grid = np.linspace(-30, 30, 8001)
-        total = np.trapezoid(an.gamma_difference_pdf(grid, p1, p2), grid)
+        total = np.trapezoid(an.gamma_difference_pdf(grid, 1.0, 2.0, 0.5), grid)
         assert abs(total - 1.0) < 1e-6
 
     def test_matches_sampled_difference(self):
@@ -95,9 +86,7 @@ class TestGammaDifferencePdf:
         v1 = complex_gauss(g, n, sigma2=2 * sv2)
         v2 = complex_gauss(g, n, sigma2=2 * sv2)
         z = np.abs(1.0 + v1) ** 2 - np.abs(np.sqrt(2.0) + v2) ** 2
-        p1 = an.GammaParams(beta=0.5, gamma=1.0)
-        p2 = an.GammaParams(beta=0.5, gamma=2.0)
-        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, p1, p2),
+        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, 1.0, 2.0, 0.5),
                                lo=z.min() * 1.5, hi=z.max() * 1.5)
         assert pval > 0.01
 
@@ -109,31 +98,27 @@ class TestGammaDifferencePdf:
         v1 = complex_gauss(g, n, sigma2=2 * sv2)
         v2 = complex_gauss(g, n, sigma2=2 * sv2)
         z = np.abs(1.0 + v1) ** 2 - np.abs(v2) ** 2
-        p1 = an.GammaParams(beta=2 * sv2, gamma=1.0)
-        p2 = an.GammaParams(beta=2 * sv2, gamma=0.0)
-        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, p1, p2),
+        pval = chi2_gof_pvalue(z, lambda x: an.gamma_difference_pdf(x, 1.0, 0.0, 2 * sv2),
                                lo=z.min() * 1.5, hi=z.max() * 1.5)
         assert pval > 0.01
 
     def test_nonnegative_everywhere(self):
-        p1 = an.GammaParams(beta=0.5, gamma=1.0)
-        p2 = an.GammaParams(beta=0.5, gamma=2.0)
         x = np.linspace(-20, 20, 4001)
-        assert np.all(an.gamma_difference_pdf(x, p1, p2) >= 0)
+        assert np.all(an.gamma_difference_pdf(x, 1.0, 2.0, 0.5) >= 0)
 
     def test_truncation_failure_carries_partial_state(self):
-        p1 = an.GammaParams(beta=0.002, gamma=1.0)  # needs ~500 diagonals
-        p2 = an.GammaParams(beta=0.002, gamma=0.5)
-        ctl = an.SeriesControl(max_terms=50, tail_tol=1e-12)
+        # a noncentrality of 500 in units of beta needs more than the 400
+        # diagonals of the budget; a zero second branch keeps each one cheap
         with pytest.raises(an.SeriesTruncationError) as err:
-            an.gamma_difference_pdf(np.array([0.5]), p1, p2, ctl)
+            an.gamma_difference_pdf(np.array([0.5]), 1.0, 0.0, 0.002)
         assert err.value.partial_sum is not None
         assert err.value.tail_bound is not None and err.value.tail_bound > 1e-12
 
-    def test_mismatched_scales_rejected(self):
+    @pytest.mark.parametrize("gamma1, gamma2, beta", [(1.0, 1.0, 0.0), (1.0, 1.0, -0.5),
+                                                     (1.0, 1.0, np.nan), (-1.0, 1.0, 0.5)])
+    def test_nonpositive_scale_or_negative_noncentrality_rejected(self, gamma1, gamma2, beta):
         with pytest.raises(ValueError):
-            an.gamma_difference_pdf(0.0, an.GammaParams(beta=0.5, gamma=1.0),
-                                    an.GammaParams(beta=0.6, gamma=1.0))
+            an.gamma_difference_pdf(0.0, gamma1, gamma2, beta)
 
     def test_matches_literal_double_series(self):
         # brute-force evaluation of the printed two-branch double series
@@ -163,8 +148,7 @@ class TestGammaDifferencePdf:
             return total
 
         xs = np.array([-3.0, -1.0, -0.2, 0.0, 0.3, 1.0, 2.5])
-        impl = an.gamma_difference_pdf(xs, an.GammaParams(beta=beta, gamma=gam),
-                                       an.GammaParams(beta=beta, gamma=gamp))
+        impl = an.gamma_difference_pdf(xs, gam, gamp, beta)
         oracle = np.array([direct(x) for x in xs])
         np.testing.assert_allclose(impl, oracle, atol=1e-12)
 
@@ -178,8 +162,7 @@ class TestGammaDifferencePdf:
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         oracle = np.array([np.trapezoid(np.real(phi * np.exp(-1j * w * x)), w)
                            for x in xs]) / (2 * np.pi)
-        impl = an.gamma_difference_pdf(xs, an.GammaParams(beta=beta, gamma=gam),
-                                       an.GammaParams(beta=beta, gamma=gamp))
+        impl = an.gamma_difference_pdf(xs, gam, gamp, beta)
         np.testing.assert_allclose(impl, oracle, atol=1e-3)
 
 
@@ -311,7 +294,7 @@ class TestClosedFormSer:
     def ser(chans, sigma2, gains=None):
         """closed_form_ser on the regions of ``gains`` (default: the exact
         gains) and the channel's array-summed branch energies."""
-        gains = ul.exact_linear_gains(chans) if gains is None else gains
+        gains = ul.exact_linear_gains(chans).sum(axis=0) if gains is None else gains
         const = dl.bipolar_candidates(chans.n_users)
         g1, g2 = branch_energies(chans.c, const)
         regions = ul.build_regions(gains, const)
@@ -360,9 +343,7 @@ class TestClosedFormSer:
         chans = ul.UplinkChannelSet(a=np.array([[1.0 + 0j, 1.0 + 0j]]),
                                     b=np.zeros((1, 2), dtype=complex),
                                     o=np.zeros((1, 2), dtype=complex))
-        gains = ul.LinearGains(np.stack([np.array([1.0, 1.0]), np.zeros(2),
-                                         np.zeros(2), np.zeros(2)]))
-        out, regions = self.ser(chans, 0.02, gains)
+        out, regions = self.ser(chans, 0.02, np.array([1.0, 1.0]))
         assert regions.degenerate
         # points 1 and 2 share the middle region [-1, 1), whose detector
         # decides point 1: point 2 errs outright, and point 1 (energies 1
@@ -387,7 +368,7 @@ class TestClosedFormSer:
         a = np.ones((n_t, 2), dtype=complex)
         chans = ul.UplinkChannelSet(a=a, b=np.zeros_like(a), o=np.zeros_like(a))
         const = dl.bipolar_candidates(2)
-        regions = ul.build_regions(ul.exact_linear_gains(chans), const)
+        regions = ul.build_regions(ul.exact_linear_gains(chans).sum(axis=0), const)
         assert regions.degenerate
         lo, hi = regions.intervals()
         g1, g2 = branch_energies(chans.c, const)
@@ -412,13 +393,11 @@ def test_gaussian_error_shrinks_at_high_snr():
     # Gaussian surrogate falls as the branch noise shrinks
     errs = []
     for sv2 in (0.1, 0.01, 0.001):
-        p1 = an.GammaParams(beta=2 * sv2, gamma=0.05)
-        p2 = an.GammaParams(beta=2 * sv2, gamma=0.02)
         mu = 0.03
         s2 = 4 * sv2 * 0.07 + 8 * sv2 ** 2
         sd = np.sqrt(s2)
         grid = np.linspace(mu - 8 * sd, mu + 8 * sd, 801)
-        series = an.gamma_difference_pdf(grid, p1, p2)
+        series = an.gamma_difference_pdf(grid, 0.05, 0.02, 2 * sv2)
         gauss = stats.norm.pdf(grid, mu, sd)
         errs.append(np.max(np.abs(series - gauss)) * sd)
     assert errs[0] > errs[1] > errs[2]

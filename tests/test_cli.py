@@ -166,7 +166,8 @@ def test_non_finite_config_exit_code(tmp_path, line):
     ("4", ""),                    # n_t <= n_k + 1 with 4 users
     ("16.7", ""),                 # array sizes are integers
     ("16", "noise_sigma2: 0\n"),  # the output SNR needs noise
-], ids=["small_array", "non_integer_array", "zero_noise"])
+    ("16", "snr_channel_draws: 1\n"),  # a half-width needs two draws
+], ids=["small_array", "non_integer_array", "zero_noise", "one_draw"])
 def test_output_snr_config_faults_exit_code(tmp_path, grid, extra):
     cfg = tmp_path / "snr.cfg"
     cfg.write_text(FAST_CFG + extra)
@@ -174,6 +175,27 @@ def test_output_snr_config_faults_exit_code(tmp_path, grid, extra):
                    "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("args, extra", [
+    (("pdf-fit", "--grid", "4000"), ""),            # was OverflowError
+    (("pdf-fit", "--grid=-4000"), ""),              # was ZeroDivisionError
+    (("uplink-ser", "--grid=-4000"), ""),           # was OverflowError
+    (("downlink-ber", "--sweep", "ebn0", "--grid=-4000"), ""),
+    (("downlink-ber", "--grid=-2000"), ""),         # finite ratio whose square overflows:
+    (("uplink-ser", "--grid=-2000"), ""),           # was ZeroDivisionError, OverflowError
+    (("uplink-ser",), "ebn0_db_grid: 0 4000\n"),
+    (("downlink-ber", "--sweep", "speed"), "ebn0_db: -4000\n"),
+], ids=["pdf_fit_high", "pdf_fit_low", "uplink_low", "downlink_low", "downlink_square",
+        "uplink_square", "config_grid", "config_ebn0"])
+def test_extreme_db_exit_code(tmp_path, args, extra):
+    cfg = tmp_path / "db.cfg"
+    cfg.write_text(FAST_CFG + extra)
+    out = tmp_path / "x.csv"
+    proc = run_cli(*args, "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "dB is out of range" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -41,8 +41,8 @@ class TestExactLinearGains:
                                     b=np.zeros((8, 3), dtype=complex),
                                     o=np.zeros((8, 3), dtype=complex))
         gains = ul.exact_linear_gains(chans)
-        assert np.abs(gains.parts[1:]).max() < 1e-10
-        np.testing.assert_allclose(gains.total, gains.parts[0])
+        assert np.abs(gains[1:]).max() < 1e-10
+        np.testing.assert_allclose(gains.sum(axis=0), gains[0])
 
     def test_reconstructs_noiseless_average(self):
         g = rng(3)
@@ -52,14 +52,14 @@ class TestExactLinearGains:
             s = ((x_bar + 1) / 2).astype(int)
             xi = np.mean([ul.antenna_observation(chans.c[m], s)
                           for m in range(chans.n_antennas)])
-            assert abs(xi - gains.total @ x_bar) < 1e-10
+            assert abs(xi - gains.sum(axis=0) @ x_bar) < 1e-10
 
     def test_parts_sum_to_total(self):
         g = rng(4)
         chans = random_chanset(g)
         gains = ul.exact_linear_gains(chans)
         pair_all = np.real(np.conj(chans.c.sum(axis=1))[:, None] * chans.c).mean(axis=0)
-        np.testing.assert_allclose(gains.parts.sum(axis=0), pair_all, atol=1e-12)
+        np.testing.assert_allclose(gains.sum(axis=0), pair_all, atol=1e-12)
 
     def test_high_order_part_vanishes_with_many_antennas(self):
         # K = V = 10 style weights, zero-mean NLoS, large array
@@ -70,7 +70,7 @@ class TestExactLinearGains:
         b = w_los * w_nlos * (complex_gauss(g, (n_t, n_k)) + complex_gauss(g, (n_t, n_k)))
         o = w_nlos ** 2 * complex_gauss(g, (n_t, n_k))
         gains = ul.exact_linear_gains(ul.UplinkChannelSet(a=a, b=b, o=o))
-        assert np.abs(gains.parts[3]).max() < 0.05 * np.abs(gains.parts[0]).max()
+        assert np.abs(gains[3]).max() < 0.05 * np.abs(gains[0]).max()
 
     def test_fluctuation_shrinks_with_antennas(self):
         # spread of (total - pure-LoS part) is non-increasing in the array size
@@ -84,7 +84,7 @@ class TestExactLinearGains:
                 b = w_los * w_nlos * (complex_gauss(g, (n_t, 2)) + complex_gauss(g, (n_t, 2)))
                 o = w_nlos ** 2 * complex_gauss(g, (n_t, 2))
                 gains = ul.exact_linear_gains(ul.UplinkChannelSet(a=a, b=b, o=o))
-                samples.append(gains.total[0] - gains.parts[0][0])
+                samples.append(gains.sum(axis=0)[0] - gains[0][0])
             spreads.append(np.std(samples))
         assert spreads[0] >= spreads[1] >= spreads[2] >= spreads[3]
 
@@ -96,7 +96,7 @@ class TestPilotGainEstimate:
         gains = ul.exact_linear_gains(chans)
         for user in range(4):
             est = ul.pilot_gain_estimate(chans, user)
-            assert abs(est - gains.total[user]) < 1e-10
+            assert abs(est - gains.sum(axis=0)[user]) < 1e-10
 
     def test_single_user(self):
         g = rng(8)
@@ -110,7 +110,7 @@ class TestPilotGainEstimate:
         chans = random_chanset(g, n_t=128, n_k=4)
         gains = ul.exact_linear_gains(chans)
         est = ul.pilot_gain_estimate(chans, 0, noise_sigma2=0.01, rng=g, repeats=16)
-        assert abs(est - gains.total[0]) / abs(gains.total[0]) < 0.05
+        assert abs(est - gains.sum(axis=0)[0]) / abs(gains.sum(axis=0)[0]) < 0.05
 
     def test_noisy_estimate_on_evaluation_scenario(self):
         # full-scale instance, 16 pilot repetitions, aligned target user
@@ -119,10 +119,10 @@ class TestPilotGainEstimate:
         cfg = ScenarioConfig()  # defaults: 8 users, 128 antennas, 64 elements
         chans, _ = build_uplink_instance(cfg, stream(1, 1), stream(1, 2))
         gains = ul.exact_linear_gains(chans)
-        target = int(np.argmax(np.abs(gains.total)))
+        target = int(np.argmax(np.abs(gains.sum(axis=0))))
         est = ul.pilot_gain_estimate(chans, target, noise_sigma2=0.01,
                                      rng=rng(9), repeats=16)
-        assert abs(est - gains.total[target]) / abs(gains.total[target]) < 0.05
+        assert abs(est - gains.sum(axis=0)[target]) / abs(gains.sum(axis=0)[target]) < 0.05
 
 
 class TestRegions:
