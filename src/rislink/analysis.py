@@ -10,12 +10,18 @@ symbol error rate without simulation.
 Throughout, ``sigma_v2`` is the per-quadrature variance of one correlator
 branch noise (half the complex variance), which is the parameterization under
 which every printed formula here is the exact moment of the sampled system.
+
+The module imports numpy and the standard library only.  The uplink closed
+form needs one Gaussian tail, ``math.erfc``; the double series and the
+density oracles import ``gammaln`` and ``ive`` from ``scipy.special`` when
+they are called, so importing rislink does not load scipy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erfc, gammaln, ive
 
 
 # the double series is summed over at most this many diagonals, and stops
@@ -49,6 +55,8 @@ def generalized_gamma_pdf(x, gamma: float, beta: float) -> np.ndarray:
     -(sqrt(x) - sqrt(gamma))^2 / beta and large noncentralities do not
     overflow; gamma = 0 is the exponential density.
     """
+    from scipy.special import ive
+
     _check_branch(gamma, beta)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -65,6 +73,8 @@ def generalized_gamma_pdf(x, gamma: float, beta: float) -> np.ndarray:
 def rician_envelope_pdf(t, r_bar: float, sigma_v2: float) -> np.ndarray:
     """Rician envelope density (t/s2) I0(r t/s2) exp(-(r^2+t^2)/(2 s2)) on
     t >= 0, with s2 the per-quadrature variance; r = 0 gives Rayleigh."""
+    from scipy.special import ive
+
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be > 0")
     if r_bar < 0:
@@ -79,6 +89,8 @@ def rician_envelope_pdf(t, r_bar: float, sigma_v2: float) -> np.ndarray:
 
 
 def _poisson_logpmf(k: np.ndarray, lam: float) -> np.ndarray:
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=float)
     if lam == 0.0:
         return np.where(k == 0, 0.0, -np.inf)
@@ -95,6 +107,8 @@ def _branch_log_coeffs(lam_same: float, lam_other: float, beta: float):
     lam_same + lam_other the remaining Poisson diagonal mass is geometrically
     dominated and bounds the density tail by usable absolute amounts.
     """
+    from scipy.special import gammaln
+
     lam_total = lam_same + lam_other
     ln2 = np.log(2.0)
     coeffs = np.zeros(SERIES_MAX_TERMS + 1)
@@ -207,10 +221,18 @@ def closed_form_ser(lo: np.ndarray, hi: np.ndarray, e1: np.ndarray,
     empty (lo >= hi, it shares a collapsed region with a lower index) errs
     outright.  The intervals may come from other gains than the ones behind
     (e1, e2): that is the SER of a receiver with mismatched gains.
+
+    The tails are the standard library's ``math.erfc`` (the C library's),
+    mapped over the bounds.  That keeps ``scipy.special`` out of every
+    experiment but pdf-fit, at a price: at the 2^16-point constellation cap
+    a call takes about 16 ms, against 5 ms with ``scipy.special.erfc``
+    (2-vCPU Xeon VM, Python 3.11.7).  Unlike scipy's, it keeps tails below
+    the smallest normal double (erfc(26.7) = 5.3e-312) instead of reading 0.
     """
     if sigma2 <= 0:
         raise ValueError("noise variance must be > 0 for the closed form")
     mu, var = gaussian_approx(e1, e2, sigma2 / 2.0, n_t)
-    denom = np.sqrt(2.0 * var)
-    err = 0.5 * (erfc((hi - mu) / denom) + erfc((mu - lo) / denom))
+    z = np.stack([hi - mu, mu - lo]) / np.sqrt(2.0 * var)
+    tails = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    err = 0.5 * (tails[0] + tails[1])
     return float(np.where(lo < hi, err, 1.0).mean())

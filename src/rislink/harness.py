@@ -14,12 +14,16 @@ divides by the Hadamard order in closed form, and the 4-QAM baseline
 zero-forces each block through its N_k x N_k Gram matrix, drawn with the
 cross product it needs from N_k x N_k statistics of the estimate error.
 
-Of scipy, the module loads ``scipy.special`` only: ``run_pdf_fit`` writes
-the Gaussian density and CDF out with the arithmetic ``scipy.stats.norm``
-runs, because importing ``scipy.stats`` (and the ``scipy.linalg`` it loads)
-took most of a CLI run's start-up time and about 40 MB.  ``harness.stats``
-still resolves: a module ``__getattr__`` imports ``scipy.stats`` the first
-time the name is asked for, and nothing in the package asks for it.
+Importing the module loads no scipy.  Only pdf-fit uses it, and loads
+``scipy.special`` when it runs (``ndtr`` here, ``gammaln`` and ``ive`` in
+the series): at module level that import was about half of every other
+experiment's start-up time and 17 MB of its peak memory.  ``run_pdf_fit``
+writes the Gaussian density and CDF out with the arithmetic
+``scipy.stats.norm`` runs, because importing ``scipy.stats`` (and the
+``scipy.linalg`` it loads) took most of a CLI run's start-up time and about
+40 MB.  ``harness.stats`` still resolves: a module ``__getattr__`` imports
+``scipy.stats`` the first time the name is asked for, and nothing in the
+package asks for it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import analysis, channel, downlink, uplink
 from .config import ConfigError, ScenarioConfig, check_db
@@ -669,11 +672,13 @@ def _sample_fit(samples, edges, mu, sd, fine, series_cdf):
     ``samples`` after sorting it in place: one new array of n at a time.
     The Gaussian CDF is ``scipy.stats.norm.cdf``'s arithmetic, formed in
     place."""
+    from scipy.special import ndtr
+
     samples.sort()
     hist = _density_histogram(samples, edges)
     gauss_cdf = samples - mu
     gauss_cdf /= sd
-    ks_gauss = _ks_statistic(special.ndtr(gauss_cdf, out=gauss_cdf))
+    ks_gauss = _ks_statistic(ndtr(gauss_cdf, out=gauss_cdf))
     del gauss_cdf
     return hist, ks_gauss, _ks_statistic(np.interp(samples, fine, series_cdf))
 

@@ -387,6 +387,43 @@ class TestClosedFormSer:
         sers = [self.ser(chans, s2)[0] for s2 in (0.001, 0.01, 0.1, 1.0)]
         assert sers[0] <= sers[1] <= sers[2] <= sers[3]
 
+    # the tails below are math.erfc mapped over the bounds, so these pin its
+    # behaviour at the bounds an interval can have
+
+    def test_infinite_bounds(self):
+        # n_t = 1, e1 = 1, e2 = 0 and sigma2 = 0.5: mean 1 and variance
+        # 4 * 0.25 + 8 * 0.25^2 = 1.5, so erfc(1 / sqrt(3)) / 2 lies below 0
+        def ser(lo, hi):
+            return an.closed_form_ser(np.array([lo]), np.array([hi]), np.ones(1),
+                                      np.zeros(1), 1, 0.5)
+
+        with mpmath.workdps(50):
+            below = float(mpmath.erfc(1 / mpmath.sqrt(3)) / 2)
+        assert ser(-np.inf, np.inf) == 0.0
+        assert abs(ser(0.0, np.inf) - below) < 1e-15
+        assert abs(ser(-np.inf, 0.0) - (1.0 - below)) < 1e-15
+
+    def test_empty_intervals_err_outright(self):
+        # [+inf, -inf) is the interval of a point that shares a collapsed
+        # region, and a finite lo >= hi is just as empty: both count 1
+        lo = np.array([np.inf, 2.0, -np.inf])
+        hi = np.array([-np.inf, 2.0, np.inf])
+        assert an.closed_form_ser(lo, hi, np.ones(3), np.zeros(3), 1, 0.5) == 2.0 / 3.0
+
+    def test_subnormal_tail_keeps_its_digits(self):
+        # a tail of erfc(26.7) / 2 ~ 2.6e-312 lies below the smallest normal
+        # double; the C library's erfc keeps it where scipy.special's reads 0
+        e1, e2, n_t, sigma2 = np.ones(1), np.zeros(1), 1, 0.5
+        mu, var = an.gaussian_approx(e1, e2, sigma2 / 2.0, n_t)
+        hi = mu + 26.7 * np.sqrt(2.0 * var)
+        z = float(((hi - mu) / np.sqrt(2.0 * var))[0])
+        out = an.closed_form_ser(np.array([-np.inf]), hi, e1, e2, n_t, sigma2)
+        with mpmath.workdps(50):
+            ref = float(mpmath.erfc(mpmath.mpf(z)) / 2)
+        assert 0.0 < ref < np.finfo(float).tiny
+        # subnormals carry about 40 bits here
+        assert abs(out - ref) <= 1e-9 * ref
+
 
 def test_gaussian_error_shrinks_at_high_snr():
     # scale-normalized sup distance between the series density and its
