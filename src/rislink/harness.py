@@ -44,6 +44,7 @@ from .scenario import build_downlink_frame, build_uplink_instance, stream
 FRAMES_PER_TASK = 2
 TASKS_PER_BATCH = 8
 UPLINK_TASKS_PER_BATCH = 4  # of mc_symbol_chunk symbols each
+SNR_DRAWS_PER_TASK = 25  # output-snr channel draws
 
 _TAG_DOWNLINK = 11
 _TAG_OUTPUT_SNR = 12
@@ -140,9 +141,12 @@ def read_curve_csv(path) -> CurveResult:
 
 
 @contextmanager
-def _task_map(workers: int):
+def _task_map(workers: int, tasks_per_map: int):
     """The ``map`` a run sends its tasks through: the builtin at one worker,
-    otherwise one process pool's, open for the whole run."""
+    otherwise one process pool's, open for the whole run.  No ``map`` call
+    gets more than ``tasks_per_map`` tasks, so the pool has no more workers
+    than that: a pool forks all its workers at the first submit."""
+    workers = min(workers, tasks_per_map)
     if workers <= 1:
         yield map
         return
@@ -444,7 +448,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     min_frames = math.ceil(cfg.mc_min_trials / bpf)
     max_frames = math.ceil(cfg.mc_trial_ceiling / bpf)
     runs = []  # (frames, {scheme: [bit_errors, bits]}) per point
-    with _task_map(workers) as task_map:
+    with _task_map(workers, TASKS_PER_BATCH) as task_map:
         for pi, point in enumerate(points):
             sigma2s = {s: branch_noise_sigma2(point, SCHEMES[s].bits(point))
                        for s in schemes}
@@ -517,11 +521,11 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
 
     result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
     sim_vals, sim_hw, predicted, exact = [], [], [], []
-    with _task_map(workers) as task_map:
+    with _task_map(workers, math.ceil(draws / SNR_DRAWS_PER_TASK)) as task_map:
         for pi, n_t in enumerate(nt_grid):
             point = cfg.replace(n_bs_antennas=n_t)
-            tasks = [(point, pi, lo, min(lo + 25, draws), sigma2, n_sym)
-                     for lo in range(0, draws, 25)]
+            tasks = [(point, pi, lo, min(lo + SNR_DRAWS_PER_TASK, draws), sigma2, n_sym)
+                     for lo in range(0, draws, SNR_DRAWS_PER_TASK)]
             etas, laws = np.asarray([e for part in task_map(_output_snr_task, tasks)
                                      for e in part]).T
             sim_vals.append(etas.mean())
@@ -604,7 +608,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     e2 = np.sum(np.abs(chans.c @ (1.0 - s_all).T) ** 2, axis=0)
 
     mc, cf = [], []
-    with _task_map(workers) as task_map:
+    with _task_map(workers, UPLINK_TASKS_PER_BATCH) as task_map:
         for pi, point in enumerate(points):
             sigma2 = branch_noise_sigma2(point)
             if sigma2 == 0.0:
@@ -638,21 +642,44 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 # observation pdf fit
 # --------------------------------------------------------------------------
 
-def _ks_statistic(model_cdf: np.ndarray) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of n ascending samples, given
-    the model CDF at each: max(D+, D-), the largest gap by which the
-    empirical CDF just after each sample (i/n) exceeds the model, or the
-    model exceeds it just before ((i-1)/n).  i/n - 1/n rounds to at most
-    i/n, so the two one-sided maxima cover both absolute gaps at either
-    step bit for bit.  ``model_cdf`` is only read."""
-    n = model_cdf.size
-    ecdf = np.arange(1.0, n + 1.0)
-    ecdf /= n
-    gap = np.subtract(ecdf, model_cdf)
-    d_plus = gap.max()
-    ecdf -= 1.0 / n
-    np.subtract(model_cdf, ecdf, out=gap)
-    return float(max(d_plus, gap.max()))
+KS_BLOCK = 64       # samples per block of the KS scorer's bounds
+KS_MARGIN = 1e-9    # slack on those bounds, far above any rounding in them
+
+
+def _ks_gaps(index, model, n):
+    """The one-sided gaps D+ = (i+1)/n - F and D- = F - i/n at 0-based
+    sample ``index`` with model CDF values ``model``."""
+    ecdf = (index + 1.0) / n
+    return ecdf - model, model - (ecdf - 1.0 / n)
+
+
+def _ks_statistic(ascending: np.ndarray, cdf: Callable) -> float:
+    """Two-sided Kolmogorov-Smirnov statistic of n ascending samples against
+    the elementwise model CDF ``cdf``: max(D+, D-), the largest gap by which
+    the empirical CDF just after a sample exceeds the model, or the model
+    exceeds it just before.  i/n - 1/n rounds to at most i/n, so the two
+    one-sided maxima cover both absolute gaps at either step bit for bit.
+
+    ``cdf`` runs on a few percent of the samples.  The samples are cut into
+    blocks of ``KS_BLOCK``; the gaps at each block's first and last sample
+    bound the statistic from below by L.  For a non-decreasing CDF a block
+    [a, b] has D+ <= (b+1)/n - F(x_a) and D- <= F(x_b) - a/n, so only blocks
+    whose bound comes within ``KS_MARGIN`` of L are scored in full; the
+    margin absorbs rounding and the ulp-level wobble of ``ndtr`` and
+    ``np.interp``.  A NaN at any block's first or last sample (a NaN density
+    makes the whole series table NaN) keeps every block, so NaN comes out.
+    ``ascending`` is only read."""
+    n = ascending.size
+    first = np.arange(0, n, KS_BLOCK)
+    last = np.minimum(first + (KS_BLOCK - 1), n - 1)
+    f_first, f_last = cdf(ascending[first]), cdf(ascending[last])
+    lower = np.max(_ks_gaps(first, f_first, n) + _ks_gaps(last, f_last, n))
+    bound = np.maximum((last + 1.0) / n - f_first, f_last - first / n)
+    kept = np.flatnonzero(~(bound + KS_MARGIN < lower))
+    index = (kept[:, None] * KS_BLOCK + np.arange(KS_BLOCK)).ravel()
+    index = index[index < n]
+    d_plus, d_minus = _ks_gaps(index, cdf(ascending[index]), n)
+    return float(max(d_plus.max(), d_minus.max()))
 
 
 def _density_histogram(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -669,18 +696,15 @@ def _density_histogram(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _sample_fit(samples, edges, mu, sd, fine, series_cdf):
     """Histogram density on ``edges`` and the KS statistics against N(mu,
     sd^2) and against the series CDF tabulated on ``fine``, all read off
-    ``samples`` after sorting it in place: one new array of n at a time.
-    The Gaussian CDF is ``scipy.stats.norm.cdf``'s arithmetic, formed in
-    place."""
+    ``samples`` after sorting it in place.  No other array of n is made:
+    ``_ks_statistic`` evaluates each model CDF at a few percent of the
+    samples.  The Gaussian CDF is ``scipy.stats.norm.cdf``'s arithmetic."""
     from scipy.special import ndtr
 
     samples.sort()
-    hist = _density_histogram(samples, edges)
-    gauss_cdf = samples - mu
-    gauss_cdf /= sd
-    ks_gauss = _ks_statistic(ndtr(gauss_cdf, out=gauss_cdf))
-    del gauss_cdf
-    return hist, ks_gauss, _ks_statistic(np.interp(samples, fine, series_cdf))
+    return (_density_histogram(samples, edges),
+            _ks_statistic(samples, lambda x: ndtr((x - mu) / sd)),
+            _ks_statistic(samples, lambda x: np.interp(x, fine, series_cdf)))
 
 
 def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:

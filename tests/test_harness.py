@@ -400,11 +400,24 @@ def test_train_matches_ls_estimate(n_t, pilot_len, joint):
 def test_ks_statistic_matches_scipy():
     x = np.sort(np.random.default_rng(3).normal(0.2, 1.3, 5000))
     ref = stats.kstest(x, "norm", args=(0.1, 1.2)).statistic
-    assert abs(hn._ks_statistic(stats.norm.cdf(x, 0.1, 1.2)) - ref) < 1e-12
+    assert abs(hn._ks_statistic(x, lambda v: stats.norm.cdf(v, 0.1, 1.2)) - ref) < 1e-12
+
+
+def full_array_ks(model_cdf):
+    """The scorer's previous form, kept as its oracle: max(D+, D-) over the
+    model CDF at every sample, with the same float operations."""
+    n = model_cdf.size
+    ecdf = np.arange(1.0, n + 1.0)
+    ecdf /= n
+    gap = np.subtract(ecdf, model_cdf)
+    d_plus = gap.max()
+    ecdf -= 1.0 / n
+    np.subtract(model_cdf, ecdf, out=gap)
+    return float(max(d_plus, gap.max()))
 
 
 def absolute_gap_ks(model_cdf):
-    """The previous KS form, kept as the oracle: the larger absolute gap
+    """An older KS form, kept as the oracle's oracle: the larger absolute gap
     between the model and the empirical CDF just after and just before
     each sample."""
     n = model_cdf.size
@@ -413,23 +426,116 @@ def absolute_gap_ks(model_cdf):
                                    np.abs(ecdf_hi - 1.0 / n - model_cdf))))
 
 
+def check_scorer(x, cdf):
+    """The block scorer equals the full-array oracle bit for bit, and only
+    reads the samples."""
+    kept = x.copy()
+    got = hn._ks_statistic(x, cdf)
+    assert np.array_equal(x, kept)
+    want = full_array_ks(cdf(x))
+    assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
+    return got
+
+
+def tabulated(table):
+    """An elementwise CDF of the samples 0, 1, ..., n-1 read off ``table``."""
+    return lambda v: table[v.astype(np.intp)]
+
+
 @pytest.mark.parametrize("n, shift", [
     (1, 0.0), (7, 0.4), (5000, 0.0), (5000, 0.3), (5000, -0.3), (100_003, 0.01),
 ])
 def test_ks_statistic_bit_equal_to_absolute_gaps(n, shift):
     x = np.sort(np.random.default_rng(n).normal(size=n))
-    cdf = special.ndtr(x - shift)
-    kept = cdf.copy()
-    assert hn._ks_statistic(cdf) == absolute_gap_ks(cdf)
-    assert np.array_equal(cdf, kept)  # the model CDF is only read
+    got = check_scorer(x, lambda v: special.ndtr(v - shift))
+    assert got == absolute_gap_ks(special.ndtr(x - shift))
 
 
 @pytest.mark.parametrize("n", [1, 10, 4096])
 def test_ks_statistic_bit_equal_on_the_steps(n):
     # a model CDF exactly on the empirical steps, or halfway between them
+    x = np.arange(float(n))
     steps = np.arange(1, n + 1) / n
-    for cdf in (steps, steps - 1.0 / n, steps - 0.5 / n):
-        assert hn._ks_statistic(cdf) == absolute_gap_ks(cdf)
+    for table in (steps, steps - 1.0 / n, steps - 0.5 / n):
+        got = check_scorer(x, tabulated(table))
+        assert got == absolute_gap_ks(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 4097, 1_000_003])
+@pytest.mark.parametrize("shift", [0.0, 0.002, -0.05, 0.5, 9.0, -9.0])
+def test_ks_statistic_bit_equal_to_full_array_oracle(n, shift):
+    # every block layout: fewer samples than a block, whole blocks only and
+    # a last partial block; shifts of +-9 put the statistic near 1
+    x = np.sort(np.random.default_rng(n).normal(size=n))
+    got = check_scorer(x, lambda v: special.ndtr((v - shift) / 1.01))
+    if abs(shift) == 9.0:
+        assert got > 0.99
+
+
+@pytest.mark.parametrize("n", [1, 64, 200, 5000])
+def test_ks_statistic_near_one_at_either_end(n):
+    # all model mass above the samples (D+ = 1 at the last) or below them
+    # (D- = 1 at the first)
+    x = np.sort(np.random.default_rng(n).normal(size=n))
+    assert check_scorer(x, np.zeros_like) == 1.0
+    assert check_scorer(x, np.ones_like) == 1.0
+
+
+@pytest.mark.parametrize("n", [130, 5000, 100_000])
+def test_ks_statistic_on_duplicate_samples(n):
+    x = np.sort(np.round(np.random.default_rng(n).normal(size=n), 1))
+    assert np.unique(x).size < n // 2
+    for shift in (0.0, 0.05, -0.3):
+        check_scorer(x, lambda v: special.ndtr(v - shift))
+
+
+@pytest.mark.parametrize("n", [7, 64, 1000, 100_001])
+def test_ks_statistic_against_a_step_cdf(n):
+    # a discrete model on five atoms, with samples on and between them
+    atoms = np.array([-1.0, -0.25, 0.0, 0.5, 2.0])
+    probs = np.array([0.1, 0.3, 0.2, 0.3, 0.1])
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+
+    def cdf(v):
+        return cum[np.searchsorted(atoms, v, "right")]
+
+    g = np.random.default_rng(n)
+    for x in (np.sort(g.choice(atoms, n, p=probs)),
+              np.sort(g.choice(atoms, n, p=probs[::-1])),
+              np.sort(g.uniform(-1.5, 2.5, n))):
+        check_scorer(x, cdf)
+
+
+def test_ks_statistic_absorbs_a_dip_below_the_margin():
+    # the gaps at a block's ends decide whether it is scored; a CDF that
+    # falls by less than the margin between a block's first and last sample
+    # (rounding, or the ulp wobble of np.interp at a knot) must not hide the
+    # statistic sitting at that last sample
+    n = 4 * hn.KS_BLOCK + 5
+    end = 2 * hn.KS_BLOCK - 1
+    table = np.where(np.arange(n) <= end, 0.01, 0.6)
+    table[end] -= 1e-12
+    x = np.arange(float(n))
+    got = check_scorer(x, tabulated(table))
+    assert got == (end + 1.0) / n - table[end]
+
+
+@pytest.mark.parametrize("n", [1, 64, 5000])
+def test_ks_statistic_nan_in_nan_out(n):
+    # a NaN density normalizes to an all-NaN CDF table; a NaN at one sample
+    # of an otherwise good model spoils the statistic too
+    x = np.sort(np.random.default_rng(n).normal(size=n))
+    fine = np.linspace(-5.0, 5.0, 2001)
+    nan_table = np.full(fine.size, np.nan)
+    assert np.isnan(check_scorer(x, lambda v: np.interp(v, fine, nan_table)))
+    assert np.isnan(check_scorer(x, lambda v: special.ndtr((v - 0.1) / np.nan)))
+
+    def one_nan(v):
+        f = special.ndtr(v)
+        f[v == x[-1]] = np.nan
+        return f
+
+    assert np.isnan(check_scorer(x, one_nan))
 
 
 @pytest.mark.parametrize("edges", [
@@ -640,9 +746,9 @@ class TestPdfFit:
         model_cdfs = []
         ks_statistic = hn._ks_statistic
 
-        def recording_ks(cdf):
-            model_cdfs.append(cdf)
-            return ks_statistic(cdf)
+        def recording_ks(ascending, cdf):
+            model_cdfs.append(cdf(ascending))
+            return ks_statistic(ascending, cdf)
 
         monkeypatch.setattr(hn, "_ks_statistic", recording_ks)
         res = hn.run_pdf_fit(cfg, snr_points)
@@ -666,7 +772,36 @@ class TestPdfFit:
                                   stats.norm.pdf(res.x_values, mu, sd))
             cdf = stats.norm.cdf(samples, mu, sd)
             assert np.array_equal(model_cdfs[2 * pi], cdf)
-            assert ks[f"{tag}dB"][0] == float("%.9g" % ks_statistic(cdf))
+            assert ks[f"{tag}dB"][0] == float("%.9g" % full_array_ks(cdf))
+
+    @pytest.mark.parametrize("n_users", [1, 4])
+    def test_ks_bit_equal_to_oracle_on_the_runs_samples(self, monkeypatch, n_users):
+        # both model CDFs of every point, on the sorted samples the run made
+        calls = []
+        ks_statistic = hn._ks_statistic
+
+        def checked_ks(ascending, cdf):
+            got = ks_statistic(ascending, cdf)
+            calls.append((got, full_array_ks(cdf(ascending))))
+            return got
+
+        monkeypatch.setattr(hn, "_ks_statistic", checked_ks)
+        cfg = desk_cfg(n_users=n_users, n_bs_antennas=16, pdf_fit_samples=200_000)
+        hn.run_pdf_fit(cfg, (18.0, 10.0, 3.0))
+        assert len(calls) == 6
+        for got, want in calls:
+            assert got == want
+
+    def test_nan_density_gives_nan_ks(self, monkeypatch):
+        # a NaN density makes the normalized CDF table NaN; the series KS
+        # must say so rather than score the samples against a partial table
+        monkeypatch.setattr(hn.analysis, "gamma_difference_pdf",
+                            lambda x, p1, p2, ctl: np.full(x.shape, np.nan))
+        cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=5000)
+        res = hn.run_pdf_fit(cfg, (10.0,))
+        ks_gauss, ks_series = self.ks_by_point(res)["10dB"]
+        assert np.isnan(ks_series)
+        assert 0.0 < ks_gauss < 1.0
 
     def test_truncation_carries_the_grid_density(self, monkeypatch):
         # the series runs on the output grid and the fine CDF grid at once;
@@ -714,3 +849,59 @@ class TestPdfFit:
                 ks[fields["snr"]] = (float(fields["ks_gauss"]),
                                      float(fields["ks_series"]))
         return ks
+
+
+class TestPoolSize:
+    """A pool never has more workers than one ``map`` call has tasks: a
+    process pool forks all its workers at the first submit.  The pool is a
+    fake that records its size and maps in-process."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def same(a, b):
+        assert a.series.keys() == b.series.keys()
+        for name in a.series:
+            np.testing.assert_array_equal(a.series[name].values, b.series[name].values)
+            np.testing.assert_array_equal(a.series[name].trials, b.series[name].trials)
+
+    @pytest.mark.parametrize("workers, size", [(64, hn.TASKS_PER_BATCH), (3, 3)])
+    def test_downlink(self, sizes, workers, size):
+        cfg = desk_cfg(blocks_per_frame=2, mc_min_trials=64, mc_trial_ceiling=64)
+        one = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,))
+        assert sizes == []
+        self.same(hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,),
+                                      workers=workers), one)
+        assert sizes == [size]
+
+    def test_uplink(self, sizes):
+        cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random", mc_min_trials=4000,
+                       mc_symbol_chunk=1000, mc_symbol_ceiling=4000)
+        one = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,))
+        self.same(hn.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=64), one)
+        assert sizes == [hn.UPLINK_TASKS_PER_BATCH]
+
+    @pytest.mark.parametrize("draws, size", [(60, 3), (25, None)])
+    def test_output_snr(self, sizes, draws, size):
+        # 60 draws are three tasks per point; 25 are one, and need no pool
+        cfg = desk_cfg(n_users=4, snr_channel_draws=draws)
+        one = hn.run_output_snr(cfg, (16,))
+        self.same(hn.run_output_snr(cfg, (16,), workers=64), one)
+        assert sizes == ([] if size is None else [size])
