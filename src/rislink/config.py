@@ -2,8 +2,8 @@
 
 The default configuration reproduces the evaluation setup: 8 users, a 64-
 element RIS, a 128-antenna base station, Rician factor 10 on both hops, a
-5.9 GHz carrier with 8 us symbols, 50 m/s mobility, and a 40-block frame of
-1,020 symbols including 20 training symbols.
+5.9 GHz carrier with 8 us symbols, 50 m/s mobility, and a frame of 40
+blocks of 25 symbols after its 128 training pilots, 1,128 symbols in all.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ScenarioConfig:
     speed: float = 50.0
     blocks_per_frame: int = 40
     symbols_per_block: int = 25
-    pilot_len: int = 20
     noise_sigma2: float | None = None
     ebn0_db: float = 10.0
     ebn0_db_grid: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
@@ -95,11 +94,10 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type in _REAL_TYPES and value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{f.name} must be finite", key=f.name)
-        for key in ("n_users", "n_ris_elements", "n_bs_antennas",
-                    "blocks_per_frame", "symbols_per_block", "pilot_len",
-                    "mc_min_errors", "mc_min_trials", "mc_trial_ceiling",
-                    "mc_symbol_chunk", "mc_symbol_ceiling", "snr_channel_draws",
-                    "pdf_fit_samples"):
+        for key in ("n_users", "n_ris_elements", "n_bs_antennas", "blocks_per_frame",
+                    "symbols_per_block", "mc_min_errors", "mc_min_trials",
+                    "mc_trial_ceiling", "mc_symbol_chunk", "mc_symbol_ceiling",
+                    "snr_channel_draws", "pdf_fit_samples"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1", key=key)
         for key in ("coverage_length", "carrier_f1", "symbol_period"):

@@ -6,7 +6,7 @@ observation and is real by construction, so a common Doppler rotation of the
 underlying complex channel leaves it unchanged.
 
 Training pilots are rows of the Sylvester-Hadamard matrix of order
-``hadamard_order(n_rows, length)``, a power of two, so their Gram matrix is
+``hadamard_order(n_rows)``, a power of two, so their Gram matrix is
 exactly order * I and the least-squares estimate is z_t x_t^T / order with
 no rounding in the division; ``ls_estimate`` is the generic estimator for any
 full-rank pilot block.
@@ -62,23 +62,22 @@ def equivalent_channel(h: np.ndarray) -> np.ndarray:
     return np.real(lam * h)
 
 
-def hadamard_order(n_rows: int, length: int | None = None) -> int:
+def hadamard_order(n_rows: int) -> int:
     """Order of the Hadamard pilot matrix: the smallest power of two that is
-    at least n_rows and at least ``length``; also the pilot symbol count."""
-    return 1 << (max(n_rows, length or 0, 1) - 1).bit_length()
+    at least n_rows; also the pilot symbol count."""
+    return 1 << (max(n_rows, 1) - 1).bit_length()
 
 
 @lru_cache(maxsize=16)
-def hadamard_pilots(n_rows: int, length: int | None = None) -> np.ndarray:
+def hadamard_pilots(n_rows: int) -> np.ndarray:
     """The first n_rows rows of the Sylvester-Hadamard matrix of order
-    ``hadamard_order(n_rows, length)``, as floats.
+    ``hadamard_order(n_rows)``, as floats.
 
     Sylvester's construction doubles H to [[H, H], [H, -H]] from H = [[1]].
     Rows are mutually orthogonal, so the pilot Gram matrix is order * I.
-    The 16 most recent argument pairs are cached, so the returned array
-    is read-only.
+    The 16 most recent results are cached, so they are read-only.
     """
-    order = hadamard_order(n_rows, length)
+    order = hadamard_order(n_rows)
     h = np.ones((1, 1))
     while h.shape[0] < order:
         h = np.vstack([np.hstack([h, h]), np.hstack([h, -h])])

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analysis, channel, downlink, uplink
 from .config import ConfigError, ScenarioConfig, check_db
-from .scenario import build_downlink_frame, build_uplink_instance, stream
+from .scenario import build_downlink_frame, build_uplink_instance, frame_timeline, stream
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
 FRAMES_PER_TASK = 2
@@ -220,17 +220,15 @@ def qam_modulate(bits: np.ndarray) -> np.ndarray:
 def _train(frame, cfg, scale, sigma2, rng_noise):
     """LS estimate of the real equivalent channel from Hadamard pilots sent
     at amplitude ``scale`` at the frame-start channel; the estimate is
-    scale^2 * H_bar.  The pilot Gram matrix is exactly order * I with order
-    a power of two, so z_t X^T / order equals ``downlink.ls_estimate`` bit
-    for bit without its SVD and solve."""
-    order = downlink.hadamard_order(cfg.n_bs_antennas, cfg.pilot_len)
-    pilots = downlink.hadamard_pilots(cfg.n_bs_antennas, order)
+    scale^2 * H_bar.  The pilot Gram matrix is exactly P * I for the P pilots
+    of ``frame_timeline``, a power of two, so z_t X^T / P equals
+    ``downlink.ls_estimate`` bit for bit without its SVD and solve."""
+    pilots = downlink.hadamard_pilots(cfg.n_bs_antennas)
     s_t = (1.0 + pilots) / 2.0
-    h0 = frame.h_pilot
-    c1 = scale * (h0 @ s_t)
-    c2 = scale * (h0 @ (1.0 - s_t))
+    c1 = scale * (frame.h_pilot @ s_t)
+    c2 = scale * (frame.h_pilot @ (1.0 - s_t))
     z_t = channel.power_difference(rng_noise, c1, c2, sigma2)
-    return (z_t @ pilots.T) / order
+    return (z_t @ pilots.T) / frame_timeline(cfg)[0]
 
 
 def _precoded_link(w, rho, bits, sigma2, rng):
@@ -321,7 +319,7 @@ def _estimate_statistics(h, rot, sigma2, rng):
 
 def _sim_qam_baseline(frame, cfg, sigma2, rng):
     """4-QAM with a fresh noisy, Doppler-rotated estimate H_est = r H + E per
-    block, E ~ CN(0, sigma2 / order) for the Hadamard pilot order, and zero
+    block, E ~ CN(0, sigma2 / pilots) for the pilots training sends, and zero
     forcing on it through the N_k x N_k Gram G = H_est H_est^H: the precoder
     H_est^H G^-1 / sqrt(tr G^-1) has unit power, the true channel sees
     (H H_est^H) G^-1 / sqrt(tr G^-1), and the receiver divides by the
@@ -333,16 +331,15 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     if n_t < n_k:
         raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
-    est_sigma2 = sigma2 / downlink.hadamard_order(n_t, cfg.pilot_len)
+    pilots, t0 = frame_timeline(cfg)  # t0: block starts, in symbols
     rng_noise, rng_est = rng(3), rng(5)
 
     bits = rng(4).integers(0, 2, size=(blocks, syms, n_k, 2))
     x = qam_modulate(bits)  # (B, S, N_k)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
-    t0 = cfg.pilot_len + np.arange(blocks) * syms  # block start, in symbols
-    # a fresh noisy, Doppler-rotated estimate per block
-    gram, cross = _estimate_statistics(frame.h_blocks, np.exp(1j * dnu * t0),
-                                       est_sigma2, rng_est)
+    rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
+    # a fresh noisy estimate per block, rotated as the block's first symbol
+    gram, cross = _estimate_statistics(frame.h_blocks, rot[:, 0], sigma2 / pilots, rng_est)
     lam = np.linalg.eigvalsh(gram)               # ascending, per block
     if np.any(lam[:, 0] <= downlink.RANK_RTOL * lam[:, -1]):
         raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
@@ -350,7 +347,6 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     norm = 1.0 / np.sqrt(np.trace(g_inv, axis1=-2, axis2=-1).real)[:, None, None]
     composite = cross @ g_inv * norm                           # (B, N_k, N_k)
     gain = np.diagonal(gram @ g_inv * norm, axis1=-2, axis2=-1)  # receiver-side
-    rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
     y = rot[:, :, None] * (x @ composite.mT) \
         + channel.complex_normal(rng_noise, (syms, n_k), sigma2, blocks=blocks)
     detected = qam_demodulate(y / gain[:, None, :])
@@ -461,7 +457,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     result.notes = (
         "experiment=downlink-ber sweep=%s schemes=%s" % (sweep, "+".join(schemes)),
         "seed=%d trial=block frame=%d blocks x %d symbols + %d pilots"
-        % (cfg.seed, bpf, cfg.symbols_per_block, cfg.pilot_len),
+        % (cfg.seed, bpf, cfg.symbols_per_block, frame_timeline(cfg)[0]),
         "noise map: sigma2 = 10^(-EbN0/10)/bits_per_symbol, bits = {%s}; channel "
         "rows unit-normalized at frame start%s"
         % (", ".join("%s=%d" % (sc.label, sc.bits(cfg)) for sc in SCHEMES.values()),

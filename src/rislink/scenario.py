@@ -4,17 +4,17 @@ Angles of arrival/departure are drawn uniformly and frozen per frame; user
 positions are drawn along a road segment in front of the RIS and drive the
 monomial path-loss amplitudes d^(-alpha/2) (reference distance 1 m).  The
 BS-RIS hop is static within a frame while the RIS-user hops evolve with the
-time-correlated fading process; the common mobility-induced phase rotation is
-applied per symbol on top.
+time-correlated fading process; only the QAM baseline applies the common
+Doppler rotation, which cancels in the magnitude-difference schemes.
 
 Both link directions take their cascades from ``channel.cascade``.  A
 downlink frame samples its fading once at the pilot instant t = 0 with
-``JakesFading.sample_at`` and at every block start by phasor rotation on the
-evenly spaced block grid (``JakesFading.sample_grid``), then forms all its
-cascades in one call over the stacked user rows; ``sample_at`` stays the
-per-instant oracle.  The optional direct BS-user path fades with its own
-process at the same Doppler.  The uplink is one snapshot: the transposed
-downlink cascade terms, by reciprocity.
+``JakesFading.sample_at`` and at every block start of ``frame_timeline`` by
+phasor rotation (``JakesFading.sample_grid``), then forms all its cascades in
+one call over the stacked user rows; ``sample_at`` stays the per-instant
+oracle.  The optional direct BS-user path fades with its own process at the
+same Doppler.  The uplink is one snapshot: the transposed downlink cascade
+terms, by reciprocity.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import channel as ch
 from .config import ConfigError, ScenarioConfig
+from .downlink import hadamard_order
 from .uplink import UplinkChannelSet
 
 # Road in front of the RIS: along x at fixed lateral offset and antenna height.
@@ -132,12 +133,18 @@ class DownlinkFrame:
     h_blocks: np.ndarray   # (B, N_k, N_t) at each block start
 
 
+def frame_timeline(cfg: ScenarioConfig) -> tuple[int, np.ndarray]:
+    """Pilots training sends, hadamard_order(N_t), and block starts pilots + b*S."""
+    pilots = hadamard_order(cfg.n_bs_antennas)
+    return pilots, pilots + np.arange(cfg.blocks_per_frame) * cfg.symbols_per_block
+
+
 def _frame_fades(jakes: ch.JakesFading, cfg: ScenarioConfig) -> np.ndarray:
     """Fading at the pilot instant, then at every block start by rotation on
     the block grid: (B+1,) + entry shape."""
     return np.concatenate([
         jakes.sample_at(0.0)[None],
-        jakes.sample_grid(cfg.pilot_len * cfg.symbol_period,
+        jakes.sample_grid(frame_timeline(cfg)[0] * cfg.symbol_period,
                           cfg.symbols_per_block * cfg.symbol_period,
                           cfg.blocks_per_frame)])
 

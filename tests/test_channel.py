@@ -249,10 +249,10 @@ class TestJakesFading:
     @pytest.mark.parametrize("f_max", [0.0, 197.0, 983.0])
     @pytest.mark.parametrize("shape", [(1, 1), (8, 64)])
     def test_grid_matches_sample_at(self, f_max, shape):
-        # block starts of the default frame: 20 pilots, then 25-symbol
+        # block starts of the default frame: 128 pilots, then 25-symbol
         # blocks of 8 us symbols; 400 blocks is ten 40-block frames
         state = ch.JakesFading.create(shape, f_max, rng(11))
-        t0, dt, count = 20 * 8e-6, 25 * 8e-6, 400
+        t0, dt, count = 128 * 8e-6, 25 * 8e-6, 400
         grid = state.sample_grid(t0, dt, count)
         assert grid.shape == (count,) + shape
         oracle = np.stack([state.sample_at(t0 + k * dt) for k in range(count)])

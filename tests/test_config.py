@@ -22,7 +22,7 @@ class TestDefaults:
         assert cfg.carrier_f1 == 5.9e9
         assert cfg.symbol_period == 8e-6
         assert cfg.pathloss_exponents == (2.5, 2.3, 2.1)
-        assert cfg.blocks_per_frame == 40 and cfg.pilot_len == 20
+        assert cfg.blocks_per_frame == 40 and cfg.symbols_per_block == 25
 
     def test_comment_only_file(self, tmp_path):
         cfg = load_scenario(write(tmp_path, "# just a comment\n\n"))
@@ -61,9 +61,10 @@ class TestParsing:
         assert "line 2" in str(err.value)
 
     def test_removed_samples_per_symbol_is_unknown(self, tmp_path):
-        with pytest.raises(ConfigError) as err:
-            load_scenario(write(tmp_path, "samples_per_symbol: 16\n"))
-        assert "unknown key 'samples_per_symbol'" in str(err.value)
+        for key in ("samples_per_symbol", "pilot_len"):
+            with pytest.raises(ConfigError) as err:
+                load_scenario(write(tmp_path, f"{key}: 16\n"))
+            assert f"unknown key '{key}'" in str(err.value)
 
     def test_bad_value_reports_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -95,7 +96,7 @@ class TestEveryKey:
         coverage_length=80.0, n_users=3, n_ris_elements=12, n_bs_antennas=16,
         rician_factor=2.5, rician_K=0.5, rician_V=7.25,
         pathloss_exponents=(2.0, 2.2, 2.4), carrier_f1=2.4e9, symbol_period=4e-6,
-        speed=12.5, blocks_per_frame=10, symbols_per_block=5, pilot_len=8,
+        speed=12.5, blocks_per_frame=10, symbols_per_block=5,
         noise_sigma2=0.125, ebn0_db=3.5, ebn0_db_grid=(-2.0, 1.0, 6.0),
         seed=2 ** 64 - 1, ris_phase_mode="random", direct_link=True,
         mc_min_errors=7, mc_min_trials=9, mc_trial_ceiling=11, mc_symbol_chunk=13,

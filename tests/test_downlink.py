@@ -59,7 +59,7 @@ class TestLsEstimate:
     def test_double_length_hadamard_exact(self):
         g = rng(4)
         h_bar = g.standard_normal((4, 8))
-        pilots = dl.hadamard_pilots(8, length=16)
+        pilots = dl.hadamard_pilots(16)[:8]
         assert pilots.shape == (8, 16)
         est = dl.ls_estimate(pilots, h_bar @ pilots)
         np.testing.assert_allclose(est, h_bar, atol=1e-10)
@@ -70,7 +70,7 @@ class TestLsEstimate:
         sigma2 = 0.01
         mse = []
         for length in (32, 64, 128):
-            pilots = dl.hadamard_pilots(16, length=length)
+            pilots = dl.hadamard_pilots(length)[:16]
             err = 0.0
             for _ in range(200):
                 z = h_bar @ pilots + np.sqrt(sigma2) * g.standard_normal((4, length))
@@ -95,17 +95,17 @@ class TestHadamardPilots:
                                           scipy_hadamard(order)[:n_rows])
 
     def test_built_once_and_read_only(self):
-        p = dl.hadamard_pilots(32, 20)
-        assert dl.hadamard_pilots(32, 20) is p
-        assert not p.flags.writeable
-        with pytest.raises(ValueError):
-            p[0, 0] = -1.0
+        for n_t in (5, 32):
+            p = dl.hadamard_pilots(n_t)
+            assert dl.hadamard_pilots(n_t) is p
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0, 0] = -1.0
 
-    @pytest.mark.parametrize("n_t, pilot_len",
-                             [(4, 20), (32, 20), (128, 20), (8, 16), (16, 40)])
-    def test_gram_is_exactly_order_identity(self, n_t, pilot_len):
-        order = dl.hadamard_order(n_t, pilot_len)
-        p = dl.hadamard_pilots(n_t, pilot_len)
+    @pytest.mark.parametrize("n_t", [1, 4, 5, 8, 16, 24, 32, 128])
+    def test_gram_is_exactly_order_identity(self, n_t):
+        order = dl.hadamard_order(n_t)
+        p = dl.hadamard_pilots(n_t)
         assert p.shape == (n_t, order)
         np.testing.assert_array_equal(p @ p.T, order * np.eye(n_t))
 

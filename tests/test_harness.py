@@ -217,9 +217,10 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, syms, n_k, 2))
     x = hn.qam_modulate(bits)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
+    pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
     errors = 0
     for b in range(cfg.blocks_per_frame):
-        t0 = cfg.pilot_len + b * syms
+        t0 = pilots + b * syms
         h_true = frame.h_blocks[b]
         h_est = np.exp(1j * dnu * t0) * h_true + estimate_error(b, h_true)
         p_c = np.linalg.pinv(h_est)
@@ -233,8 +234,7 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
 
 
 def estimate_sigma2(cfg, sigma2):
-    pilot_budget = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len).shape[1]
-    return sigma2 / pilot_budget
+    return sigma2 / dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
 
 
 def full_error(rng_est, sigma2):
@@ -377,7 +377,7 @@ def ls_train(frame, cfg, scale, sigma2, rng_noise):
     ``downlink.ls_estimate``, kept as the oracle of the closed-form LS.  The
     observation comes from ``channel.power_difference`` on the same stream,
     so the LS solve is what is checked, bit for bit."""
-    pilots = dl.hadamard_pilots(cfg.n_bs_antennas, cfg.pilot_len)
+    pilots = dl.hadamard_pilots(cfg.n_bs_antennas)
     s_t = (1.0 + pilots) / 2.0
     c1 = scale * (frame.h_pilot @ s_t)
     c2 = scale * (frame.h_pilot @ (1.0 - s_t))
@@ -386,15 +386,52 @@ def ls_train(frame, cfg, scale, sigma2, rng_noise):
 
 
 @pytest.mark.parametrize("joint", [False, True], ids=["unit_scale", "joint_scale"])
-@pytest.mark.parametrize("n_t, pilot_len",
-                         [(4, 20), (32, 20), (128, 20), (8, 16), (16, 40)])
-def test_train_matches_ls_estimate(n_t, pilot_len, joint):
-    cfg = desk_cfg(n_bs_antennas=n_t, pilot_len=pilot_len)
+@pytest.mark.parametrize("n_t", [4, 5, 8, 16, 24, 32, 128])
+def test_train_matches_ls_estimate(n_t, joint):
+    cfg = desk_cfg(n_bs_antennas=n_t)
     scale = 1.0 / np.sqrt(n_t) if joint else 1.0
     sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
     frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
     got = hn._train(frame, cfg, scale, sigma2, stream(3, 3))
     assert np.array_equal(got, ls_train(frame, cfg, scale, sigma2, stream(3, 3)))
+
+
+@pytest.mark.parametrize("n_t", [4, 32, 128])
+def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
+    # the fading grid's origin, the baseline's estimate noise and the CSV
+    # note all count the pilot columns _train actually transmits
+    sizes = dict(PAPER_SIZES if n_t == 128 else {}, n_bs_antennas=n_t)
+    cfg = desk_cfg(**sizes, mc_min_trials=40, mc_trial_ceiling=40)
+    seen = {}
+    sample_grid, power_diff, statistics = (hn.channel.JakesFading.sample_grid,
+                                           hn.channel.power_difference,
+                                           hn._estimate_statistics)
+
+    def spy_grid(self, t0, dt, count):
+        seen.setdefault("t0", t0)
+        return sample_grid(self, t0, dt, count)
+
+    def spy_power(rng, c1, c2, sigma2, **kw):
+        seen.setdefault("sent", np.shape(c1)[-1])
+        return power_diff(rng, c1, c2, sigma2, **kw)
+
+    def spy_statistics(h, rot, sigma2, rng):
+        seen.setdefault("est_sigma2", sigma2)
+        return statistics(h, rot, sigma2, rng)
+
+    monkeypatch.setattr(hn.channel.JakesFading, "sample_grid", spy_grid)
+    monkeypatch.setattr(hn.channel, "power_difference", spy_power)
+    monkeypatch.setattr(hn, "_estimate_statistics", spy_statistics)
+    frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
+    sigma2 = 0.25
+    hn._train(frame, cfg, 1.0, sigma2, stream(3, 3))
+    hn._sim_qam_baseline(frame, cfg, sigma2, lambda sub: stream(3, 4, sub))
+    pilots = seen["sent"]
+    assert pilots == n_t
+    assert seen["t0"] / cfg.symbol_period == pytest.approx(pilots, rel=1e-12)
+    assert seen["est_sigma2"] == sigma2 / pilots
+    note = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", grid=(50.0,)).notes[1]
+    assert note.endswith(f"40 blocks x 25 symbols + {pilots} pilots")
 
 
 def test_ks_statistic_matches_scipy():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rislink import channel as ch
+from rislink import downlink as dl
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
 from rislink.scenario import (_draw_links, build_downlink_frame, build_uplink_instance,
@@ -44,7 +45,8 @@ def per_instant_frame(cfg, rng_geo, rng_fade):
     if links.direct_weight is not None:
         direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
                                        rng_fade)
-    block_times = (cfg.pilot_len + np.arange(cfg.blocks_per_frame)
+    pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
+    block_times = (pilots + np.arange(cfg.blocks_per_frame)
                    * cfg.symbols_per_block) * cfg.symbol_period
 
     def cascade_at(t):
