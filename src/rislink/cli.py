@@ -20,9 +20,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# evaluation-setup array sizes vs the fast defaults used for sweeps
+# the evaluation setup's array sizes; ScenarioConfig defaults to desk scale
 PAPER_SCALE = {"n_bs_antennas": 128, "n_users": 8, "n_ris_elements": 64}
-DESK_SCALE = {"n_bs_antennas": 32, "n_users": 4, "n_ris_elements": 16}
 
 
 def _add_common(sub):
@@ -30,7 +29,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the master seed")
     sub.add_argument("--grid", default=None, help="comma-separated sweep values")
     sub.add_argument("--paper-scale", action="store_true",
-                     help="use the full evaluation array sizes instead of desk scale")
+                     help="use the full evaluation array sizes, over the file's")
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.add_argument("--workers", type=int, default=1, help="worker processes")
 
@@ -62,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ScenarioConfig:
     cfg = load_scenario(args.config) if args.config else ScenarioConfig()
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    overrides = {k: v for k, v in scale.items()
-                 if args.paper_scale or k not in cfg.explicit_keys}
+    overrides = dict(PAPER_SCALE) if args.paper_scale else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     return cfg.replace(**overrides) if overrides else cfg

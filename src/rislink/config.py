@@ -1,14 +1,16 @@
 """Scenario configuration: flat key-value files with validated defaults.
 
-The default configuration reproduces the evaluation setup: 8 users, a 64-
-element RIS, a 128-antenna base station, Rician factor 10 on both hops, a
-5.9 GHz carrier with 8 us symbols, 50 m/s mobility, and a frame of 40
-blocks of 25 symbols after its 128 training pilots, 1,128 symbols in all.
+The default configuration is desk scale: 4 users, a 16-element RIS and a
+32-antenna base station, with Rician factor 10 on both hops, a 5.9 GHz
+carrier with 8 us symbols, 50 m/s mobility, and a frame of 40 blocks of 25
+symbols after its 32 training pilots.  The paper's evaluation sizes (8
+users, 64 elements, 128 antennas) are ``cli.PAPER_SCALE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import dataclasses
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,12 +59,10 @@ class ScenarioConfig:
     bs_position: tuple = (20.0, -15.0, 25.0)
     ris_position: tuple = (-5.0, 45.0, 10.0)
     coverage_length: float = 100.0
-    n_users: int = 8
-    n_ris_elements: int = 64
-    n_bs_antennas: int = 128
-    rician_factor: float = 10.0
-    rician_K: float | None = None   # BS-RIS hop override
-    rician_V: float | None = None   # RIS-user hop override
+    n_users: int = 4
+    n_ris_elements: int = 16
+    n_bs_antennas: int = 32
+    rician_factor: float = 10.0     # both hops
     pathloss_exponents: tuple = (2.5, 2.3, 2.1)  # bs_user, bs_ris, ris_user
     carrier_f1: float = 5.9e9
     symbol_period: float = 8e-6
@@ -71,7 +71,6 @@ class ScenarioConfig:
     symbols_per_block: int = 25
     noise_sigma2: float | None = None
     ebn0_db: float = 10.0
-    ebn0_db_grid: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
     seed: int = 20250811
     ris_phase_mode: str = "aligned"
     direct_link: bool = False
@@ -83,7 +82,6 @@ class ScenarioConfig:
     mc_symbol_ceiling: int = 2_000_000
     snr_channel_draws: int = 200
     pdf_fit_samples: int = 1_000_000
-    explicit_keys: frozenset = field(default_factory=frozenset, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -107,10 +105,6 @@ class ScenarioConfig:
             raise ConfigError("speed must be >= 0", key="speed")
         if self.rician_factor < 0:
             raise ConfigError("rician_factor must be >= 0", key="rician_factor")
-        for key in ("rician_K", "rician_V"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ConfigError(f"{key} must be >= 0", key=key)
         if len(self.bs_position) != 3 or len(self.ris_position) != 3:
             raise ConfigError("positions must be 3-vectors", key="bs_position")
         if len(self.pathloss_exponents) != 3 or any(a <= 0 for a in self.pathloss_exponents):
@@ -119,11 +113,6 @@ class ScenarioConfig:
         if self.noise_sigma2 is not None and self.noise_sigma2 < 0:
             raise ConfigError("noise_sigma2 must be >= 0", key="noise_sigma2")
         check_db(self.ebn0_db, key="ebn0_db")
-        check_db(self.ebn0_db_grid, key="ebn0_db_grid")
-        grid = self.ebn0_db_grid
-        if len(grid) and np.any(np.diff(grid) <= 0):
-            raise ConfigError("ebn0_db_grid must be strictly increasing",
-                              key="ebn0_db_grid")
         if self.ris_phase_mode not in ("aligned", "fixed", "random"):
             raise ConfigError(f"unknown ris_phase_mode {self.ris_phase_mode!r}",
                               key="ris_phase_mode")
@@ -149,19 +138,8 @@ class ScenarioConfig:
                 return (n // nx, nx)
         return (n, 1)
 
-    @property
-    def rician_k_bs_ris(self) -> float:
-        return self.rician_factor if self.rician_K is None else self.rician_K
-
-    @property
-    def rician_v_ris_user(self) -> float:
-        return self.rician_factor if self.rician_V is None else self.rician_V
-
     def replace(self, **kwargs) -> "ScenarioConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "explicit_keys"}
-        values.update(kwargs)
-        explicit = self.explicit_keys | frozenset(kwargs)
-        return ScenarioConfig(**values, explicit_keys=explicit)
+        return dataclasses.replace(self, **kwargs)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -180,7 +158,7 @@ def _parse_floats(raw: str) -> tuple:
 # one parser per field, chosen by its annotation
 _PARSERS = {f.name: {"int": int, "float": float, "float | None": float,
                      "tuple": _parse_floats, "bool": _parse_bool, "str": str}[f.type]
-            for f in fields(ScenarioConfig) if f.name != "explicit_keys"}
+            for f in fields(ScenarioConfig)}
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -216,6 +194,6 @@ def load_scenario(path) -> ScenarioConfig:
             raise ConfigError(f"bad value {rest!r}: {exc}", key=key, line=lineno) from exc
 
     try:
-        return ScenarioConfig(**values, explicit_keys=frozenset(values))
+        return ScenarioConfig(**values)
     except TypeError as exc:  # pragma: no cover - guarded by _PARSERS
         raise ConfigError(str(exc)) from exc

@@ -376,21 +376,23 @@ SCHEMES = {
 }
 
 
+EBN0_DB_GRID = (0, 4, 8, 12, 16)  # default Eb/N0 grid of downlink-ber and uplink-ser
+
+
 @dataclass(frozen=True)
 class Sweep:
-    """One downlink sweep axis: its CSV x name, the config fields a grid
+    """One downlink sweep axis: its CSV x name, the config field a grid
     value sets, and its default grid."""
 
     x_name: str
-    fields: tuple
-    default_grid: Callable[[ScenarioConfig], tuple]
+    field: str
+    default_grid: tuple
 
 
 SWEEPS = {
-    "speed": Sweep("speed_mps", ("speed",), lambda cfg: (10.0, 30.0, 50.0)),
-    "ebn0": Sweep("ebn0_db", ("ebn0_db",), lambda cfg: cfg.ebn0_db_grid),
-    "rician_k": Sweep("rician_k", ("rician_K", "rician_V"),
-                      lambda cfg: (1.0, 10.0, 100.0)),
+    "speed": Sweep("speed_mps", "speed", (10, 30, 50)),
+    "ebn0": Sweep("ebn0_db", "ebn0_db", EBN0_DB_GRID),
+    "rician_k": Sweep("rician_k", "rician_factor", (1, 10, 100)),
 }
 
 
@@ -428,6 +430,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     """
     if isinstance(schemes, str):
         schemes = [schemes]
+    schemes = list(dict.fromkeys(schemes))  # a scheme named twice runs once
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
@@ -436,9 +439,9 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     if "linear_joint" in schemes:
         downlink.check_search_size(cfg.n_bs_antennas)  # before any frame is built
     axis = SWEEPS[sweep]
-    grid = tuple(float(g) for g in (axis.default_grid(cfg) if grid is None else grid))
+    grid = tuple(float(g) for g in (axis.default_grid if grid is None else grid))
     # one validated config per grid point
-    points = [cfg.replace(**dict.fromkeys(axis.fields, value)) for value in grid]
+    points = [cfg.replace(**{axis.field: value}) for value in grid]
 
     bpf = cfg.blocks_per_frame
     min_frames = math.ceil(cfg.mc_min_trials / bpf)
@@ -586,9 +589,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    if grid is None:
-        grid = cfg.ebn0_db_grid
-    grid = tuple(float(g) for g in grid)
+    grid = tuple(float(g) for g in (EBN0_DB_GRID if grid is None else grid))
     points = [cfg.replace(ebn0_db=value) for value in grid]
 
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),

@@ -97,11 +97,10 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
         a_ris_out = ch.upa_steering(theta, phi, nx, ny, spacing, lam) * np.sqrt(n)
         g_los[m] = ch.los_component(np.ones(1), a_ris_out)[0]
 
-    wk_los, wk_nlos = ch.rician_weights(cfg.rician_k_bs_ris)
-    wv_los, wv_nlos = ch.rician_weights(cfg.rician_v_ris_user)
+    w_los, w_nlos = ch.rician_weights(cfg.rician_factor)
 
-    q_los_w = pg_q * wk_los * q_los
-    g_los_w = (pg_g * wv_los)[:, None] * g_los
+    q_los_w = pg_q * w_los * q_los
+    g_los_w = (pg_g * w_los)[:, None] * g_los
 
     if cfg.ris_phase_mode == "aligned":
         phases = ch.align_phases_to_los(g_los[0], q_los)
@@ -116,9 +115,9 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                            for m in range(cfg.n_users)])
 
     return LinkSet(q_los_w=q_los_w,
-                   q_nlos_w=pg_q * wk_nlos * ch.complex_normal(rng_fade, q_los_w.shape),
+                   q_nlos_w=pg_q * w_nlos * ch.complex_normal(rng_fade, q_los_w.shape),
                    g_los_w=g_los_w,
-                   g_nlos_weight=(pg_g * wv_nlos)[:, None],
+                   g_nlos_weight=(pg_g * w_nlos)[:, None],
                    phases=phases,
                    direct_weight=direct)
 
@@ -151,7 +150,7 @@ def _frame_fades(jakes: ch.JakesFading, cfg: ScenarioConfig) -> np.ndarray:
 
 def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                          rng_fade: np.random.Generator) -> DownlinkFrame:
-    """One frame at the config's speed and Rician factors."""
+    """One frame at the config's speed and Rician factor."""
     links = _draw_links(cfg, rng_geo, rng_fade)
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)

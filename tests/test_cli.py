@@ -184,10 +184,9 @@ def test_output_snr_config_faults_exit_code(tmp_path, grid, extra):
     (("downlink-ber", "--sweep", "ebn0", "--grid=-4000"), ""),
     (("downlink-ber", "--grid=-2000"), ""),         # finite ratio whose square overflows:
     (("uplink-ser", "--grid=-2000"), ""),           # was ZeroDivisionError, OverflowError
-    (("uplink-ser",), "ebn0_db_grid: 0 4000\n"),
     (("downlink-ber", "--sweep", "speed"), "ebn0_db: -4000\n"),
 ], ids=["pdf_fit_high", "pdf_fit_low", "uplink_low", "downlink_low", "downlink_square",
-        "uplink_square", "config_grid", "config_ebn0"])
+        "uplink_square", "config_ebn0"])
 def test_extreme_db_exit_code(tmp_path, args, extra):
     cfg = tmp_path / "db.cfg"
     cfg.write_text(FAST_CFG + extra)
@@ -262,6 +261,36 @@ def test_io_error_exit_code(fast_cfg, tmp_path):
     proc = run_cli("output-snr", "--config", str(fast_cfg), "--grid", "16",
                    "--out", str(tmp_path / "missing_dir" / "x.csv"))
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("body, flags, sizes", [
+    ("seed: 3\n", (), (4, 32)),
+    ("n_users: 2\nn_bs_antennas: 8\n", (), (2, 8)),
+    ("n_users: 2\nn_bs_antennas: 8\n", ("--paper-scale",), (8, 128)),
+], ids=["no_size_keys", "file_sizes", "paper_scale_over_file"])
+def test_array_sizes_a_run_uses(tmp_path, body, flags, sizes):
+    # desk sizes by default, the file's sizes where it sets them, and
+    # --paper-scale over both
+    cfg = tmp_path / "sizes.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "ser.csv"
+    proc = run_cli("uplink-ser", "--config", str(cfg), "--scheme", "closed_form",
+                   "--grid", "10", *flags, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "users=%d antennas=%d " % sizes in read_curve_csv(out).notes[0]
+
+
+def test_repeated_scheme_runs_once(fast_cfg, tmp_path):
+    # a scheme named twice must not be simulated twice into one tally
+    outs = []
+    for tag, schemes in (("once", ("qam_ml_baseline",)),
+                         ("twice", ("qam_ml_baseline", "qam_ml_baseline"))):
+        out = tmp_path / f"{tag}.csv"
+        proc = run_cli("downlink-ber", "--config", str(fast_cfg), "--grid", "10,20",
+                       *(a for s in schemes for a in ("--scheme", s)), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_paper_scale_flag(tmp_path):

@@ -299,7 +299,7 @@ def test_qam_frame_matches_per_block_loop(scale, speed, direct_link):
 def test_qam_gram_zf_matches_pinv_at_worst_conditioning():
     # strong LoS on both hops at 50 dB: the most ill-conditioned Gram the
     # baseline meets at paper scale
-    cfg = desk_cfg(**PAPER_SIZES, rician_K=100.0, rician_V=100.0, ebn0_db=50.0)
+    cfg = desk_cfg(**PAPER_SIZES, rician_factor=100.0, ebn0_db=50.0)
     assert check_qam_against_per_block_loop(cfg) > 1e6
 
 

@@ -109,21 +109,21 @@ def test_uplink_matches_hand_split(scale, mode):
 
 
 def test_frame_rows_unit_normalized_at_start():
-    cfg = desk_cfg(speed=50.0, rician_K=10.0, rician_V=10.0)
+    cfg = desk_cfg(speed=50.0, rician_factor=10.0)
     frame = build_downlink_frame(cfg, stream(0, 1), stream(0, 2))
     np.testing.assert_allclose(np.linalg.norm(frame.h_pilot, axis=1), 1.0, atol=1e-12)
     assert frame.h_blocks.shape == (40, 4, 32)
 
 
 def test_frame_static_when_speed_zero():
-    cfg = desk_cfg(speed=0.0, rician_K=10.0, rician_V=10.0)
+    cfg = desk_cfg(speed=0.0, rician_factor=10.0)
     frame = build_downlink_frame(cfg, stream(1, 1), stream(1, 2))
     for b in range(1, 40):
         np.testing.assert_allclose(frame.h_blocks[b], frame.h_blocks[0], atol=1e-12)
 
 
 def test_frame_varies_with_speed():
-    cfg = desk_cfg(speed=50.0, rician_K=10.0, rician_V=10.0)
+    cfg = desk_cfg(speed=50.0, rician_factor=10.0)
     frame = build_downlink_frame(cfg, stream(2, 1), stream(2, 2))
     drift = np.abs(frame.h_blocks[-1] - frame.h_blocks[0]).max()
     assert drift > 1e-3
@@ -133,7 +133,7 @@ def test_stronger_rician_factor_reduces_fading_share():
     cfg = desk_cfg()
     drifts = []
     for k in (1.0, 100.0):
-        frame = build_downlink_frame(cfg.replace(speed=50.0, rician_K=k, rician_V=k),
+        frame = build_downlink_frame(cfg.replace(speed=50.0, rician_factor=k),
                                      stream(3, 1), stream(3, 2))
         drifts.append(np.linalg.norm(frame.h_blocks[-1] - frame.h_blocks[0]))
     assert drifts[1] < drifts[0]
@@ -158,7 +158,7 @@ def test_uplink_pure_los_limit():
 
 
 def test_direct_link_switch():
-    cfg = desk_cfg(direct_link=True, speed=0.0, rician_K=10.0, rician_V=10.0)
+    cfg = desk_cfg(direct_link=True, speed=0.0, rician_factor=10.0)
     frame = build_downlink_frame(cfg, stream(6, 1), stream(6, 2))
     cfg_off = cfg.replace(direct_link=False)
     frame_off = build_downlink_frame(cfg_off, stream(6, 1), stream(6, 2))
@@ -166,8 +166,9 @@ def test_direct_link_switch():
 
 
 def test_direct_path_fades_with_speed():
-    # a near-pure-LoS RIS-user hop leaves the direct path as the only fading
-    cfg = desk_cfg(speed=50.0, rician_V=1e12)
+    # near-pure-LoS hops leave the direct path as the only fading (the
+    # BS-RIS hop is static within a frame whatever its factor)
+    cfg = desk_cfg(speed=50.0, rician_factor=1e12)
     drift = {}
     for direct_link in (False, True):
         frame = build_downlink_frame(cfg.replace(direct_link=direct_link),

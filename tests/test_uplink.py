@@ -116,7 +116,7 @@ class TestPilotGainEstimate:
         # full-scale instance, 16 pilot repetitions, aligned target user
         from rislink.config import ScenarioConfig
         from rislink.scenario import build_uplink_instance, stream
-        cfg = ScenarioConfig()  # defaults: 8 users, 128 antennas, 64 elements
+        cfg = ScenarioConfig(n_users=8, n_bs_antennas=128, n_ris_elements=64)
         chans, _ = build_uplink_instance(cfg, stream(1, 1), stream(1, 2))
         gains = ul.exact_linear_gains(chans)
         target = int(np.argmax(np.abs(gains.sum(axis=0))))
