@@ -379,6 +379,18 @@ SCHEMES = {
 EBN0_DB_GRID = (0, 4, 8, 12, 16)  # default Eb/N0 grid of downlink-ber and uplink-ser
 
 
+def _distinct_grid(grid: tuple) -> tuple:
+    """``grid`` unchanged, or a ``ConfigError`` if two values print as one
+    CSV x: the two rows could not be told apart, and a repeated value would
+    run its point twice."""
+    xs = [_fmt(g + 0.0) for g in grid]  # + 0.0 makes -0 print as 0, the same point
+    repeated = list(dict.fromkeys(x for x in xs if xs.count(x) > 1))
+    if repeated:
+        raise ConfigError("grid values must be distinct, got %s more than once"
+                          % ", ".join(repeated))
+    return grid
+
+
 @dataclass(frozen=True)
 class Sweep:
     """One downlink sweep axis: its CSV x name, the config field a grid
@@ -439,7 +451,8 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     if "linear_joint" in schemes:
         downlink.check_search_size(cfg.n_bs_antennas)  # before any frame is built
     axis = SWEEPS[sweep]
-    grid = tuple(float(g) for g in (axis.default_grid if grid is None else grid))
+    grid = _distinct_grid(tuple(float(g) for g in
+                                (axis.default_grid if grid is None else grid)))
     # one validated config per grid point
     points = [cfg.replace(**{axis.field: value}) for value in grid]
 
@@ -505,7 +518,7 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
         nt_grid = (32, 64, 128)
     if not all(float(n).is_integer() for n in nt_grid):
         raise ConfigError(f"array sizes must be integers, got {tuple(nt_grid)}")
-    nt_grid = tuple(int(n) for n in nt_grid)
+    nt_grid = _distinct_grid(tuple(int(n) for n in nt_grid))
     sigma2 = cfg.noise_sigma2 if cfg.noise_sigma2 is not None else 0.01
     if sigma2 <= 0:
         raise ConfigError("output SNR experiment needs sigma2 > 0", key="noise_sigma2")
@@ -589,7 +602,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid = tuple(float(g) for g in (EBN0_DB_GRID if grid is None else grid))
+    grid = _distinct_grid(tuple(float(g) for g in (EBN0_DB_GRID if grid is None else grid)))
     points = [cfg.replace(ebn0_db=value) for value in grid]
 
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),
@@ -693,9 +706,10 @@ def _density_histogram(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _sample_fit(samples, edges, mu, sd, fine, series_cdf):
     """Histogram density on ``edges`` and the KS statistics against N(mu,
     sd^2) and against the series CDF tabulated on ``fine``, all read off
-    ``samples`` after sorting it in place.  No other array of n is made:
-    ``_ks_statistic`` evaluates each model CDF at a few percent of the
-    samples.  The Gaussian CDF is ``scipy.stats.norm.cdf``'s arithmetic."""
+    ``samples`` after sorting it in place.  No other array of n is made, so
+    the fit holds n floats, below the kernel's 2n peak: ``_ks_statistic``
+    evaluates each model CDF at a few percent of the samples.  The Gaussian
+    CDF is ``scipy.stats.norm.cdf``'s arithmetic."""
     from scipy.special import ndtr
 
     samples.sort()
@@ -711,7 +725,10 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     A point evaluates the series once, on the output grid and the fine CDF
     grid together, then draws its samples into one array that
     ``_sample_fit`` sorts in place and reads the histogram and both KS
-    statistics off."""
+    statistics off.  The draw streams its noise through one buffer of
+    ``channel.NOISE_CHUNK`` normals into the two branch powers and returns
+    their difference in the first one's storage, so a point peaks at 2n
+    floats plus that buffer."""
     # default top point keeps the density series inside the diagonal budget
     # below; genuinely high-SNR requests still fail loudly with the bound
     if snr_points is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -237,6 +239,101 @@ class TestPowerDifference:
         assert np.array_equal(got, clean)
         if kind is float:
             assert np.array_equal(got, c1 ** 2 - c2 ** 2)
+
+
+def full_draw_power_difference(rng, c1, c2, sigma2, shape=None, *,
+                               branch_major=False, axis=0):
+    """``channel.power_difference`` as one full draw of all four noise planes,
+    the oracle of the streamed kernel: it holds the (..., 2, 2, ...) normals
+    and the result, five floats per observation."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
+    draw = shape[:axis] + (2, 2) + shape[axis:]
+    g = np.zeros(draw) if sigma2 == 0.0 else rng.standard_normal(draw)
+    first = (axis + 1, axis) if branch_major else (axis, axis + 1)
+    planes = g.transpose(first + tuple(range(axis)) + tuple(range(axis + 2, g.ndim)))
+    if axis:
+        g = planes = np.multiply(planes, np.sqrt(sigma2 / 2.0), order="C")
+    else:
+        g *= np.sqrt(sigma2 / 2.0)
+    re1, re2 = planes[0, 0, ...], planes[0, 1, ...]
+    im1, im2 = planes[1, 0, ...], planes[1, 1, ...]
+    re1 += c1.real
+    re2 += c2.real
+    if c1.dtype.kind == "c":
+        im1 += c1.imag
+    if c2.dtype.kind == "c":
+        im2 += c2.imag
+    g *= g
+    re1 += im1
+    re2 += im2
+    return np.subtract(re1, re2)
+
+
+LAYOUT_CASES = [(False, 0), (True, 0), (True, 1)]  # part-major, branch-major, per block
+_C = ch.NOISE_CHUNK
+STREAM_SHAPES = [(), (1,), (_C - 1,), (_C,), (_C + 1,), (3 * _C + 7,), (40, 25, 8),
+                 (2, _C + 3)]
+
+
+class TestStreamedPowerDifference:
+    """The kernel's streamed draw against the full-draw oracle: the same
+    bits and the same final stream state."""
+
+    @staticmethod
+    def assert_same(c1, c2, sigma2, shape, branch_major, axis, seed=42):
+        got_rng, ref_rng = rng(seed), rng(seed)
+        before = got_rng.bit_generator.state
+        got = ch.power_difference(got_rng, c1, c2, sigma2, shape,
+                                  branch_major=branch_major, axis=axis)
+        want = full_draw_power_difference(ref_rng, c1, c2, sigma2, shape,
+                                          branch_major=branch_major, axis=axis)
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == want.dtype == float
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        if sigma2 == 0.0:
+            assert got_rng.bit_generator.state == before
+
+    @staticmethod
+    def amplitudes(kind, shape):
+        if kind == "scalar":  # pdf-fit's one clean pair
+            return np.complex128(0.8 - 0.3j), np.complex128(0.2 + 0.5j)
+        c1, c2 = complex_gauss(rng(41), (2,) + shape)
+        return (c1, c2) if kind == "complex" else (c1.real, c2.real)
+
+    @pytest.mark.parametrize("branch_major, axis, shape", [
+        (bm, axis, shape) for bm, axis in LAYOUT_CASES for shape in STREAM_SHAPES
+        if axis <= len(shape)])  # axis 1 needs an axis before it
+    @pytest.mark.parametrize("kind", ["real", "complex", "scalar"])
+    @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
+    def test_bit_equal_to_full_draw(self, branch_major, axis, shape, kind, sigma2):
+        c1, c2 = self.amplitudes(kind, shape)
+        self.assert_same(c1, c2, sigma2, shape, branch_major, axis)
+
+    @pytest.mark.parametrize("branch_major, axis", LAYOUT_CASES)
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_partly_broadcast_amplitude(self, branch_major, axis, kind):
+        c1 = complex_gauss(rng(45), (8, 1))
+        c2 = complex_gauss(rng(46), (8, 128))
+        if kind is float:
+            c1, c2 = c1.real, c2.real
+        self.assert_same(c1, c2, 0.3, None, branch_major, axis)
+        self.assert_same(c2, c1, 0.3, None, branch_major, axis)
+
+    @pytest.mark.parametrize("kind", ["complex", "scalar"])
+    def test_peak_memory_is_two_floats_per_observation(self, kind):
+        # the branch powers and one piece of normals; the full draw held five
+        n = 2 ** 20
+        c1, c2 = self.amplitudes(kind, (n,))
+        g = rng(47)
+        tracemalloc.start()
+        try:
+            ch.power_difference(g, c1, c2, 0.5, (n,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n + 8 * ch.NOISE_CHUNK + 64 * 1024
 
 
 class TestJakesFading:

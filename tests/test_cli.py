@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from rislink import cli, harness
 from rislink.harness import read_curve_csv
 
 FAST_CFG = """
@@ -75,6 +76,24 @@ def test_pdf_fit_refuses_colliding_snr_tags(fast_cfg, tmp_path):
                    "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("downlink-ber", "--grid", "10,10.0"),
+    ("uplink-ser", "--grid", "8,4,8.0000000001"),  # both rows would read x = 8
+    ("output-snr", "--grid", "32,32"),
+], ids=["downlink_ber", "uplink_ser", "output_snr"])
+def test_repeated_grid_value_is_refused(fast_cfg, tmp_path, args, monkeypatch, capsys):
+    # a point run twice writes two rows with one x; refused before any work
+    def no_work(*_args, **_kw):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "_task_map", no_work)
+    monkeypatch.setattr(harness, "build_uplink_instance", no_work)
+    out = tmp_path / "x.csv"
+    assert cli.main([*args, "--config", str(fast_cfg), "--out", str(out)]) == 2
+    assert "config error: grid values must be distinct" in capsys.readouterr().err
     assert not out.exists()
 
 
