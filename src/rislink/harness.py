@@ -158,9 +158,9 @@ def _monte_carlo(task_map, task, args, unit, tasks_per_batch, min_units,
                  ceiling, min_errors):
     """Run ``task(args + (lo, hi))`` over consecutive ranges of ``unit``
     units, ``tasks_per_batch`` per batch, summing the partials ``{series:
-    (errors, trials)}``; stop at the ceiling (never below ``min_units``) or
-    once past ``min_units`` with ``min_errors`` in every series.  Returns the
-    units run and ``{series: [errors, trials]}``."""
+    (errors, trials, ...)}`` term by term; stop at the ceiling (never below
+    ``min_units``) or once past ``min_units`` with ``min_errors`` in every
+    series.  Returns the units run and ``{series: [errors, trials, ...]}``."""
     ceiling = max(min_units, ceiling)
     totals = {}
     done = 0
@@ -168,21 +168,35 @@ def _monte_carlo(task_map, task, args, unit, tasks_per_batch, min_units,
         hi = min(done + unit * tasks_per_batch, ceiling)
         tasks = [args + (lo, min(lo + unit, hi)) for lo in range(done, hi, unit)]
         for partial in task_map(task, tasks):
-            for name, (errors, trials) in partial.items():
-                acc = totals.setdefault(name, [0, 0])
-                acc[0] += errors
-                acc[1] += trials
+            for name, terms in partial.items():
+                acc = totals.setdefault(name, [0] * len(terms))
+                for k, term in enumerate(terms):
+                    acc[k] += term
         done = hi
         if done >= ceiling or (done >= min_units and
-                               all(e >= min_errors for e, _ in totals.values())):
+                               all(t[0] >= min_errors for t in totals.values())):
             return done, totals
 
 
 def _rate_halfwidth(errors: int, total: int) -> float:
+    """Binomial 95% half-width of a rate over independent trials."""
     if total == 0:
         return 0.0
     p = errors / total
     return Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / total)
+
+
+def _frame_halfwidth(errors: int, bits: int, sq_errors: int, frames: int) -> float:
+    """95% half-width of a BER over ``frames`` i.i.d. frames of equal bit
+    count, Z95 sd(per-frame BER) / sqrt(F), from the sums of the per-frame
+    error counts and of their squares.  The bits of a frame share its
+    channel and training, so the frame, not the bit, is the independent
+    trial.  NaN below two frames, which give no sample sd."""
+    if frames < 2:
+        return math.nan
+    # F (F - 1) times the sample variance of the counts, in exact integers
+    spread = frames * sq_errors - errors * errors
+    return Z95 * math.sqrt(spread / (frames - 1)) / bits
 
 
 # --------------------------------------------------------------------------
@@ -410,9 +424,10 @@ SWEEPS = {
 
 def _downlink_task(args):
     """Simulate a contiguous frame range of one grid point's config for every
-    scheme on common channel draws; returns {scheme: [bit_errors, bits]}."""
+    scheme on common channel draws; returns {scheme: [bit_errors, bits, sum
+    of squared per-frame bit errors]}."""
     cfg, schemes, sigma2s, point_idx, frame_lo, frame_hi = args
-    totals = {s: [0, 0] for s in schemes}
+    totals = {s: [0, 0, 0] for s in schemes}
     for frame_idx in range(frame_lo, frame_hi):
         rng_geo = stream(cfg.seed, _TAG_DOWNLINK, 1, point_idx, frame_idx)
         rng_fade = stream(cfg.seed, _TAG_DOWNLINK, 2, point_idx, frame_idx)
@@ -427,6 +442,7 @@ def _downlink_task(args):
             err, bits = scheme.simulate(frame, cfg, sigma2s[name], rng)
             totals[name][0] += err
             totals[name][1] += bits
+            totals[name][2] += err * err
     return totals
 
 
@@ -438,7 +454,9 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     One trial is one transmission block; frames of ``blocks_per_frame``
     consecutive trials share a channel and training state.  Points stop at
     ``mc_min_errors`` bit errors per scheme or the trial ceiling, never below
-    ``mc_min_trials`` trials.
+    ``mc_min_trials`` trials.  Frames are i.i.d., so the half-widths are
+    ``_frame_halfwidth``'s: from the spread of the per-frame BER, not a
+    binomial over bits.
     """
     if isinstance(schemes, str):
         schemes = [schemes]
@@ -459,7 +477,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     bpf = cfg.blocks_per_frame
     min_frames = math.ceil(cfg.mc_min_trials / bpf)
     max_frames = math.ceil(cfg.mc_trial_ceiling / bpf)
-    runs = []  # (frames, {scheme: [bit_errors, bits]}) per point
+    runs = []  # (frames, {scheme: [bit_errors, bits, squares]}) per point
     with _task_map(workers, TASKS_PER_BATCH) as task_map:
         for pi, point in enumerate(points):
             sigma2s = {s: branch_noise_sigma2(point, SCHEMES[s].bits(point))
@@ -479,9 +497,10 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
         % (", ".join("%s=%d" % (sc.label, sc.bits(cfg)) for sc in SCHEMES.values()),
            "; sigma2 override=%g" % cfg.noise_sigma2 if cfg.noise_sigma2 is not None else ""),
     )
-    trials = [frames * bpf for frames, _ in runs]
     for s in schemes:
-        result.add_rate(s, [totals[s] for _, totals in runs], trials)
+        result.add(s, [totals[s][0] / totals[s][1] for _, totals in runs],
+                   [_frame_halfwidth(*totals[s], frames) for frames, totals in runs],
+                   [frames * bpf for frames, _ in runs])
     return result
 
 
@@ -557,16 +576,35 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
 # uplink SER
 # --------------------------------------------------------------------------
 
-def _averaged_observation(rng, e1, e2, n_t, sigma2):
-    """Antenna-averaged observation (1/N_t) sum_m |a1_m + v1_m|^2 -
-    |a2_m + v2_m|^2 under CN(0, sigma2) noise per branch and antenna, drawn
-    from the branch energies e_b = sum_m |ab_m|^2 alone (one value per
-    symbol): sum_m |a_m + v_m|^2 is exactly (sigma2/2) times a noncentral
-    chi-square with 2 N_t degrees of freedom and noncentrality
-    2 sum_m |a_m|^2 / sigma2, so each symbol costs two draws, not 4 N_t."""
-    x1 = rng.noncentral_chisquare(2 * n_t, 2.0 * e1 / sigma2)
-    x2 = rng.noncentral_chisquare(2 * n_t, 2.0 * e2 / sigma2)
-    return sigma2 / (2.0 * n_t) * (x1 - x2)
+UPLINK_PIECE = 2 ** 14  # symbols drawn at once; a piece's arrays stay in cache
+
+
+def _ncx2_difference(rng, diff, total, n_t):
+    """Draws of Y1 - Y2 for independent noncentral chi-squares Y_b on 2 N_t
+    degrees of freedom with noncentralities a^2 and b^2, given per symbol
+    a - b (``diff``) and a + b (``total``): one gamma and two normals a
+    symbol, in that stream order.
+
+    With CN(0, sigma2) noise per branch and antenna, sum_m |a_m + v_m|^2 is
+    exactly (sigma2/2) Y_b at a^2 = 2 sum_m |a_m|^2 / sigma2, so the
+    antenna-averaged observation is sigma2 / (2 N_t) (Y1 - Y2).  Y_b is a
+    chi-square on 2 N_t - 1 degrees of freedom plus (Z_b + a_b)^2.  The two
+    central parts differ by sqrt(8 W) Z3 in law, W ~ Gamma(N_t - 1/2): both
+    characteristic functions are (1 + 4t^2)^-(N_t - 1/2).  The squares
+    differ by (U + a - b)(V + a + b) with U = Z1 - Z2 and V = Z1 + Z2
+    independent N(0, 2).  Given V and W the difference is Gaussian, so with
+    s = V + a + b it is (a - b) s + sqrt(2 s^2 + 8 W) Z."""
+    w = rng.standard_gamma(n_t - 0.5, diff.size)
+    s = rng.standard_normal(diff.size)
+    s *= math.sqrt(2.0)
+    s += total
+    w *= 8.0
+    w += 2.0 * s * s
+    np.sqrt(w, out=w)
+    w *= rng.standard_normal(diff.size)
+    s *= diff
+    s += w
+    return s
 
 
 def _symbol_errors(xi, lo, hi):
@@ -580,13 +618,27 @@ def _uplink_task(args):
     range [first, last); e1/e2 hold every constellation point's noiseless
     branch energies summed over the n_t antennas, and lo/hi its decision
     interval (``DecisionRegions.intervals``).  The chunk stream is sub-stream
-    3 of the uplink tag (1 and 2 draw the channel)."""
+    3 of the uplink tag (1 and 2 draw the channel).
+
+    Symbols are i.i.d. and only their error count is kept, so they are drawn
+    grouped by constellation point: the bincount of n uniform point indices
+    has the law of the multinomial counts, without its O(R) binomials.  Each
+    point's a - b, a + b and interval (scaled by 2 N_t / sigma2, so the draw
+    is compared unscaled) are repeated over its symbols, and the draws run
+    in stream order, ``UPLINK_PIECE`` symbols at a time."""
     e1, e2, n_t, lo, hi, sigma2, seed, point_idx, first, last = args
     rng = stream(seed, _TAG_UPLINK, 3, point_idx, first)
     n = last - first
-    idx = rng.integers(0, e1.size, size=n)
-    xi = _averaged_observation(rng, e1[idx], e2[idx], n_t, sigma2)
-    return {"monte_carlo": (_symbol_errors(xi, lo[idx], hi[idx]), n)}
+    counts = np.bincount(rng.integers(0, e1.size, size=n), minlength=e1.size)
+    a, b = np.sqrt(2.0 * e1 / sigma2), np.sqrt(2.0 * e2 / sigma2)
+    scale = 2.0 * n_t / sigma2
+    per_symbol = np.repeat(np.stack([a - b, a + b, scale * lo, scale * hi], axis=1),
+                           counts, axis=0)
+    errors = 0
+    for p in range(0, n, UPLINK_PIECE):
+        diff, total, low, high = per_symbol[p:p + UPLINK_PIECE].T
+        errors += _symbol_errors(_ncx2_difference(rng, diff, total, n_t), low, high)
+    return {"monte_carlo": (errors, n)}
 
 
 def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
@@ -596,9 +648,9 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 
     The Monte Carlo and the noiseless points see the channel only through
     each symbol's branch energies summed over the array, computed once per
-    run; from them ``_averaged_observation`` draws the averaged observation
-    exactly, two draws per symbol, and the closed form takes its Gaussian
-    law from the same energies.
+    run; from them ``_uplink_task`` draws the averaged observation exactly,
+    one gamma and two normals per symbol, and the closed form takes its
+    Gaussian law from the same energies.
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")

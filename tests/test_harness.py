@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -160,6 +161,33 @@ class TestDownlinkBer:
                        mc_min_errors=1, mc_min_trials=100, mc_trial_ceiling=100)
         res = hn.run_downlink_ber(cfg, "qam_ml_baseline", "ebn0", (0.0,))
         assert res.series["qam_ml_baseline"].values[0] == 0.0
+
+    def test_halfwidth_is_frame_level(self):
+        # the written half-width against Z95 sd(per-frame BER) / sqrt(F)
+        # recomputed frame by frame from the same streams
+        cfg = desk_cfg(blocks_per_frame=4, mc_min_trials=40, mc_trial_ceiling=40)
+        schemes = ("linear_precoded", "qam_ml_baseline")
+        res = hn.run_downlink_ber(cfg, list(schemes), "ebn0", (4.0, 10.0))
+        for pi, ebn0 in enumerate((4.0, 10.0)):
+            point = cfg.replace(ebn0_db=ebn0)
+            sigma2s = {s: hn.branch_noise_sigma2(point, hn.SCHEMES[s].bits(point))
+                       for s in schemes}
+            frames = [hn._downlink_task((point, schemes, sigma2s, pi, f, f + 1))
+                      for f in range(10)]
+            for s in schemes:
+                ber = np.array([e / n for e, n, _ in (fr[s] for fr in frames)])
+                assert ber.std() > 0.0
+                series = res.series[s]
+                assert series.trials[pi] == 40
+                assert series.values[pi] == pytest.approx(ber.mean(), rel=1e-12)
+                assert series.half_widths[pi] == pytest.approx(
+                    hn.Z95 * ber.std(ddof=1) / np.sqrt(ber.size), rel=1e-12)
+
+    def test_halfwidth_needs_two_frames(self):
+        cfg = desk_cfg(mc_min_trials=40, mc_trial_ceiling=40)  # one frame of 40 blocks
+        res = hn.run_downlink_ber(cfg, "linear_precoded", "ebn0", (4.0,))
+        assert res.series["linear_precoded"].trials[0] == 40
+        assert np.isnan(res.series["linear_precoded"].half_widths[0])
 
     def test_qam_degrades_with_speed(self):
         cfg = desk_cfg(ebn0_db=30.0, mc_min_errors=100, mc_trial_ceiling=1600)
@@ -727,30 +755,73 @@ class TestUplinkSer:
 
 
 class TestUplinkSampler:
-    """The two-draw averaged-observation sampler against the per-antenna
-    sum of ``uplink.antenna_observation`` (the brute-force oracle)."""
+    """The averaged-observation sampler (one gamma and two normals a symbol)
+    against the per-antenna sum of ``uplink.antenna_observation`` (the
+    brute-force oracle)."""
 
     N = 20_000
 
-    @pytest.mark.parametrize("ebn0_db, symbol", [
-        (0.0, 5), (15.0, 5), (0.0, -1), (15.0, -1),
-    ], ids=["low_snr", "high_snr", "all_ones_low_snr", "all_ones_high_snr"])
-    def test_matches_per_antenna_sum(self, ebn0_db, symbol):
-        cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random")
+    @pytest.mark.parametrize("ebn0_db, symbol, n_t, zero", [
+        (0.0, 5, 64, False), (15.0, 5, 64, False), (0.0, -1, 64, False),
+        (15.0, -1, 64, False), (0.0, 5, 1, False), (15.0, 5, 1, False),
+        (15.0, -1, 1, False), (0.0, 5, 64, True), (0.0, 5, 1, True),
+    ], ids=["low_snr", "high_snr", "all_ones_low_snr", "all_ones_high_snr",
+            "one_antenna_low_snr", "one_antenna_high_snr", "one_antenna_all_ones",
+            "zero_energies", "one_antenna_zero_energies"])
+    def test_matches_per_antenna_sum(self, ebn0_db, symbol, n_t, zero):
+        cfg = desk_cfg(n_bs_antennas=n_t, ris_phase_mode="random")
         chans, _ = build_uplink_instance(cfg, stream(3, 1), stream(3, 2))
-        c, n_t = chans.c, chans.n_antennas
+        c = np.zeros_like(chans.c) if zero else chans.c
         s = ((dl.bipolar_candidates(cfg.n_users)[symbol] + 1.0) / 2.0).astype(int)
         sigma2 = 10.0 ** (-ebn0_db / 10.0)
 
         v = complex_normal(stream(3, 4), (2, self.N, n_t), sigma2)
         oracle = ul.antenna_observation(c, s, (v[0], v[1])).mean(axis=1)
 
-        e1 = np.full(self.N, np.sum(np.abs(c @ s) ** 2))
-        e2 = np.full(self.N, np.sum(np.abs(c @ (1 - s)) ** 2))
+        a = np.sqrt(2.0 * np.sum(np.abs(c @ s) ** 2) / sigma2)
+        b = np.sqrt(2.0 * np.sum(np.abs(c @ (1 - s)) ** 2) / sigma2)
         if symbol == -1:
-            assert e2[0] == 0.0  # 1 - s = 0: numpy's central chi-square path
-        drawn = hn._averaged_observation(stream(3, 5), e1, e2, n_t, sigma2)
+            assert b == 0.0  # 1 - s = 0
+        if zero:
+            assert a == b == 0.0
+        drawn = sigma2 / (2.0 * n_t) * hn._ncx2_difference(
+            stream(3, 5), np.full(self.N, a - b), np.full(self.N, a + b), n_t)
         assert stats.ks_2samp(drawn, oracle).pvalue > 0.01
+
+
+class TestUplinkExactLaw:
+    """The whole uplink Monte Carlo path (channel, regions, grouping, pieces,
+    sampler) at one user, where the SER has a closed form: binary orthogonal
+    signalling with L-fold square-law combining (Proakis and Salehi),
+    P = 2^(1-2L) e^(-g/2) sum_{n<L} c_n (g/2)^n with
+    c_n = (1/n!) sum_{k <= L-1-n} C(2L-1, k), L = N_t and g = e1 / sigma2."""
+
+    @staticmethod
+    def law(n_t, snr):
+        c = [sum(math.comb(2 * n_t - 1, k) for k in range(n_t - n)) / math.factorial(n)
+             for n in range(n_t)]
+        return 2.0 ** (1 - 2 * n_t) * math.exp(-snr / 2.0) * sum(
+            c_n * (snr / 2.0) ** n for n, c_n in enumerate(c))
+
+    def test_law_reference_value(self):
+        assert abs(self.law(4, 3.0) - 0.20406) < 1e-5
+        assert self.law(1, 4.0) == pytest.approx(0.5 * math.exp(-2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("n_t, snr", [(1, 4.0), (4, 3.0), (64, 24.0)])
+    def test_binomial_z(self, n_t, snr):
+        n = 400_000
+        cfg = desk_cfg(n_users=1, n_bs_antennas=n_t, ris_phase_mode="random",
+                       mc_min_errors=10 ** 9, mc_min_trials=n, mc_symbol_chunk=n // 4,
+                       mc_symbol_ceiling=n)
+        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, hn._TAG_UPLINK, 1),
+                                         stream(cfg.seed, hn._TAG_UPLINK, 2))
+        energy = float(np.sum(np.abs(chans.c[:, 0]) ** 2))
+        res = hn.run_uplink_ser(cfg.replace(noise_sigma2=energy / snr), "monte_carlo", (0.0,))
+        mc = res.series["monte_carlo"]
+        p = self.law(n_t, snr)
+        assert 1e-2 < p < 0.3
+        assert mc.trials[0] == n
+        assert abs(mc.values[0] - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestPdfFit:
