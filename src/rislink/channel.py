@@ -30,64 +30,49 @@ def doppler_shift(speed: float, carrier_freq: float) -> float:
     return speed * carrier_freq / SPEED_OF_LIGHT
 
 
-def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0,
-                   blocks: int | None = None) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0) -> np.ndarray:
     """I.i.d. circular complex Gaussian entries with total variance sigma2.
 
-    One block of ``shape`` draws all its real parts, then all its imaginary
-    parts.  With ``blocks=n`` the result is (n,) + shape and block k is
-    exactly what the k-th of n successive calls with ``shape`` would return:
-    the stream is consumed in the same order and left in the same state.
-    For sigma2 == 0 the result is zeros and the stream is left untouched.
+    The stream is read like ``standard_normal((2,) + shape)``: all the real
+    parts, then all the imaginary parts.  For sigma2 == 0 the result is
+    zeros and the stream is left untouched.
     """
     shape = tuple(np.atleast_1d(shape).astype(int))
-    n = 1 if blocks is None else blocks
     if sigma2 == 0.0:
-        out = np.zeros((n,) + shape, dtype=complex)
-    else:
-        out = np.empty((n,) + shape, dtype=complex)
-        g = rng.standard_normal((n, 2) + shape)
-        g *= np.sqrt(sigma2 / 2.0)
-        out.real = g[:, 0]
-        out.imag = g[:, 1]
-    return out[0] if blocks is None else out
+        return np.zeros(shape, dtype=complex)
+    out = np.empty(shape, dtype=complex)
+    g = rng.standard_normal((2,) + shape)
+    g *= np.sqrt(sigma2 / 2.0)
+    out.real = g[0]
+    out.imag = g[1]
+    return out
 
 
-def power_difference(rng: np.random.Generator, c1, c2, sigma2: float, shape=None,
-                     *, branch_major: bool = False, axis: int = 0) -> np.ndarray:
+def power_difference(rng: np.random.Generator, c1, c2, sigma2: float,
+                     shape=None) -> np.ndarray:
     """Magnitude-difference observation |c1 + v1|^2 - |c2 + v2|^2 with v1, v2
     i.i.d. CN(0, sigma2), in real arithmetic only: no complex array is made.
 
     The clean branch amplitudes c1, c2 (real or complex) broadcast to
-    ``shape``, by default their common shape.  The stream holds four planes
-    of standard normals, one value per observation each: the real parts of
-    v1 and v2, then their imaginary parts (part-major); or, with
-    ``branch_major``, v1's real and imaginary parts, then v2's.  So the
-    stream is read as ``complex_normal`` would read it for the same noise:
-    part-major is complex_normal(rng, (2,) + shape, sigma2), branch-major at
-    axis 0 is complex_normal(rng, shape, sigma2, blocks=2), and at axis k
-    those two blocks are drawn for each index of the first k axes in turn.
+    ``shape``, by default their common shape.  The stream is read like
+    complex_normal(rng, (2,) + shape, sigma2) for (v1, v2): four planes of
+    standard normals, one value per observation each, holding the real
+    parts of v1 and v2, then their imaginary parts.
 
-    At axis 0 the planes are drawn in stream order, ``NOISE_CHUNK`` values
-    at a time, into one reusable buffer: each piece is scaled, gets the real
-    (or, for complex c, imaginary) part of its clean amplitude, is squared,
-    and is stored into or added to its branch power.  A call holds the two
-    branch powers and one piece, 2n floats, and returns p1 - p2 in p1's
-    storage; an amplitude broadcast along some axes but not all is expanded
-    once to n values.  Each branch power is re^2 + im^2, within a few ulps
-    of np.abs(c + v)**2.  For sigma2 == 0 the result is the clean
-    difference and the stream is left untouched.
+    The planes are drawn in stream order, ``NOISE_CHUNK`` values at a time,
+    into one reusable buffer: each piece is scaled, gets the real (or, for
+    complex c, imaginary) part of its clean amplitude, is squared, and is
+    stored into or added to its branch power.  A call holds the two branch
+    powers and one piece, 2n floats, and returns p1 - p2 in p1's storage;
+    an amplitude broadcast along some axes but not all is expanded once to
+    n values.  Each branch power is re^2 + im^2, within a few ulps of
+    np.abs(c + v)**2.  For sigma2 == 0 the result is the clean difference
+    and the stream is left untouched.
     """
     c1, c2 = np.asarray(c1), np.asarray(c2)
     shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
-    if axis:
-        return _gathered_power_difference(rng, c1, c2, sigma2, shape, branch_major, axis)
     n = math.prod(shape)
     scale = np.sqrt(sigma2 / 2.0)
-    # (part, branch) of each plane in stream order; a branch's real plane
-    # always precedes its imaginary one
-    order = ((0, 0), (1, 0), (0, 1), (1, 1)) if branch_major else \
-        ((0, 0), (0, 1), (1, 0), (1, 1))
     # the clean parts flat, by (part, branch); a real amplitude adds nothing
     # to its imaginary plane
     clean = [[_flat(c.real, shape) for c in (c1, c2)],
@@ -98,7 +83,8 @@ def power_difference(rng: np.random.Generator, c1, c2, sigma2: float, shape=None
     buf = np.empty(min(n, NOISE_CHUNK))
     p2 = np.empty(n)
     power = (np.empty(n), p2)
-    for part, branch in order:
+    # (part, branch) of each plane in stream order
+    for part, branch in ((0, 0), (0, 1), (1, 0), (1, 1)):
         add, out = clean[part][branch], power[branch]
         for lo in range(0, n, NOISE_CHUNK):
             hi = min(lo + NOISE_CHUNK, n)
@@ -124,34 +110,6 @@ def _flat(x: np.ndarray, shape: tuple) -> np.ndarray:
     if x.shape != shape:
         x = np.broadcast_to(x, shape)
     return x.reshape(-1)
-
-
-def _gathered_power_difference(rng, c1, c2, sigma2, shape, branch_major, axis):
-    """``power_difference`` at axis > 0, from one draw of shape
-    shape[:axis] + (2, 2) + shape[axis:].  There each block of the first
-    axes reads its own four short planes, so a streamed draw would take four
-    pieces per block; the one caller, the joint detector's data, is kept
-    small by the joint search cap, so a single gathered copy costs less."""
-    draw = shape[:axis] + (2, 2) + shape[axis:]
-    g = np.zeros(draw) if sigma2 == 0.0 else rng.standard_normal(draw)
-    first = (axis + 1, axis) if branch_major else (axis, axis + 1)
-    # (part, branch) first: the blocks interleave the planes, so gather them
-    # once, scaled
-    planes = np.multiply(
-        g.transpose(first + tuple(range(axis)) + tuple(range(axis + 2, g.ndim))),
-        np.sqrt(sigma2 / 2.0), order="C")
-    re1, re2 = planes[0, 0, ...], planes[0, 1, ...]
-    im1, im2 = planes[1, 0, ...], planes[1, 1, ...]
-    re1 += c1.real
-    re2 += c2.real
-    if c1.dtype.kind == "c":
-        im1 += c1.imag
-    if c2.dtype.kind == "c":
-        im2 += c2.imag
-    planes *= planes
-    re1 += im1
-    re2 += im2
-    return np.subtract(re1, re2)
 
 
 def rician_weights(k: float) -> tuple[float, float]:

@@ -161,7 +161,7 @@ def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                                        rng_fade)
         h = h + links.direct_weight * _frame_fades(direct, cfg)
     h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))
-    return DownlinkFrame(h_pilot=h[0], h_blocks=h[1:])
+    return DownlinkFrame(h[0], h[1:])  # (pilot, blocks)
 
 
 def build_uplink_instance(cfg: ScenarioConfig, rng_geo: np.random.Generator,

@@ -146,34 +146,19 @@ class TestComplexNormal:
         out = ch.complex_normal(g, (3, 4), 0.0)
         assert out.shape == (3, 4) and out.dtype == complex
         assert not np.any(out)
-        stacked = ch.complex_normal(g, (3, 4), 0.0, blocks=5)
-        assert stacked.shape == (5, 3, 4) and not np.any(stacked)
         assert g.bit_generator.state == before
-
-    @pytest.mark.parametrize("shape, n", [((8, 128), 3), ((25, 8), 40), ((4, 25), 80)])
-    def test_blocks_equal_successive_calls(self, shape, n):
-        # each call draws its real parts, then its imaginary parts
-        one, stacked = rng(18), rng(18)
-        calls = np.stack([np.sqrt(0.35) * (one.standard_normal(shape)
-                                           + 1j * one.standard_normal(shape))
-                          for _ in range(n)])
-        got = ch.complex_normal(stacked, shape, 0.7, blocks=n)
-        assert got.shape == (n,) + shape
-        np.testing.assert_array_equal(got, calls)
-        assert stacked.bit_generator.state == one.bit_generator.state
-        np.testing.assert_array_equal(ch.complex_normal(rng(18), shape, 0.7), calls[0])
 
     @pytest.mark.parametrize("sigma2", [1.0, 0.7, 1e-9, 3.5])
     def test_bit_identical_to_zero_filled_scaling(self, sigma2):
         # the previous form: write the draws into zeros, then scale the
         # complex result by a real factor
-        shape, n = (25, 8), 40
-        g = rng(19).standard_normal((n, 2) + shape)
-        old = np.zeros((n,) + shape, dtype=complex)
-        old.real = g[:, 0]
-        old.imag = g[:, 1]
+        shape = (40, 25, 8)
+        g = rng(19).standard_normal((2,) + shape)
+        old = np.zeros(shape, dtype=complex)
+        old.real = g[0]
+        old.imag = g[1]
         old *= np.sqrt(sigma2 / 2.0)
-        got = ch.complex_normal(rng(19), shape, sigma2, blocks=n)
+        got = ch.complex_normal(rng(19), shape, sigma2)
         assert np.array_equal(got.view(float), old.view(float))
 
     def test_variance_split_between_quadratures(self):
@@ -190,30 +175,22 @@ class TestPowerDifference:
     SIGMA2 = 0.7
 
     @staticmethod
-    def complex_noise(g, shape, sigma2, branch_major, axis):
-        """(v1, v2) as the caller the kernel replaced drew them."""
-        if not branch_major:
-            v = ch.complex_normal(g, (2,) + shape, sigma2)
-            return v[0], v[1]
-        lead = int(np.prod(shape[:axis]))
-        v = ch.complex_normal(g, shape[axis:], sigma2, blocks=2 * lead)
-        v = v.reshape(shape[:axis] + (2,) + shape[axis:])
-        return np.take(v, 0, axis=axis), np.take(v, 1, axis=axis)
+    def complex_noise(g, shape, sigma2):
+        """(v1, v2) as the kernel reads them from the stream."""
+        v = ch.complex_normal(g, (2,) + shape, sigma2)
+        return v[0], v[1]
 
     def amplitudes(self, g, kind):
         c = complex_gauss(g, (2,) + self.SHAPE)
         return c if kind is complex else c.real
 
-    @pytest.mark.parametrize("branch_major, axis", [(False, 0), (True, 0), (True, 1)],
-                             ids=["part_major", "branch_major", "branch_major_per_block"])
     @pytest.mark.parametrize("kind", [float, complex])
-    def test_matches_complex_formula(self, branch_major, axis, kind):
+    def test_matches_complex_formula(self, kind):
         g = rng(41)
         c1, c2 = self.amplitudes(g, kind)
         got_rng, ref_rng = rng(42), rng(42)
-        got = ch.power_difference(got_rng, c1, c2, self.SIGMA2,
-                                  branch_major=branch_major, axis=axis)
-        v1, v2 = self.complex_noise(ref_rng, self.SHAPE, self.SIGMA2, branch_major, axis)
+        got = ch.power_difference(got_rng, c1, c2, self.SIGMA2)
+        v1, v2 = self.complex_noise(ref_rng, self.SHAPE, self.SIGMA2)
         p1, p2 = np.abs(c1 + v1) ** 2, np.abs(c2 + v2) ** 2
         assert got.shape == self.SHAPE and got.dtype == float
         assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
@@ -224,8 +201,8 @@ class TestPowerDifference:
         # the pdf-fit point broadcasts one clean pair to n noisy observations
         c1, c2 = 0.8 - 0.3j, 0.2 + 0.5j
         got = ch.power_difference(rng(43), c1, c2, self.SIGMA2, shape)
-        v = ch.complex_normal(rng(43), (2,) + (shape or ()), self.SIGMA2)
-        p1, p2 = np.abs(c1 + v[0]) ** 2, np.abs(c2 + v[1]) ** 2
+        v1, v2 = self.complex_noise(rng(43), shape or (), self.SIGMA2)
+        p1, p2 = np.abs(c1 + v1) ** 2, np.abs(c2 + v2) ** 2
         assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
 
     @pytest.mark.parametrize("kind", [float, complex])
@@ -233,7 +210,7 @@ class TestPowerDifference:
         g = rng(44)
         c1, c2 = self.amplitudes(g, kind)
         before = g.bit_generator.state
-        got = ch.power_difference(g, c1, c2, 0.0, branch_major=True, axis=1)
+        got = ch.power_difference(g, c1, c2, 0.0)
         assert g.bit_generator.state == before
         clean = (c1.real ** 2 + c1.imag ** 2) - (c2.real ** 2 + c2.imag ** 2)
         assert np.array_equal(got, clean)
@@ -241,23 +218,16 @@ class TestPowerDifference:
             assert np.array_equal(got, c1 ** 2 - c2 ** 2)
 
 
-def full_draw_power_difference(rng, c1, c2, sigma2, shape=None, *,
-                               branch_major=False, axis=0):
+def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
     """``channel.power_difference`` as one full draw of all four noise planes,
-    the oracle of the streamed kernel: it holds the (..., 2, 2, ...) normals
-    and the result, five floats per observation."""
+    the oracle of the streamed kernel: it holds the (2, 2, ...) normals and
+    the result, five floats per observation."""
     c1, c2 = np.asarray(c1), np.asarray(c2)
     shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
-    draw = shape[:axis] + (2, 2) + shape[axis:]
-    g = np.zeros(draw) if sigma2 == 0.0 else rng.standard_normal(draw)
-    first = (axis + 1, axis) if branch_major else (axis, axis + 1)
-    planes = g.transpose(first + tuple(range(axis)) + tuple(range(axis + 2, g.ndim)))
-    if axis:
-        g = planes = np.multiply(planes, np.sqrt(sigma2 / 2.0), order="C")
-    else:
-        g *= np.sqrt(sigma2 / 2.0)
-    re1, re2 = planes[0, 0, ...], planes[0, 1, ...]
-    im1, im2 = planes[1, 0, ...], planes[1, 1, ...]
+    g = np.zeros((2, 2) + shape) if sigma2 == 0.0 else rng.standard_normal((2, 2) + shape)
+    g *= np.sqrt(sigma2 / 2.0)
+    re1, re2 = g[0, 0, ...], g[0, 1, ...]
+    im1, im2 = g[1, 0, ...], g[1, 1, ...]
     re1 += c1.real
     re2 += c2.real
     if c1.dtype.kind == "c":
@@ -270,7 +240,6 @@ def full_draw_power_difference(rng, c1, c2, sigma2, shape=None, *,
     return np.subtract(re1, re2)
 
 
-LAYOUT_CASES = [(False, 0), (True, 0), (True, 1)]  # part-major, branch-major, per block
 _C = ch.NOISE_CHUNK
 STREAM_SHAPES = [(), (1,), (_C - 1,), (_C,), (_C + 1,), (3 * _C + 7,), (40, 25, 8),
                  (2, _C + 3)]
@@ -281,13 +250,11 @@ class TestStreamedPowerDifference:
     bits and the same final stream state."""
 
     @staticmethod
-    def assert_same(c1, c2, sigma2, shape, branch_major, axis, seed=42):
+    def assert_same(c1, c2, sigma2, shape, seed=42):
         got_rng, ref_rng = rng(seed), rng(seed)
         before = got_rng.bit_generator.state
-        got = ch.power_difference(got_rng, c1, c2, sigma2, shape,
-                                  branch_major=branch_major, axis=axis)
-        want = full_draw_power_difference(ref_rng, c1, c2, sigma2, shape,
-                                          branch_major=branch_major, axis=axis)
+        got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
+        want = full_draw_power_difference(ref_rng, c1, c2, sigma2, shape)
         got, want = np.asarray(got), np.asarray(want)
         assert got.shape == want.shape and got.dtype == want.dtype == float
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -302,24 +269,21 @@ class TestStreamedPowerDifference:
         c1, c2 = complex_gauss(rng(41), (2,) + shape)
         return (c1, c2) if kind == "complex" else (c1.real, c2.real)
 
-    @pytest.mark.parametrize("branch_major, axis, shape", [
-        (bm, axis, shape) for bm, axis in LAYOUT_CASES for shape in STREAM_SHAPES
-        if axis <= len(shape)])  # axis 1 needs an axis before it
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
     @pytest.mark.parametrize("kind", ["real", "complex", "scalar"])
     @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
-    def test_bit_equal_to_full_draw(self, branch_major, axis, shape, kind, sigma2):
+    def test_bit_equal_to_full_draw(self, shape, kind, sigma2):
         c1, c2 = self.amplitudes(kind, shape)
-        self.assert_same(c1, c2, sigma2, shape, branch_major, axis)
+        self.assert_same(c1, c2, sigma2, shape)
 
-    @pytest.mark.parametrize("branch_major, axis", LAYOUT_CASES)
     @pytest.mark.parametrize("kind", [float, complex])
-    def test_partly_broadcast_amplitude(self, branch_major, axis, kind):
+    def test_partly_broadcast_amplitude(self, kind):
         c1 = complex_gauss(rng(45), (8, 1))
         c2 = complex_gauss(rng(46), (8, 128))
         if kind is float:
             c1, c2 = c1.real, c2.real
-        self.assert_same(c1, c2, 0.3, None, branch_major, axis)
-        self.assert_same(c2, c1, 0.3, None, branch_major, axis)
+        self.assert_same(c1, c2, 0.3, None)
+        self.assert_same(c2, c1, 0.3, None)
 
     @pytest.mark.parametrize("kind", ["complex", "scalar"])
     def test_peak_memory_is_two_floats_per_observation(self, kind):

@@ -163,7 +163,7 @@ class TestDownlinkBer:
         assert res.series["qam_ml_baseline"].values[0] == 0.0
 
     def test_halfwidth_is_frame_level(self):
-        # the written half-width against Z95 sd(per-frame BER) / sqrt(F)
+        # the written half-width against t_{0.975, F-1} sd(per-frame BER) / sqrt(F)
         # recomputed frame by frame from the same streams
         cfg = desk_cfg(blocks_per_frame=4, mc_min_trials=40, mc_trial_ceiling=40)
         schemes = ("linear_precoded", "qam_ml_baseline")
@@ -181,7 +181,8 @@ class TestDownlinkBer:
                 assert series.trials[pi] == 40
                 assert series.values[pi] == pytest.approx(ber.mean(), rel=1e-12)
                 assert series.half_widths[pi] == pytest.approx(
-                    hn.Z95 * ber.std(ddof=1) / np.sqrt(ber.size), rel=1e-12)
+                    stats.t.ppf(0.975, ber.size - 1) * ber.std(ddof=1) / np.sqrt(ber.size),
+                    rel=1e-12)
 
     def test_halfwidth_needs_two_frames(self):
         cfg = desk_cfg(mc_min_trials=40, mc_trial_ceiling=40)  # one frame of 40 blocks
@@ -196,39 +197,81 @@ class TestDownlinkBer:
         assert v[1] > v[0]
 
 
+SEEDS = (1, 7, 20250811)
+
+
+def scheme_frames(cfg, scheme, seeds=SEEDS, frames=3):
+    """(frame, rng) of the first ``frames`` frames of grid point 0 at each
+    seed, with ``rng(sub)`` the scheme's own streams, as ``_downlink_task``
+    derives them."""
+    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES[scheme].stream_id
+    for seed in seeds:
+        for frame_idx in range(frames):
+            frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
+                                         stream(seed, tag, 2, 0, frame_idx))
+            yield frame, (lambda sub, seed=seed, frame_idx=frame_idx:
+                          stream(seed, tag, sub, 0, frame_idx, scheme_id))
+
+
+def per_block_precoded(frame, cfg, sigma2, rng):
+    """The linear_precoded frame simulation one block at a time: the true
+    block channel through the stale precoder, and |a + v|^2 in complex
+    arithmetic on the frame's data noise, drawn once and sliced per block;
+    kept as the oracle of the batched precoded link."""
+    rng_noise = rng(3)
+    pre = dl.zf_precoder(hn._train(frame, cfg, 1.0, sigma2, rng_noise))
+    blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
+    bits = rng(4).integers(0, 2, size=(blocks, syms, cfg.n_users))
+    v = complex_normal(rng_noise, (2,) + bits.shape, sigma2)
+    errors = 0
+    for b in range(blocks):
+        w = dl.equivalent_channel(frame.h_blocks[b]) @ pre.p
+        a1 = np.sqrt(pre.rho) * bits[b] @ w.T
+        a2 = np.sqrt(pre.rho) * (1 - bits[b]) @ w.T
+        z = np.abs(a1 + v[0, b]) ** 2 - np.abs(a2 + v[1, b]) ** 2
+        errors += int(np.count_nonzero((z >= 0) != bits[b]))
+    return errors, bits.size
+
+
+@pytest.mark.parametrize("speed", [0.0, 50.0])
+def test_precoded_frame_matches_per_block_loop(speed):
+    cfg = desk_cfg(speed=speed, ebn0_db=4.0)
+    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
+    total_errors = 0
+    for frame, rng in scheme_frames(cfg, "linear_precoded"):
+        got = hn._sim_linear_precoded(frame, cfg, sigma2, rng)
+        assert got == per_block_precoded(frame, cfg, sigma2, rng)
+        total_errors += got[0]
+    assert total_errors > 0
+
+
 def per_symbol_joint(frame, cfg, sigma2, rng):
     """The linear_joint frame simulation with one detection call per symbol,
-    kept as the oracle of the block-detecting harness."""
+    on the frame's data noise drawn once and sliced per block; kept as the
+    oracle of the block-detecting harness."""
     n_t = cfg.n_bs_antennas
     scale = 1.0 / np.sqrt(n_t)
     rng_noise = rng(3)
     h_hat = hn._train(frame, cfg, scale, sigma2, rng_noise)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block, n_t))
+    v = complex_normal(rng_noise, (2, cfg.blocks_per_frame, cfg.n_users,
+                                   cfg.symbols_per_block), sigma2)
     errors = 0
     for b in range(cfg.blocks_per_frame):
         c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))
         c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
-        v1 = complex_normal(rng_noise, c1.shape, sigma2)
-        v2 = complex_normal(rng_noise, c1.shape, sigma2)
-        z = np.abs(c1 + v1) ** 2 - np.abs(c2 + v2) ** 2
+        z = np.abs(c1 + v[0, b]) ** 2 - np.abs(c2 + v[1, b]) ** 2
         for s in range(cfg.symbols_per_block):
             errors += int(np.count_nonzero(dl.joint_detect(z[:, s], h_hat) != bits[b, s]))
     return errors, bits.size
 
 
-@pytest.mark.parametrize("seed", [1, 7, 20250811])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_joint_frame_matches_per_symbol_loop(seed):
     cfg = desk_cfg(n_bs_antennas=4, speed=50.0, ebn0_db=12.0, seed=seed)
     sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_joint"].bits(cfg))
-    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["linear_joint"].stream_id
     total_errors = 0
-    for frame_idx in range(3):
-        frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
-                                     stream(seed, tag, 2, 0, frame_idx))
-
-        def rng(sub):
-            return stream(seed, tag, sub, 0, frame_idx, scheme_id)
-
+    for frame, rng in scheme_frames(cfg, "linear_joint", seeds=(seed,)):
         got = hn._sim_linear_joint(frame, cfg, sigma2, rng)
         assert got == per_symbol_joint(frame, cfg, sigma2, rng)
         total_errors += got[0]
@@ -238,12 +281,13 @@ def test_joint_frame_matches_per_symbol_loop(seed):
 def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
     """The 4-QAM baseline frame simulation one block at a time, through the
     pseudo-inverse of an explicit estimate H_est = r H + E with
-    E = estimate_error(b, H) per block, and per-block noise draws; kept as
-    the oracle of the batched baseline."""
+    E = estimate_error(b, H) per block, and the frame's noise drawn once and
+    sliced per block; kept as the oracle of the batched baseline."""
     n_k, syms = cfg.n_users, cfg.symbols_per_block
     rng_noise = rng(3)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, syms, n_k, 2))
     x = hn.qam_modulate(bits)
+    noise = complex_normal(rng_noise, x.shape, sigma2)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
     pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
     errors = 0
@@ -255,8 +299,7 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
         p_c = p_c / np.sqrt(np.trace(p_c.conj().T @ p_c).real)
         gain = np.diag(h_est @ p_c)
         rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
-        y = rot[:, None] * (x[b] @ (h_true @ p_c).T) \
-            + complex_normal(rng_noise, (syms, n_k), sigma2)
+        y = rot[:, None] * (x[b] @ (h_true @ p_c).T) + noise[b]
         errors += int(np.count_nonzero(hn.qam_demodulate(y / gain[None, :]) != bits[b]))
     return errors, bits.size
 
@@ -291,22 +334,14 @@ def check_qam_against_per_block_loop(cfg):
     on 3 seeds x 3 frames, require equal (errors, bits) on each, and return
     the frames' largest true-channel Gram condition number."""
     sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
-    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES["qam_ml_baseline"].stream_id
     total_errors, worst_cond = 0, 0.0
-    for seed in (1, 7, 20250811):
-        for frame_idx in range(3):
-            frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
-                                         stream(seed, tag, 2, 0, frame_idx))
-
-            def rng(sub):
-                return stream(seed, tag, sub, 0, frame_idx, scheme_id)
-
-            got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
-            same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5))
-            assert got == per_block_qam(frame, cfg, sigma2, rng, same_draws)
-            total_errors += got[0]
-            gram = frame.h_blocks @ np.conj(np.swapaxes(frame.h_blocks, -1, -2))
-            worst_cond = max(worst_cond, np.linalg.cond(gram).max())
+    for frame, rng in scheme_frames(cfg, "qam_ml_baseline"):
+        got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
+        same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5))
+        assert got == per_block_qam(frame, cfg, sigma2, rng, same_draws)
+        total_errors += got[0]
+        gram = frame.h_blocks @ np.conj(np.swapaxes(frame.h_blocks, -1, -2))
+        worst_cond = max(worst_cond, np.linalg.cond(gram).max())
     assert total_errors > 0
     return worst_cond
 
@@ -355,7 +390,7 @@ class TestQamEstimateSampler:
     def brute_force(self, h, rot, generator):
         parts = []
         for _ in range(4):  # in chunks, to keep E small at N_t = 128
-            e = complex_normal(generator, h.shape, self.SIGMA2, blocks=self.N // 4)
+            e = complex_normal(generator, (self.N // 4,) + h.shape, self.SIGMA2)
             h_est = rot * h + e
             h_est_h = h_est.conj().swapaxes(-1, -2)
             parts.append((h_est @ h_est_h, h @ h_est_h))
@@ -460,6 +495,17 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
     assert seen["est_sigma2"] == sigma2 / pilots
     note = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", grid=(50.0,)).notes[1]
     assert note.endswith(f"40 blocks x 25 symbols + {pilots} pilots")
+
+
+def test_t95_matches_scipy():
+    dofs = np.r_[np.arange(1, 1001), np.geomspace(1000, 1e5, 100).round().astype(int)]
+    got = [hn.t95(int(d)) for d in dofs]
+    np.testing.assert_allclose(got, stats.t.ppf(0.975, dofs), rtol=1e-9, atol=0)
+
+
+def test_t95_needs_one_degree_of_freedom():
+    with pytest.raises(ValueError, match="dof"):
+        hn.t95(0)
 
 
 def test_ks_statistic_matches_scipy():
@@ -669,6 +715,17 @@ class TestOutputSnr:
         laws = [dl.output_snr_exact(dl.zf_precoder(h_bar).rho, sigma2) for h_bar in h_bars]
         assert res.series["exact"].values[0] == np.mean(laws)
         assert res.series["exact"].trials[0] == draws
+
+    def test_simulated_halfwidth_is_t_interval(self):
+        # t_{0.975, D-1} sd(eta) / sqrt(D) over the D draws' simulated SNRs
+        n_t, draws, sigma2 = 16, 30, 0.5
+        cfg = desk_cfg(n_users=4, snr_channel_draws=draws, noise_sigma2=sigma2)
+        res = hn.run_output_snr(cfg, (n_t,))
+        etas = np.array(hn._output_snr_task(
+            (cfg.replace(n_bs_antennas=n_t), 0, 0, draws, sigma2, 256)))[:, 0]
+        assert res.series["simulated"].values[0] == pytest.approx(etas.mean(), rel=1e-12)
+        assert res.series["simulated"].half_widths[0] == pytest.approx(
+            stats.t.ppf(0.975, draws - 1) * etas.std(ddof=1) / np.sqrt(draws), rel=1e-12)
 
     def test_one_precoder_per_draw(self, monkeypatch):
         # the exact law reads the draw's own ZF gain; no second factorization
