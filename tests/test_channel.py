@@ -139,6 +139,11 @@ class TestDrawRician:
             ch.rician_weights(-1.0)
 
 
+_C = ch.NOISE_CHUNK
+STREAM_SHAPES = [(), (1,), (_C - 1,), (_C,), (_C + 1,), (3 * _C + 7,), (40, 25, 8),
+                 (2, _C + 3)]
+
+
 class TestComplexNormal:
     def test_zero_variance_draws_nothing(self):
         g = rng(16)
@@ -160,6 +165,17 @@ class TestComplexNormal:
         old *= np.sqrt(sigma2 / 2.0)
         got = ch.complex_normal(rng(19), shape, sigma2)
         assert np.array_equal(got.view(float), old.view(float))
+
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7, 3.5])
+    def test_reads_real_then_imaginary_parts(self, shape, sigma2):
+        # the one stream layout: like standard_normal((2,) + shape)
+        got_rng, ref_rng = rng(20), rng(20)
+        got = ch.complex_normal(got_rng, shape, sigma2)
+        g = ref_rng.standard_normal((2,) + shape) * np.sqrt(sigma2 / 2.0)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got.real, g[0]) and np.array_equal(got.imag, g[1])
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_variance_split_between_quadratures(self):
         x = ch.complex_normal(rng(17), 400_000, 0.3)
@@ -240,9 +256,7 @@ def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
     return np.subtract(re1, re2)
 
 
-_C = ch.NOISE_CHUNK
-STREAM_SHAPES = [(), (1,), (_C - 1,), (_C,), (_C + 1,), (3 * _C + 7,), (40, 25, 8),
-                 (2, _C + 3)]
+KINDS = ["real", "complex", "scalar", "complex_real", "real_complex"]
 
 
 class TestStreamedPowerDifference:
@@ -267,14 +281,31 @@ class TestStreamedPowerDifference:
         if kind == "scalar":  # pdf-fit's one clean pair
             return np.complex128(0.8 - 0.3j), np.complex128(0.2 + 0.5j)
         c1, c2 = complex_gauss(rng(41), (2,) + shape)
-        return (c1, c2) if kind == "complex" else (c1.real, c2.real)
+        # a mixed pair adds a clean imaginary part on one branch only
+        return {"complex": (c1, c2), "real": (c1.real, c2.real),
+                "complex_real": (c1, c2.real), "real_complex": (c1.real, c2)}[kind]
 
     @pytest.mark.parametrize("shape", STREAM_SHAPES)
-    @pytest.mark.parametrize("kind", ["real", "complex", "scalar"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
     def test_bit_equal_to_full_draw(self, shape, kind, sigma2):
         c1, c2 = self.amplitudes(kind, shape)
         self.assert_same(c1, c2, sigma2, shape)
+
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
+    def test_reads_complex_normal_layout(self, shape, kind, sigma2):
+        # (v1, v2) = complex_normal(rng, (2,) + shape) on the same stream,
+        # in complex arithmetic
+        c1, c2 = self.amplitudes(kind, shape)
+        got_rng, ref_rng = rng(48), rng(48)
+        got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
+        v = ch.complex_normal(ref_rng, (2,) + shape, sigma2)
+        p1, p2 = np.abs(c1 + v[0]) ** 2, np.abs(c2 + v[1]) ** 2
+        assert got.shape == shape and got.dtype == float
+        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind", [float, complex])
     def test_partly_broadcast_amplitude(self, kind):
