@@ -121,29 +121,24 @@ def rician_weights(k: float) -> tuple[float, float]:
     return np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k))
 
 
-def ula_steering(theta: float, n: int, spacing: float, wavelength: float) -> np.ndarray:
-    """Array response of an n-element ULA; element k carries phase
-    2*pi*k*(spacing/wavelength)*sin(theta) and element 0 equals 1."""
+def ula_steering(theta: float, n: int) -> np.ndarray:
+    """Unit-magnitude response of an n-element half-wavelength ULA; element
+    k carries phase pi*k*sin(theta) and element 0 equals 1."""
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = np.arange(n)
-    return np.exp(1j * _TWO_PI * k * (spacing / wavelength) * np.sin(theta))
+    return np.exp(1j * np.pi * np.arange(n) * np.sin(theta))
 
 
-def upa_steering(theta: float, phi: float, nx: int, ny: int, spacing: float,
-                 wavelength: float) -> np.ndarray:
-    """Unit-norm response of an nx-by-ny UPA as the Kronecker product of two
-    1-D responses, for elevation theta and azimuth phi in radians.
-
-    Element (m, n) carries phase (2*pi/lambda)*d*(m*sin(phi)*sin(theta)
-    + n*cos(theta)); the 1/sqrt(nx*ny) factor makes the Euclidean norm 1.
-    """
-    scale = _TWO_PI * spacing / wavelength
-    u = np.exp(1j * scale * np.arange(nx) * np.sin(phi) * np.sin(theta))
-    v = np.exp(1j * scale * np.arange(ny) * np.cos(theta))
-    return np.outer(u, v).reshape(-1) / np.sqrt(nx * ny)
+def upa_steering(theta: float, phi: float, nx: int, ny: int) -> np.ndarray:
+    """Unit-magnitude response of an nx-by-ny half-wavelength UPA as the
+    Kronecker product of two 1-D responses, for elevation theta and azimuth
+    phi in radians: element (m, n) carries phase
+    pi*(m*sin(phi)*sin(theta) + n*cos(theta))."""
+    u = np.exp(1j * np.pi * np.arange(nx) * np.sin(phi) * np.sin(theta))
+    v = np.exp(1j * np.pi * np.arange(ny) * np.cos(theta))
+    return np.outer(u, v).reshape(-1)
 
 
 def los_component(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarray:
@@ -164,13 +159,15 @@ class JakesFading:
     autocorrelation at lag tau equals J0(2*pi*f_max*tau) exactly in
     expectation while the marginal stays zero-mean unit-variance complex
     Gaussian (by the CLT over oscillators).
+
+    ``rate`` and ``phase`` hold every oscillator's angular rate and initial
+    phase as rows of (2 * entries, oscillators): the real parts' rows, then
+    the imaginary parts'; ``shape`` is the entry shape.
     """
 
-    f_max: float
-    cos_alpha: np.ndarray
-    sin_alpha: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
+    rate: np.ndarray
+    phase: np.ndarray
+    shape: tuple
 
     @classmethod
     def create(cls, shape, f_max: float, rng: np.random.Generator) -> "JakesFading":
@@ -180,16 +177,16 @@ class JakesFading:
         m = np.arange(1, JAKES_OSCILLATORS + 1)
         theta = rng.uniform(-np.pi, np.pi, size=shape + (1,))
         alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * JAKES_OSCILLATORS)
-        phi = rng.uniform(-np.pi, np.pi, size=shape + (JAKES_OSCILLATORS,))
-        psi = rng.uniform(-np.pi, np.pi, size=shape + (JAKES_OSCILLATORS,))
-        return cls(f_max=float(f_max), cos_alpha=np.cos(alpha),
-                   sin_alpha=np.sin(alpha), phi=phi, psi=psi)
+        # the real parts' initial phases, then the imaginary parts'
+        phase = rng.uniform(-np.pi, np.pi, size=(2,) + shape + (JAKES_OSCILLATORS,))
+        rate = _TWO_PI * float(f_max) * np.stack([np.cos(alpha), np.sin(alpha)])
+        return cls(rate=rate.reshape(-1, JAKES_OSCILLATORS),
+                   phase=phase.reshape(-1, JAKES_OSCILLATORS), shape=shape)
 
     def sample_at(self, t: float) -> np.ndarray:
         """Fading matrix at absolute time t seconds."""
-        rate, phase = self._oscillators()
-        cos = np.zeros(rate.shape, dtype=complex)  # only the real parts are summed
-        np.cos(rate * t + phase, out=cos.real)
+        cos = np.zeros(self.rate.shape, dtype=complex)  # only the real parts are summed
+        np.cos(self.rate * t + self.phase, out=cos.real)
         return self._entries(_real_sums(cos))
 
     def sample_grid(self, t0: float, dt: float, count: int) -> np.ndarray:
@@ -204,30 +201,21 @@ class JakesFading:
         ``sample_at`` to rounding, and bit for bit at f_max = 0; the rounding
         of the repeated product grows with k.
         """
-        rate, phase = self._oscillators()
-        phasor = _unit_phasor(rate * t0 + phase)
-        step = _unit_phasor(rate * dt)
-        sums = np.empty((count, rate.shape[0]))
+        phasor = _unit_phasor(self.rate * t0 + self.phase)
+        step = _unit_phasor(self.rate * dt)
+        sums = np.empty((count, self.rate.shape[0]))
         for k in range(count):
             _real_sums(phasor, out=sums[k])
             phasor *= step
         return self._entries(sums)
 
-    def _oscillators(self):
-        """Angular rate and initial phase of every oscillator as rows of
-        (2 * entries, oscillators): the real parts' rows, then the
-        imaginary parts'."""
-        m = self.phi.shape[-1]
-        rate = _TWO_PI * self.f_max * np.stack([self.cos_alpha, self.sin_alpha])
-        return rate.reshape(-1, m), np.stack([self.phi, self.psi]).reshape(-1, m)
-
     def _entries(self, sums: np.ndarray) -> np.ndarray:
         """Oscillator sums (..., 2 * entries) as (...,) + entry shape complex
         fading of unit power."""
-        shape = sums.shape[:-1] + self.phi.shape[:-1]
+        shape = sums.shape[:-1] + self.shape
         half = sums.shape[-1] // 2
         return (sums[..., :half].reshape(shape) + 1j * sums[..., half:].reshape(shape)) \
-            / np.sqrt(self.phi.shape[-1])
+            / np.sqrt(JAKES_OSCILLATORS)
 
 
 def _unit_phasor(x: np.ndarray) -> np.ndarray:

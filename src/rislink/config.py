@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, doppler_shift
+from .channel import doppler_shift
 
 
 class ConfigError(ValueError):
@@ -120,10 +120,6 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits", key="seed")
 
     # ---- derived quantities -------------------------------------------------
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_f1
 
     @property
     def doppler_max(self) -> float:

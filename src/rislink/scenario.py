@@ -67,8 +67,6 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                 rng_fade: np.random.Generator) -> LinkSet:
     n = cfg.n_ris_elements
     nx, ny = cfg.ris_grid
-    lam = cfg.wavelength
-    spacing = lam / 2.0
 
     users_x = rng_geo.uniform(-cfg.coverage_length / 2.0,
                               cfg.coverage_length / 2.0, size=cfg.n_users)
@@ -86,16 +84,14 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     # LoS factors with unit-magnitude entries so the Rician mix preserves
     # per-entry power; angles uniform over their ranges, frozen per frame.
     theta_bs = rng_geo.uniform(0.0, np.pi)
-    a_bs = ch.ula_steering(theta_bs, cfg.n_bs_antennas, spacing, lam)
+    a_bs = ch.ula_steering(theta_bs, cfg.n_bs_antennas)
     theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
-    a_ris_in = ch.upa_steering(theta, phi, nx, ny, spacing, lam) * np.sqrt(n)
-    q_los = ch.los_component(a_ris_in, a_bs)
+    q_los = ch.los_component(ch.upa_steering(theta, phi, nx, ny), a_bs)
 
     g_los = np.empty((cfg.n_users, n), dtype=complex)
     for m in range(cfg.n_users):
         theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
-        a_ris_out = ch.upa_steering(theta, phi, nx, ny, spacing, lam) * np.sqrt(n)
-        g_los[m] = ch.los_component(np.ones(1), a_ris_out)[0]
+        g_los[m] = ch.upa_steering(theta, phi, nx, ny).conj()
 
     w_los, w_nlos = ch.rician_weights(cfg.rician_factor)
 
