@@ -177,7 +177,6 @@ class JakesFading:
         m = np.arange(1, JAKES_OSCILLATORS + 1)
         theta = rng.uniform(-np.pi, np.pi, size=shape + (1,))
         alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * JAKES_OSCILLATORS)
-        # the real parts' initial phases, then the imaginary parts'
         phase = rng.uniform(-np.pi, np.pi, size=(2,) + shape + (JAKES_OSCILLATORS,))
         rate = _TWO_PI * float(f_max) * np.stack([np.cos(alpha), np.sin(alpha)])
         return cls(rate=rate.reshape(-1, JAKES_OSCILLATORS),

@@ -124,11 +124,6 @@ class CurveResult:
                                    np.asarray(half_widths, dtype=float),
                                    np.asarray(trials, dtype=np.int64))
 
-    def add_rate(self, name, counts, trials):
-        """An error-rate series from per-point (errors, total) counts."""
-        self.add(name, [e / n for e, n in counts],
-                 [_rate_halfwidth(e, n) for e, n in counts], trials)
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
@@ -218,11 +213,15 @@ def _monte_carlo(task_map, task, args, unit, tasks_per_batch, min_units,
 
 
 def _rate_halfwidth(errors: int, total: int) -> float:
-    """Binomial 95% half-width of a rate over independent trials."""
-    if total == 0:
-        return 0.0
+    """95% half-width of a rate over independent trials: the Wilson score
+    interval's larger distance from p = errors / total to either end.  It
+    is Z95^2 / (total + Z95^2) at zero or at all errors, where the Wald
+    interval has width 0, and approaches the Wald half-width as total grows."""
     p = errors / total
-    return Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / total)
+    z2 = Z95 * Z95 / total
+    center = (p + z2 / 2.0) / (1.0 + z2)
+    spread = Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total)) / (1.0 + z2)
+    return spread + abs(center - p)
 
 
 def _frame_halfwidth(errors: int, bits: int, sq_errors: int, frames: int) -> float:
@@ -712,8 +711,10 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
         for pi, point in enumerate(points):
             sigma2 = branch_noise_sigma2(point)
             if sigma2 == 0.0:
+                # every constellation point once, noiselessly: an exact
+                # count, so no interval
                 errors = _symbol_errors((e1 - e2) / n_t, lo, hi)
-                mc.append((errors, const.shape[0]))
+                mc.append((errors, const.shape[0], 0.0))
                 cf.append(errors / const.shape[0])
                 continue
             if mode != "closed_form":
@@ -721,7 +722,8 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                     task_map, _uplink_task, (e1, e2, n_t, lo, hi, sigma2, cfg.seed, pi),
                     cfg.mc_symbol_chunk, UPLINK_TASKS_PER_BATCH, cfg.mc_min_trials,
                     cfg.mc_symbol_ceiling, cfg.mc_min_errors)
-                mc.append(totals["monte_carlo"])
+                errors, symbols = totals["monte_carlo"]
+                mc.append((errors, symbols, _rate_halfwidth(errors, symbols)))
             if mode != "monte_carlo":
                 cf.append(analysis.closed_form_ser(lo, hi, e1, e2, n_t, sigma2))
 
@@ -732,7 +734,8 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
                     "cascade normalized to unit RMS entry (raw RMS %.6g)" % rms,
                     "degenerate_regions=%s" % regions.degenerate)
     if mode != "closed_form":
-        result.add_rate("monte_carlo", mc, [n for _, n in mc])
+        result.add("monte_carlo", [e / n for e, n, _ in mc], [h for _, _, h in mc],
+                   [n for _, n, _ in mc])
     if mode != "monte_carlo":
         result.add("closed_form", cf, [0.0] * len(grid), [0] * len(grid))
     return result

@@ -245,6 +245,65 @@ def test_precoded_frame_matches_per_block_loop(speed):
     assert total_errors > 0
 
 
+def precoded_error_law(a1, a2, bits, sigma2):
+    """Each bit's error probability on the precoded link.  With v1, v2
+    i.i.d. CN(0, sigma2), P(|a1 + v1|^2 < |a2 + v2|^2) = Q1(a, b)
+    - exp(-(a^2 + b^2) / 2) I0(ab) / 2 at a = |a2| / sigma, b = |a1| / sigma
+    (Schwartz, Bennett and Stein), with Q1(a, b) = 1 - chndtr(b^2, 2, a^2);
+    a 1 bit errs on that event, a 0 bit on its complement."""
+    a = np.abs(a2) / np.sqrt(sigma2)
+    b = np.abs(a1) / np.sqrt(sigma2)
+    less = (1.0 - special.chndtr(b * b, 2, a * a)
+            - 0.5 * np.exp(-(a - b) ** 2 / 2.0) * special.ive(0, a * b))
+    less = np.clip(less, 0.0, 1.0)  # the difference rounds below 0 deep in the tail
+    return np.where(bits == 1, less, 1.0 - less)
+
+
+def test_precoded_error_law_at_w_identity():
+    # at a2 = 0 the law is precoded_ber_exact's 0.5 exp(-rho / (2 sigma2)),
+    # down to the 1 - chndtr form's absolute floor of about 1e-16
+    rho = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 25.0])
+    for sigma2 in (0.05, 0.5, 2.0):
+        law = precoded_error_law(np.sqrt(rho), np.zeros_like(rho), np.ones(rho.size), sigma2)
+        np.testing.assert_allclose(law, dl.precoded_ber_exact(rho, sigma2),
+                                   rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("a1, a2, sigma2", [(1.0, 0.5, 1.0), (0.3, 0.2, 0.1),
+                                            (2.0, 1.5, 2.0), (0.1, 0.9, 0.5)])
+def test_precoded_error_law_matches_complex_monte_carlo(a1, a2, sigma2):
+    n = 200_000
+    v = complex_normal(np.random.default_rng(7), (2, n), sigma2)
+    hits = np.count_nonzero(np.abs(a1 + v[0]) ** 2 < np.abs(a2 + v[1]) ** 2)
+    p = precoded_error_law(a1, a2, 1, sigma2)
+    assert abs(hits - n * p) < 4.0 * np.sqrt(n * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("speed", [0.0, 50.0])
+def test_precoded_errors_follow_the_exact_law(speed):
+    # the frame's error count against the sum of its bits' error
+    # probabilities at the amplitudes per_block_precoded forms: given the
+    # amplitudes the bits err independently, so the count has mean sum(p)
+    # and variance sum(p (1 - p))
+    cfg = desk_cfg(speed=speed, ebn0_db=30.0)
+    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
+    errors, mean, var = 0, 0.0, 0.0
+    for frame, rng in scheme_frames(cfg, "linear_precoded"):
+        pre = dl.zf_precoder(hn._train(frame, cfg, 1.0, sigma2, rng(3)))
+        bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block,
+                                           cfg.n_users))
+        for b in range(cfg.blocks_per_frame):
+            w = dl.equivalent_channel(frame.h_blocks[b]) @ pre.p
+            a1 = np.sqrt(pre.rho) * bits[b] @ w.T
+            a2 = np.sqrt(pre.rho) * (1 - bits[b]) @ w.T
+            p = precoded_error_law(a1, a2, bits[b], sigma2)
+            mean += p.sum()
+            var += (p * (1.0 - p)).sum()
+        errors += hn._sim_linear_precoded(frame, cfg, sigma2, rng)[0]
+    assert 0.05 < mean / (9 * 4000) < 0.45  # away from a coin toss and from zero
+    assert abs(errors - mean) < 4.0 * np.sqrt(var)
+
+
 def per_symbol_joint(frame, cfg, sigma2, rng):
     """The linear_joint frame simulation with one detection call per symbol,
     on the frame's data noise drawn once and sliced per block; kept as the
@@ -767,6 +826,22 @@ class TestUplinkSer:
         assert "degenerate_regions=True" in res.notes
         np.testing.assert_array_equal(res.series["monte_carlo"].values, [0.25])
         np.testing.assert_array_equal(res.series["closed_form"].values, [0.25])
+        # an exact count over the constellation, not a sample: no interval
+        np.testing.assert_array_equal(res.series["monte_carlo"].half_widths, [0.0])
+
+    def test_zero_errors_keep_a_wilson_halfwidth(self, monkeypatch):
+        # one user far above the noise: no symbol errs, and the half-width
+        # is Wilson's Z95^2 / (n + Z95^2), not Wald's 0
+        a = np.ones((4, 1), dtype=complex)
+        chans = ul.UplinkChannelSet(a=a, b=np.zeros_like(a), o=np.zeros_like(a))
+        monkeypatch.setattr(hn, "build_uplink_instance", lambda cfg, r1, r2: (chans, 1.0))
+        cfg = desk_cfg(n_users=1, noise_sigma2=1e-3, mc_symbol_chunk=2000,
+                       mc_min_trials=8000, mc_symbol_ceiling=8000)
+        series = hn.run_uplink_ser(cfg, "monte_carlo", (0.0,)).series["monte_carlo"]
+        assert series.values[0] == 0.0
+        assert series.trials[0] == 8000
+        assert series.half_widths[0] == pytest.approx(hn.Z95 ** 2 / (8000 + hn.Z95 ** 2),
+                                                      rel=1e-12)
 
     def test_modes(self):
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
@@ -809,6 +884,38 @@ class TestUplinkSer:
         states = {tuple(stream(*k).bit_generator.seed_seq.generate_state(4))
                   for k in keys}
         assert len(states) == len(keys)
+
+
+class TestRateHalfwidth:
+    @staticmethod
+    def score_ends(errors, total):
+        """Ends of the Wilson score interval, the roots q of
+        (p - q)^2 total = Z95^2 q (1 - q) at p = errors / total."""
+        p, z2 = errors / total, hn.Z95 ** 2
+        return np.sort(np.roots([total + z2, -(2 * errors + z2), errors * p]).real)
+
+    @pytest.mark.parametrize("total", [1, 10, 2_000_000])
+    def test_zero_and_all_errors(self, total):
+        wilson = hn.Z95 ** 2 / (total + hn.Z95 ** 2)
+        assert hn._rate_halfwidth(0, total) == pytest.approx(wilson, rel=1e-12)
+        assert hn._rate_halfwidth(total, total) == pytest.approx(wilson, rel=1e-12)
+        if total == 2_000_000:
+            assert hn._rate_halfwidth(0, total) == pytest.approx(1.92e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("errors, total", [(0, 50), (1, 50), (7, 50), (25, 50),
+                                               (49, 50), (3, 20000), (1234, 5000)])
+    def test_larger_distance_to_a_score_interval_end(self, errors, total):
+        lower, upper = self.score_ends(errors, total)
+        p = errors / total
+        assert hn._rate_halfwidth(errors, total) == pytest.approx(
+            max(p - lower, upper - p), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
+    def test_agrees_with_wald_at_large_n(self, p):
+        total = 2_000_000
+        errors = round(p * total)
+        wald = hn.Z95 * math.sqrt(p * (1.0 - p) / total)
+        assert abs(hn._rate_halfwidth(errors, total) / wald - 1.0) < 0.01
 
 
 class TestUplinkSampler:
