@@ -1,10 +1,11 @@
 """Geometric Rician channel synthesis for RIS-assisted links.
 
 Builds steering vectors for the base-station ULA and the RIS UPA, rank-one
-line-of-sight matrices, Rician mixtures with seeded NLoS draws, a
-sum-of-sinusoids fading process whose block-to-block autocorrelation follows
-the classical Doppler spectrum, and cascaded source-RIS-destination products
-with their four-term LoS/NLoS decomposition.
+line-of-sight matrices, Rician mixtures with seeded NLoS draws, fading
+drawn exactly from Clarke's law (a Gaussian process with the J0
+autocorrelation of the classical Doppler spectrum) on any set of instants,
+and cascaded source-RIS-destination products with their four-term LoS/NLoS
+decomposition.
 
 All randomness flows through explicit ``numpy.random.Generator`` streams, so
 every function is pure given its stream and safe to use concurrently as long
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-_TWO_PI = 2.0 * np.pi
-JAKES_OSCILLATORS = 16  # sinusoids summed per fading entry
 NOISE_CHUNK = 2 ** 16  # normals per piece of power_difference's streamed draw
 
 
@@ -152,89 +152,67 @@ def los_component(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarra
 
 @dataclass
 class JakesFading:
-    """Sum-of-sinusoids fading with the classical Doppler autocorrelation.
+    """Fading drawn exactly from Clarke's law.
 
-    Each entry sums ``JAKES_OSCILLATORS`` sinusoids whose arrival angles tile a
-    quarter circle with a per-entry random offset, so the ensemble
-    autocorrelation at lag tau equals J0(2*pi*f_max*tau) exactly in
-    expectation while the marginal stays zero-mean unit-variance complex
-    Gaussian (by the CLT over oscillators).
-
-    ``rate`` and ``phase`` hold every oscillator's angular rate and initial
-    phase as rows of (2 * entries, oscillators): the real parts' rows, then
-    the imaginary parts'; ``shape`` is the entry shape.
+    Every entry of ``shape`` is an independent zero-mean, unit-power
+    circular complex Gaussian process with autocorrelation
+    J0(2*pi*f_max*tau), so on instants t_1..t_n it is CN(0, R) with
+    R_ij = J0(2*pi*f_max*|t_i - t_j|).  ``create`` keeps the entry shape,
+    f_max and the fading stream ``rng``; ``sample_at`` draws every entry at
+    all its instants at once.
     """
 
-    rate: np.ndarray
-    phase: np.ndarray
     shape: tuple
+    f_max: float
+    rng: np.random.Generator
 
     @classmethod
     def create(cls, shape, f_max: float, rng: np.random.Generator) -> "JakesFading":
-        if f_max < 0:
+        if not f_max >= 0:
             raise ValueError("f_max must be >= 0")
-        shape = tuple(np.atleast_1d(shape).astype(int))
-        m = np.arange(1, JAKES_OSCILLATORS + 1)
-        theta = rng.uniform(-np.pi, np.pi, size=shape + (1,))
-        alpha = (_TWO_PI * m - np.pi + theta) / (4.0 * JAKES_OSCILLATORS)
-        phase = rng.uniform(-np.pi, np.pi, size=(2,) + shape + (JAKES_OSCILLATORS,))
-        rate = _TWO_PI * float(f_max) * np.stack([np.cos(alpha), np.sin(alpha)])
-        return cls(rate=rate.reshape(-1, JAKES_OSCILLATORS),
-                   phase=phase.reshape(-1, JAKES_OSCILLATORS), shape=shape)
+        return cls(shape=tuple(np.atleast_1d(shape).astype(int)), f_max=float(f_max),
+                   rng=rng)
 
-    def sample_at(self, t: float) -> np.ndarray:
-        """Fading matrix at absolute time t seconds."""
-        cos = np.zeros(self.rate.shape, dtype=complex)  # only the real parts are summed
-        np.cos(self.rate * t + self.phase, out=cos.real)
-        return self._entries(_real_sums(cos))
-
-    def sample_grid(self, t0: float, dt: float, count: int) -> np.ndarray:
-        """Fading matrices at t0 + k*dt for k < count, stacked as
-        (count,) + entry shape.
-
-        On evenly spaced instants each oscillator's phasor advances by the
-        fixed factor exp(j*w_d*dt*c) per step (c the cosine or sine of its
-        arrival angle), so the grid costs one cosine and one sine pass to set
-        the phasors up, then one complex multiply and one matrix-vector sum
-        per instant instead of a cosine pass per instant.  Agrees with
-        ``sample_at`` to rounding, and bit for bit at f_max = 0; the rounding
-        of the repeated product grows with k.
-        """
-        phasor = _unit_phasor(self.rate * t0 + self.phase)
-        step = _unit_phasor(self.rate * dt)
-        sums = np.empty((count, self.rate.shape[0]))
-        for k in range(count):
-            _real_sums(phasor, out=sums[k])
-            phasor *= step
-        return self._entries(sums)
-
-    def _entries(self, sums: np.ndarray) -> np.ndarray:
-        """Oscillator sums (..., 2 * entries) as (...,) + entry shape complex
-        fading of unit power."""
-        shape = sums.shape[:-1] + self.shape
-        half = sums.shape[-1] // 2
-        return (sums[..., :half].reshape(shape) + 1j * sums[..., half:].reshape(shape)) \
-            / np.sqrt(JAKES_OSCILLATORS)
+    def sample_at(self, times) -> np.ndarray:
+        """Fading at the given instants in seconds, (len(times),) + shape, in
+        one joint draw: ``standard_normal((r, 2 * entries))`` from the stream
+        times the cached (len(times), r) factor F of ``clarke_factor``; the
+        product's columns pair up as each entry's real and imaginary parts."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+            raise ValueError("times must be a non-empty 1-D array of finite instants")
+        factor = clarke_factor(self.f_max, tuple(times.tolist()))
+        z = self.rng.standard_normal((factor.shape[1], 2 * math.prod(self.shape)))
+        return (factor @ z).view(complex).reshape(times.shape + self.shape)
 
 
-def _unit_phasor(x: np.ndarray) -> np.ndarray:
-    """exp(j*x) for real x, bit for bit, with its cosine and sine written
-    straight into one complex buffer."""
-    out = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
+@lru_cache(maxsize=32)
+def clarke_factor(f_max: float, times: tuple) -> np.ndarray:
+    """Read-only (n, r) factor F with 2*F*F^T = R, the Clarke correlation
+    J0(2*pi*f_max*|t_i - t_j|) of the n instants: the Karhunen-Loeve
+    truncation of eigh(R) to its eigenvalues above 1e-13 times the largest.
+    Its rank r is about 2*f_max*(t_n - t_1) plus a few, and 1 at f_max = 0.
+    J0 is evaluated once per distinct lag."""
+    t = np.asarray(times, dtype=float)
+    lags = np.abs(t[:, None] - t).ravel()
+    distinct, where = np.unique(lags, return_inverse=True)
+    r = bessel_j0(2.0 * np.pi * f_max * distinct)[where].reshape(t.size, t.size)
+    w, v = np.linalg.eigh(r)
+    keep = w > 1e-13 * w[-1]
+    factor = v[:, keep] * np.sqrt(w[keep] / 2.0)
+    factor.flags.writeable = False
+    return factor
 
 
-def _real_sums(phasor: np.ndarray, out=None) -> np.ndarray:
-    """Row sums of the real parts of a C-contiguous complex 2-D array, as
-    one BLAS matrix-vector product over its interleaved (re, im) float view
-    with weights 1, 0: no strided reduction.  A finite imaginary part adds
-    an exact zero, so equal real parts give equal sums bit for bit; every
-    oscillator sum goes through here."""
-    pick = np.zeros(2 * phasor.shape[-1])
-    pick[::2] = 1.0
-    return np.matmul(phasor.view(float), pick, out=out)
+def bessel_j0(x) -> np.ndarray:
+    """Bessel J0 in numpy alone, (1/pi) * integral_0^pi cos(x*sin(theta))
+    by the midpoint rule on max(64, 2*max|x| + 64) nodes.  The integrand is
+    smooth and periodic, so the rule converges spectrally: within 5e-15 of
+    scipy.special.j0 on [0, 400]."""
+    x = np.abs(np.asarray(x, dtype=float))
+    n = int(max(64.0, 2.0 * x.max(initial=0.0) + 64.0))
+    sin = np.sin((np.arange(n) + 0.5) * (np.pi / n))
+    return np.cos(np.multiply.outer(x, sin)).mean(axis=-1)
 
 
 def cascade(g: np.ndarray, phases: np.ndarray, q: np.ndarray) -> np.ndarray:

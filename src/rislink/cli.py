@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per experiment, CSV output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(rank deficiency or series truncation), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error (including a search above
+the exhaustive-search cap), 3 numerical failure (rank deficiency or series
+truncation), 4 I/O failure.
 """
 
 from __future__ import annotations

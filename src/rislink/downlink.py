@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import ConfigError
+
 JOINT_SEARCH_CAP = 2 ** 16
 
 # Largest residual array (users x symbols x candidates) joint detection of a
@@ -37,8 +39,9 @@ class RankDeficientChannel(np.linalg.LinAlgError):
     """Equivalent channel Gram matrix is singular beyond tolerance."""
 
 
-class SearchTooLarge(ValueError):
-    """Joint detection constellation exceeds the exhaustive-search cap."""
+class SearchTooLarge(ConfigError):
+    """Joint detection constellation exceeds the exhaustive-search cap: a
+    configuration fault, raised before any Monte Carlo sampling."""
 
 
 @dataclass(frozen=True)

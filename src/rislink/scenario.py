@@ -8,13 +8,13 @@ time-correlated fading process; only the QAM baseline applies the common
 Doppler rotation, which cancels in the magnitude-difference schemes.
 
 Both link directions take their cascades from ``channel.cascade``.  A
-downlink frame samples its fading once at the pilot instant t = 0 with
-``JakesFading.sample_at`` and at every block start of ``frame_timeline`` by
-phasor rotation (``JakesFading.sample_grid``), then forms all its cascades in
-one call over the stacked user rows; ``sample_at`` stays the per-instant
-oracle.  The optional direct BS-user path fades with its own process at the
-same Doppler.  The uplink is one snapshot: the transposed downlink cascade
-terms, by reciprocity.
+downlink frame draws its RIS-user fading exactly from Clarke's law in one
+``JakesFading.sample_at`` call on the pilot instant t = 0 and every block
+start of ``frame_timeline``, then forms all its cascades in one call over the
+stacked user rows.  The optional direct BS-user path fades with its own
+process at the same Doppler, drawn the same way after the RIS-user one.
+The uplink is one snapshot: the transposed downlink cascade terms, by
+reciprocity.
 """
 
 from __future__ import annotations
@@ -134,28 +134,20 @@ def frame_timeline(cfg: ScenarioConfig) -> tuple[int, np.ndarray]:
     return pilots, pilots + np.arange(cfg.blocks_per_frame) * cfg.symbols_per_block
 
 
-def _frame_fades(jakes: ch.JakesFading, cfg: ScenarioConfig) -> np.ndarray:
-    """Fading at the pilot instant, then at every block start by rotation on
-    the block grid: (B+1,) + entry shape."""
-    return np.concatenate([
-        jakes.sample_at(0.0)[None],
-        jakes.sample_grid(frame_timeline(cfg)[0] * cfg.symbol_period,
-                          cfg.symbols_per_block * cfg.symbol_period,
-                          cfg.blocks_per_frame)])
-
-
 def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
                          rng_fade: np.random.Generator) -> DownlinkFrame:
     """One frame at the config's speed and Rician factor."""
     links = _draw_links(cfg, rng_geo, rng_fade)
+    # the pilot instant, then every block start
+    times = np.r_[0.0, frame_timeline(cfg)[1]] * cfg.symbol_period
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)
-    g = links.g_los_w + links.g_nlos_weight * _frame_fades(jakes, cfg)  # (B+1, N_k, N)
+    g = links.g_los_w + links.g_nlos_weight * jakes.sample_at(times)  # (B+1, N_k, N)
     h = ch.cascade(g, links.phases, links.q_los_w + links.q_nlos_w)  # (B+1, N_k, N_t)
     if links.direct_weight is not None:
         direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
                                        rng_fade)
-        h = h + links.direct_weight * _frame_fades(direct, cfg)
+        h = h + links.direct_weight * direct.sample_at(times)
     h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))
     return DownlinkFrame(h[0], h[1:])  # (pilot, blocks)
 

@@ -2,10 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import j0
 
 from rislink import channel as ch
+from rislink.config import ScenarioConfig
+from rislink.scenario import frame_timeline
 from conftest import complex_gauss, rng
+
+PAPER_SIZES = dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)
 
 
 class TestUlaSteering:
@@ -331,76 +336,80 @@ class TestStreamedPowerDifference:
         assert peak <= 16 * n + 8 * ch.NOISE_CHUNK + 64 * 1024
 
 
+def frame_times(scale, speed=50.0):
+    """The downlink frame's fading instants at desk or paper scale: the
+    pilot instant, then every block start."""
+    cfg = ScenarioConfig(speed=speed, **({} if scale == "desk" else PAPER_SIZES))
+    return np.r_[0.0, frame_timeline(cfg)[1]] * cfg.symbol_period, cfg.doppler_max
+
+
 class TestJakesFading:
-    def test_zero_doppler_is_frozen(self):
-        state = ch.JakesFading.create((16, 16), 0.0, rng(7))
-        first = state.sample_at(1e-3)
-        later = state.sample_at(5.001)
-        np.testing.assert_allclose(first, later, atol=1e-14)
+    def test_bessel_j0_matches_scipy(self):
+        # in pieces, each with its own node count, to bound the work array
+        for x in np.array_split(np.linspace(0.0, 400.0, 40_001), 80):
+            assert np.abs(ch.bessel_j0(x) - j0(x)).max() <= 1e-14
+        assert ch.bessel_j0(np.array([-2.5]))[0] == ch.bessel_j0(np.array([2.5]))[0]
 
-    @pytest.mark.parametrize("f_max", [0.0, 197.0, 983.0])
-    @pytest.mark.parametrize("shape", [(1, 1), (8, 64)])
-    def test_grid_matches_sample_at(self, f_max, shape):
-        # block starts of the default frame: 128 pilots, then 25-symbol
-        # blocks of 8 us symbols; 400 blocks is ten 40-block frames
-        state = ch.JakesFading.create(shape, f_max, rng(11))
-        t0, dt, count = 128 * 8e-6, 25 * 8e-6, 400
-        grid = state.sample_grid(t0, dt, count)
-        assert grid.shape == (count,) + shape
-        oracle = np.stack([state.sample_at(t0 + k * dt) for k in range(count)])
-        assert np.abs(grid - oracle).max() < 1e-12
-        if f_max == 0.0:
-            still = state.sample_at(0.0)
-            assert all(np.array_equal(g, still) for g in grid)
+    @pytest.mark.parametrize("speed", [0.0, 10.0, 50.0, 100.0])
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_factor_reproduces_clarke_correlation(self, scale, speed):
+        times, f_max = frame_times(scale, speed)
+        factor = ch.clarke_factor(f_max, tuple(times))
+        clarke = j0(2 * np.pi * f_max * np.abs(times[:, None] - times))
+        assert np.abs(2 * factor @ factor.T - clarke).max() <= 1e-12
+        assert factor.shape[0] == times.size and not factor.flags.writeable
+        rank = factor.shape[1]
+        assert rank == 1 if speed == 0.0 else rank > 1
 
-    @pytest.mark.parametrize("t", [0.0, 1.6e-4, 0.37])
-    def test_sample_at_matches_cosine_sums(self, t):
-        # the written-out sum of sinusoids, one cosine per oscillator, on the
-        # arrival angles and phases drawn again from the same seed
-        f_max, m = 983.0, ch.JAKES_OSCILLATORS
-        state = ch.JakesFading.create((8, 64), f_max, rng(12))
-        g = rng(12)
-        offset = g.uniform(-np.pi, np.pi, size=(8, 64, 1))
-        alpha = (2 * np.pi * np.arange(1, m + 1) - np.pi + offset) / (4 * m)
-        phi = g.uniform(-np.pi, np.pi, size=(8, 64, m))
-        psi = g.uniform(-np.pi, np.pi, size=(8, 64, m))
-        wd_t = 2 * np.pi * f_max * t
-        re = np.cos(wd_t * np.cos(alpha) + phi).sum(axis=-1)
-        im = np.cos(wd_t * np.sin(alpha) + psi).sum(axis=-1)
-        got = state.sample_at(t)
-        assert got.shape == (8, 64)
-        assert np.abs(got - (re + 1j * im) / np.sqrt(m)).max() < 1e-12
+    def test_draw_reads_one_block_of_normals(self):
+        # standard_normal((r, 2 * entries)) through the factor, each entry's
+        # real and imaginary parts side by side, and nothing else
+        times, f_max = frame_times("desk")
+        fade = rng(3)
+        got = ch.JakesFading.create((4, 16), f_max, fade).sample_at(times)
+        factor = ch.clarke_factor(f_max, tuple(times))
+        g = rng(3)
+        z = g.standard_normal((factor.shape[1], 2 * 64))
+        want = (factor @ z[:, 0::2]) + 1j * (factor @ z[:, 1::2])
+        assert got.shape == (times.size, 4, 16)
+        assert np.abs(got - want.reshape(got.shape)).max() <= 1e-15
+        assert fade.bit_generator.state == g.bit_generator.state
 
-    def test_lag_one_autocorrelation_matches_bessel(self):
-        f_max, dt = 1000.0, 8e-6
-        state = ch.JakesFading.create(200_000, f_max, rng(8))
-        pairs = 0.0
-        power = 0.0
-        base = state.sample_at(0.0)
-        for lag in range(1, 6):
-            nxt = state.sample_at(lag * dt)
-            pairs += np.mean(np.conj(base) * nxt).real
-            power += np.mean(np.abs(base) ** 2)
-            base = nxt
-        r = pairs / power
-        expected = j0(2 * np.pi * f_max * dt)
-        assert abs(r - expected) / expected < 0.01
+    def test_autocorrelation_matches_j0(self):
+        # rho(tau) = mean Re(conj(h(0)) h(tau)) over M entries has standard
+        # error sqrt((1 + J0^2) / (2M)); lags up to past the first zero
+        f_max, m = 1000.0, 200_000
+        lags = np.array([0.0, 8e-6, 4e-5, 1.6e-4, 2.404825557695773 / (2 * np.pi * f_max),
+                         6e-4, 1.2e-3])
+        h = ch.JakesFading.create(m, f_max, rng(8)).sample_at(lags)
+        rho = np.mean(np.conj(h[0]) * h, axis=1).real
+        want = j0(2 * np.pi * f_max * lags)
+        se = np.sqrt((1 + want ** 2) / (2 * m))
+        assert np.all(np.abs(rho - want) <= 4 * se), (rho - want) / se
 
-    def test_decorrelates_at_first_bessel_zero(self):
-        f_max = 1000.0
-        t_zero = 2.404825557695773 / (2 * np.pi * f_max)
-        state = ch.JakesFading.create(400_000, f_max, rng(9))
-        x0 = state.sample_at(0.0)
-        x1 = state.sample_at(t_zero)
-        r = np.mean(np.conj(x0) * x1).real / np.mean(np.abs(x0) ** 2)
-        assert abs(r) < 0.02
+    @pytest.mark.parametrize("instant", [0, -1])
+    def test_marginal_is_unit_circular_gaussian(self, instant):
+        # one instant of independent entries: Re and Im ~ N(0, 1/2), |h|^2 ~ Exp(1)
+        times, f_max = frame_times("paper", 100.0)
+        h = ch.JakesFading.create(100_000, f_max, rng(9)).sample_at(times)[instant]
+        half = stats.norm(scale=np.sqrt(0.5)).cdf
+        for x, cdf in ((h.real, half), (h.imag, half), (np.abs(h) ** 2, stats.expon.cdf)):
+            assert stats.kstest(x, cdf).pvalue > 1e-3
 
-    def test_marginal_invariant_across_blocks(self):
-        state = ch.JakesFading.create(100_000, 500.0, rng(10))
-        for t in (0.0, 1e-3, 0.1):
-            x = state.sample_at(t)
-            assert abs(np.mean(x)) < 0.02
-            assert abs(np.mean(np.abs(x) ** 2) - 1.0) < 0.02
+    def test_zero_doppler_is_one_constant_fade(self):
+        times, _ = frame_times("paper")
+        fades = ch.JakesFading.create((16, 16), 0.0, rng(7)).sample_at(times)
+        assert np.abs(fades - fades[0]).max() <= 1e-14
+        assert np.unique(fades[0]).size == 256
+
+    def test_rejects_bad_inputs(self):
+        for f_max in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="f_max"):
+                ch.JakesFading.create((2, 2), f_max, rng(1))
+        state = ch.JakesFading.create((2, 2), 100.0, rng(1))
+        for times in ([], [[0.0, 1e-3]], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="times"):
+                state.sample_at(times)
 
 
 class TestCascade:

@@ -134,14 +134,14 @@ def test_uplink_refuses_direct_link(command, tmp_path):
     assert not out.exists()
 
 
-def test_uplink_ser_over_search_cap_is_numerical(tmp_path):
+def test_uplink_ser_over_search_cap_is_config_error(tmp_path):
     # 2^17 constellation points exceed the enumeration cap the uplink shares
     # with joint detection
     cfg = tmp_path / "wide.cfg"
     cfg.write_text(FAST_CFG.replace("n_users: 4", "n_users: 17"))
     out = tmp_path / "out.csv"
     proc = run_cli("uplink-ser", "--config", str(cfg), "--grid", "4", "--out", str(out))
-    assert proc.returncode == 3
+    assert proc.returncode == 2
     assert "search cap" in proc.stderr
     assert not out.exists()
 
@@ -241,10 +241,11 @@ def test_uplink_runs_min_trials_above_ceiling(tmp_path):
 
 
 def test_numerical_error_exit_code(fast_cfg, tmp_path):
-    # joint detection above the exhaustive-search cap is a numerical failure
+    # joint detection above the exhaustive-search cap is a configuration
+    # fault: the run is refused before any frame is built
     proc = run_cli("downlink-ber", "--config", str(fast_cfg), "--scheme", "linear_joint",
                    "--paper-scale", "--out", str(tmp_path / "x.csv"))
-    assert proc.returncode == 3
+    assert proc.returncode == 2
 
 
 def test_search_cap_exit_code_just_above_cap(tmp_path):
@@ -253,7 +254,7 @@ def test_search_cap_exit_code_just_above_cap(tmp_path):
     cfg.write_text(FAST_CFG + "n_bs_antennas: 17\n")
     proc = run_cli("downlink-ber", "--config", str(cfg), "--scheme", "linear_joint",
                    "--out", str(tmp_path / "x.csv"))
-    assert proc.returncode == 3
+    assert proc.returncode == 2
     assert "search cap" in proc.stderr
 
 

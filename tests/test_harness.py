@@ -520,18 +520,18 @@ def test_train_matches_ls_estimate(n_t, joint):
 
 @pytest.mark.parametrize("n_t", [4, 32, 128])
 def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
-    # the fading grid's origin, the baseline's estimate noise and the CSV
-    # note all count the pilot columns _train actually transmits
+    # the fading instants, the baseline's estimate noise and the CSV note
+    # all count the pilot columns _train actually transmits
     sizes = dict(PAPER_SIZES if n_t == 128 else {}, n_bs_antennas=n_t)
     cfg = desk_cfg(**sizes, mc_min_trials=40, mc_trial_ceiling=40)
     seen = {}
-    sample_grid, power_diff, statistics = (hn.channel.JakesFading.sample_grid,
-                                           hn.channel.power_difference,
-                                           hn._estimate_statistics)
+    sample_at, power_diff, statistics = (hn.channel.JakesFading.sample_at,
+                                         hn.channel.power_difference,
+                                         hn._estimate_statistics)
 
-    def spy_grid(self, t0, dt, count):
-        seen.setdefault("t0", t0)
-        return sample_grid(self, t0, dt, count)
+    def spy_sample_at(self, times):
+        seen.setdefault("times", np.array(times))
+        return sample_at(self, times)
 
     def spy_power(rng, c1, c2, sigma2, **kw):
         seen.setdefault("sent", np.shape(c1)[-1])
@@ -541,7 +541,7 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
         seen.setdefault("est_sigma2", sigma2)
         return statistics(h, rot, sigma2, rng)
 
-    monkeypatch.setattr(hn.channel.JakesFading, "sample_grid", spy_grid)
+    monkeypatch.setattr(hn.channel.JakesFading, "sample_at", spy_sample_at)
     monkeypatch.setattr(hn.channel, "power_difference", spy_power)
     monkeypatch.setattr(hn, "_estimate_statistics", spy_statistics)
     frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
@@ -550,7 +550,10 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
     hn._sim_qam_baseline(frame, cfg, sigma2, lambda sub: stream(3, 4, sub))
     pilots = seen["sent"]
     assert pilots == n_t
-    assert seen["t0"] / cfg.symbol_period == pytest.approx(pilots, rel=1e-12)
+    # the pilot instant, then block b at pilots + b*S symbol periods
+    starts = pilots + np.arange(cfg.blocks_per_frame) * cfg.symbols_per_block
+    np.testing.assert_allclose(seen["times"] / cfg.symbol_period, np.r_[0, starts],
+                               rtol=1e-12, atol=0)
     assert seen["est_sigma2"] == sigma2 / pilots
     note = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", grid=(50.0,)).notes[1]
     assert note.endswith(f"40 blocks x 25 symbols + {pilots} pilots")

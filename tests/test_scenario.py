@@ -33,29 +33,29 @@ def test_stream_seeds_above_2_63_do_not_alias():
 
 
 def per_instant_frame(cfg, rng_geo, rng_fade):
-    """The downlink frame with one ``sample_at`` call and one cascade per
-    instant, kept as the oracle of the rotation-sampled, batched builder.
-    The direct path, when on, fades with its own process drawn after the
-    RIS-user one."""
+    """The downlink frame with one hand-formed cascade per instant of the
+    ``sample_at(times)`` draw, on the same streams, kept as the oracle of the
+    batched builder.  The direct path, when on, fades with its own process
+    drawn after the RIS-user one."""
     links = _draw_links(cfg, rng_geo, rng_fade)
     q_omega = np.exp(1j * links.phases)[:, None] * (links.q_los_w + links.q_nlos_w)
-    jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
-                                  rng_fade)
+    pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
+    times = np.r_[0.0, pilots + np.arange(cfg.blocks_per_frame)
+                  * cfg.symbols_per_block] * cfg.symbol_period
+    fades = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
+                                  rng_fade).sample_at(times)
     direct = None
     if links.direct_weight is not None:
         direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
-                                       rng_fade)
-    pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
-    block_times = (pilots + np.arange(cfg.blocks_per_frame)
-                   * cfg.symbols_per_block) * cfg.symbol_period
+                                       rng_fade).sample_at(times)
 
-    def cascade_at(t):
-        h = (links.g_los_w + links.g_nlos_weight * jakes.sample_at(t)) @ q_omega
-        return h if direct is None else h + links.direct_weight * direct.sample_at(t)
+    def cascade_at(k):
+        h = (links.g_los_w + links.g_nlos_weight * fades[k]) @ q_omega
+        return h if direct is None else h + links.direct_weight * direct[k]
 
-    h_pilot = cascade_at(0.0)
+    h_pilot = cascade_at(0)
     scale = 1.0 / np.linalg.norm(h_pilot, axis=1, keepdims=True)
-    return h_pilot * scale, np.stack([cascade_at(t) for t in block_times]) * scale
+    return h_pilot * scale, np.stack([cascade_at(k) for k in range(1, times.size)]) * scale
 
 
 def hand_split_uplink(cfg, rng_geo, rng_fade):
@@ -93,6 +93,28 @@ def test_frame_matches_per_instant_builder(scale, speed, direct_link):
             assert frame.h_blocks.shape == h_blocks.shape
             assert np.abs(frame.h_pilot - h_pilot).max() < 1e-12
             assert np.abs(frame.h_blocks - h_blocks).max() < 1e-12
+
+
+@pytest.mark.parametrize("direct_link", [False, True], ids=["ris", "direct"])
+def test_frame_draws_its_fading_through_the_class_once_per_path(direct_link, monkeypatch):
+    # the traced spans wrap JakesFading.create and sample_at at the class,
+    # so every fading draw of a frame must go through those two names
+    calls = {"create": 0, "sample_at": 0}
+    create, sample_at = vars(ch.JakesFading)["create"].__func__, ch.JakesFading.sample_at
+
+    def counted_create(cls, *args):
+        calls["create"] += 1
+        return create(cls, *args)
+
+    def counted_sample_at(self, times):
+        calls["sample_at"] += 1
+        return sample_at(self, times)
+
+    monkeypatch.setattr(ch.JakesFading, "create", classmethod(counted_create))
+    monkeypatch.setattr(ch.JakesFading, "sample_at", counted_sample_at)
+    build_downlink_frame(desk_cfg(direct_link=direct_link), stream(9, 1), stream(9, 2))
+    paths = 2 if direct_link else 1
+    assert calls == {"create": paths, "sample_at": paths}
 
 
 @pytest.mark.parametrize("mode", ["aligned", "fixed", "random"])
