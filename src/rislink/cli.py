@@ -77,8 +77,6 @@ def _parse_grid(raw):
         raise ConfigError(f"bad --grid value: {exc}") from exc
     if not values:
         raise ConfigError("--grid must contain at least one value")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"--grid values must be finite, got {raw!r}")
     return values
 
 

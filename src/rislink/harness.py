@@ -1,13 +1,17 @@
 """Seeded Monte Carlo experiment harness with CSV export.
 
-Every grid point is a validated config, the experiment's config with the
-sweep value set (``SWEEPS``).  Every experiment derives per-chunk random
-streams from (seed, experiment tag, grid point, chunk index), so results are
-bit-identical regardless of the worker count, and all schemes inside one run
-see exactly the same channel draws (common random numbers).  Downlink and
-uplink error-rate points share one stopping rule: fixed-size batches until
-every series meets the error target or the trial ceiling is met, never fewer
-than the configured minimum number of trials.  A run uses one worker pool.
+An experiment's x axis is a ``Sweep`` (``SWEEPS``, ``ARRAY_SWEEP``), and
+``Sweep.points`` makes each grid value one validated config; an integer key
+takes only integral values.  Grid values have one printed form, ``_fmt``'s 9
+significant digits with -0 as 0, which names the CSV x and pdf-fit's
+columns, and ``_distinct_grid`` refuses two values that print alike.  Every
+experiment derives per-chunk random streams from (seed, experiment tag, grid
+point, chunk index), so results are bit-identical regardless of the worker
+count, and all schemes inside one run see exactly the same channel draws
+(common random numbers).  Downlink and uplink error-rate points share one
+stopping rule: fixed-size batches until every series meets the error target
+or the trial ceiling is met, never fewer than the configured minimum number
+of trials.  A run uses one worker pool.
 
 No downlink frame takes an SVD outside ``downlink.zf_precoder``: training
 divides by the Hadamard order in closed form, and the 4-QAM baseline
@@ -37,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, channel, downlink, uplink
-from .config import ConfigError, ScenarioConfig, check_db
+from .config import _PARSERS, ConfigError, ScenarioConfig, check_db
 from .scenario import build_downlink_frame, build_uplink_instance, frame_timeline, stream
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
@@ -427,14 +431,12 @@ SCHEMES = {
 }
 
 
-EBN0_DB_GRID = (0, 4, 8, 12, 16)  # default Eb/N0 grid of downlink-ber and uplink-ser
-
-
-def _distinct_grid(grid: tuple) -> tuple:
-    """``grid`` unchanged, or a ``ConfigError`` if two values print as one
-    CSV x: the two rows could not be told apart, and a repeated value would
-    run its point twice."""
-    xs = [_fmt(g + 0.0) for g in grid]  # + 0.0 makes -0 print as 0, the same point
+def _distinct_grid(grid) -> tuple:
+    """``grid`` as floats, -0 as 0, or a ``ConfigError`` if two values print
+    as one ``_fmt`` form: two CSV rows or columns could not be told apart,
+    and a repeated value would run its point twice."""
+    grid = tuple(float(g) + 0.0 for g in grid)  # + 0.0 makes -0 print as 0
+    xs = [_fmt(g) for g in grid]
     repeated = list(dict.fromkeys(x for x in xs if xs.count(x) > 1))
     if repeated:
         raise ConfigError("grid values must be distinct, got %s more than once"
@@ -444,19 +446,32 @@ def _distinct_grid(grid: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Sweep:
-    """One downlink sweep axis: its CSV x name, the config field a grid
-    value sets, and its default grid."""
+    """One experiment's x axis: its CSV x name, the config field a grid
+    value sets, and its default grid.  ``points`` is the one way a grid
+    becomes point configs."""
 
     x_name: str
     field: str
     default_grid: tuple
 
+    def points(self, cfg: ScenarioConfig, grid=None) -> tuple[tuple, list]:
+        """(grid, configs): the grid (the default when None) through
+        ``_distinct_grid``, and one validated ``cfg.replace`` per value.  A
+        field annotated ``int`` takes only integral values, cast to int."""
+        grid = _distinct_grid(self.default_grid if grid is None else grid)
+        integral = _PARSERS[self.field] is int  # the annotation, as files are parsed
+        if integral and not all(g.is_integer() for g in grid):
+            raise ConfigError("%s values must be integers, got %s"
+                              % (self.field, ", ".join(map(_fmt, grid))), key=self.field)
+        return grid, [cfg.replace(**{self.field: int(g) if integral else g}) for g in grid]
+
 
 SWEEPS = {
     "speed": Sweep("speed_mps", "speed", (10, 30, 50)),
-    "ebn0": Sweep("ebn0_db", "ebn0_db", EBN0_DB_GRID),
+    "ebn0": Sweep("ebn0_db", "ebn0_db", (0, 4, 8, 12, 16)),
     "rician_k": Sweep("rician_k", "rician_factor", (1, 10, 100)),
 }
+ARRAY_SWEEP = Sweep("n_bs_antennas", "n_bs_antennas", (32, 64, 128))  # output-snr's axis
 
 
 def _downlink_task(args):
@@ -506,10 +521,7 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
     if "linear_joint" in schemes:
         downlink.check_search_size(cfg.n_bs_antennas)  # before any frame is built
     axis = SWEEPS[sweep]
-    grid = _distinct_grid(tuple(float(g) for g in
-                                (axis.default_grid if grid is None else grid)))
-    # one validated config per grid point
-    points = [cfg.replace(**{axis.field: value}) for value in grid]
+    grid, points = axis.points(cfg, grid)
 
     bpf = cfg.blocks_per_frame
     min_frames = math.ceil(cfg.mc_min_trials / bpf)
@@ -570,35 +582,31 @@ def run_output_snr(cfg: ScenarioConfig, nt_grid=None, workers: int = 1) -> Curve
     power) against the large-array closed form and the exact law, per
     transmit-array size.  ``exact`` is the mean over the same channel draws
     of ``downlink.output_snr_exact`` at each draw's channel."""
-    if nt_grid is None:
-        nt_grid = (32, 64, 128)
-    if not all(float(n).is_integer() for n in nt_grid):
-        raise ConfigError(f"array sizes must be integers, got {tuple(nt_grid)}")
-    nt_grid = _distinct_grid(tuple(int(n) for n in nt_grid))
+    nt_grid, points = ARRAY_SWEEP.points(cfg, nt_grid)
     sigma2 = cfg.noise_sigma2 if cfg.noise_sigma2 is not None else 0.01
     if sigma2 <= 0:
         raise ConfigError("output SNR experiment needs sigma2 > 0", key="noise_sigma2")
-    for n_t in nt_grid:
-        if n_t <= cfg.n_users + 1:
+    for point in points:
+        if point.n_bs_antennas <= cfg.n_users + 1:
             raise ConfigError(f"every grid point must satisfy n_t > n_k + 1 = "
-                              f"{cfg.n_users + 1}, got {n_t}")
+                              f"{cfg.n_users + 1}, got {point.n_bs_antennas}")
     draws, n_sym = cfg.snr_channel_draws, 256
     if draws < 2:
         raise ConfigError("output SNR experiment needs at least 2 channel draws "
                           "for its confidence half-width", key="snr_channel_draws")
 
-    result = CurveResult(x_name="n_bs_antennas", x_values=np.asarray(nt_grid, dtype=float))
+    result = CurveResult(x_name=ARRAY_SWEEP.x_name, x_values=np.asarray(nt_grid))
     sim_vals, sim_hw, predicted, exact = [], [], [], []
     with _task_map(workers, math.ceil(draws / SNR_DRAWS_PER_TASK)) as task_map:
-        for pi, n_t in enumerate(nt_grid):
-            point = cfg.replace(n_bs_antennas=n_t)
+        for pi, point in enumerate(points):
             tasks = [(point, pi, lo, min(lo + SNR_DRAWS_PER_TASK, draws), sigma2, n_sym)
                      for lo in range(0, draws, SNR_DRAWS_PER_TASK)]
             etas, laws = np.asarray([e for part in task_map(_output_snr_task, tasks)
                                      for e in part]).T
             sim_vals.append(etas.mean())
             sim_hw.append(t95(etas.size - 1) * etas.std(ddof=1) / np.sqrt(etas.size))
-            predicted.append(downlink.output_snr_asymptotic(n_t, cfg.n_users, sigma2))
+            predicted.append(downlink.output_snr_asymptotic(point.n_bs_antennas,
+                                                            cfg.n_users, sigma2))
             exact.append(laws.mean())
     result.notes = ("experiment=output-snr seed=%d sigma2=%g draws=%d users=%d"
                     % (cfg.seed, sigma2, draws, cfg.n_users),
@@ -691,8 +699,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid = _distinct_grid(tuple(float(g) for g in (EBN0_DB_GRID if grid is None else grid)))
-    points = [cfg.replace(ebn0_db=value) for value in grid]
+    grid, points = SWEEPS["ebn0"].points(cfg, grid)
 
     chans, rms = build_uplink_instance(cfg, stream(cfg.seed, _TAG_UPLINK, 1),
                                        stream(cfg.seed, _TAG_UPLINK, 2))
@@ -824,14 +831,8 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
     floats plus that buffer."""
     # default top point keeps the density series inside the diagonal budget
     # below; genuinely high-SNR requests still fail loudly with the bound
-    if snr_points is None:
-        snr_points = (18.0, 10.0, 3.0)
-    snr_points = tuple(float(s) for s in snr_points)
+    snr_points = _distinct_grid((18.0, 10.0, 3.0) if snr_points is None else snr_points)
     check_db(snr_points)
-    tags = [format(snr_db, "g") for snr_db in snr_points]
-    if len(set(tags)) < len(tags):
-        raise ConfigError(f"SNR points {snr_points} must have distinct column tags, "
-                          f"got {', '.join(tags)}")
     chans, _ = build_uplink_instance(cfg, stream(cfg.seed, _TAG_PDF, 1),
                                      stream(cfg.seed, _TAG_PDF, 2))
     row = chans.c[0]
@@ -858,7 +859,8 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> CurveResult:
              % (cfg.seed, cfg.pdf_fit_samples, gamma_ref),
              "noise map: sigma_v2 = gamma_ref / (2 * 10^(SNRdB/10)) per point"]
     n = cfg.pdf_fit_samples
-    for pi, (snr_db, tag) in enumerate(zip(snr_points, tags)):
+    for pi, snr_db in enumerate(snr_points):
+        tag = _fmt(snr_db)  # the one printed form, as _distinct_grid reads it
         sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
         mu, var = analysis.gaussian_approx(g1, g2, sv2)
         # scipy.stats.norm.pdf and .cdf, operation for operation

@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rislink import cli, harness
+from rislink.config import ScenarioConfig
 from rislink.harness import read_curve_csv
 
 FAST_CFG = """
@@ -69,23 +71,16 @@ def test_pdf_fit(fast_cfg, tmp_path):
     assert any(name.startswith("empirical") for name in result.series)
 
 
-def test_pdf_fit_refuses_colliding_snr_tags(fast_cfg, tmp_path):
-    # both points print as "10": one group of series would overwrite the other
-    out = tmp_path / "pdf.csv"
-    proc = run_cli("pdf-fit", "--config", str(fast_cfg), "--grid", "10,10.0000001",
-                   "--out", str(out))
-    assert proc.returncode == 2, proc.stderr
-    assert "config error" in proc.stderr
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("args", [
     ("downlink-ber", "--grid", "10,10.0"),
     ("uplink-ser", "--grid", "8,4,8.0000000001"),  # both rows would read x = 8
     ("output-snr", "--grid", "32,32"),
-], ids=["downlink_ber", "uplink_ser", "output_snr"])
+    ("pdf-fit", "--grid", "10,10.0000000001"),     # both column groups would read 10dB
+    ("uplink-ser", "--grid=-0,0"),                 # -0 is 0
+], ids=["downlink_ber", "uplink_ser", "output_snr", "pdf_fit", "negative_zero"])
 def test_repeated_grid_value_is_refused(fast_cfg, tmp_path, args, monkeypatch, capsys):
-    # a point run twice writes two rows with one x; refused before any work
+    # a point run twice writes two rows (pdf-fit: two column groups) under one
+    # name; refused before any work
     def no_work(*_args, **_kw):
         raise AssertionError("work started")
 
@@ -95,6 +90,34 @@ def test_repeated_grid_value_is_refused(fast_cfg, tmp_path, args, monkeypatch, c
     assert cli.main([*args, "--config", str(fast_cfg), "--out", str(out)]) == 2
     assert "config error: grid values must be distinct" in capsys.readouterr().err
     assert not out.exists()
+
+
+RUNNERS = {"downlink-ber": "run_downlink_ber", "uplink-ser": "run_uplink_ser",
+           "output-snr": "run_output_snr", "pdf-fit": "run_pdf_fit"}
+
+
+@pytest.mark.parametrize("command", RUNNERS)
+def test_main_calls_the_names_on_cli(command, tmp_path, monkeypatch):
+    # perfbench/spans.py times a run by replacing these attributes of cli, so
+    # main must look each of them up there
+    calls = []
+    result = harness.CurveResult("x", np.array([]))
+
+    def spy(name, returns=None):
+        def record(*args, **kwargs):
+            calls.append((name, args))
+            return returns
+        return record
+
+    for runner in RUNNERS.values():
+        monkeypatch.setattr(cli, runner, spy(runner, result))
+    monkeypatch.setattr(cli, "load_scenario", spy("load_scenario", ScenarioConfig()))
+    monkeypatch.setattr(cli, "export_csv", spy("export_csv"))
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", "scenario.cfg", "--out", str(out)]) == 0
+    assert [name for name, _ in calls] == ["load_scenario", RUNNERS[command], "export_csv"]
+    assert calls[0][1] == ("scenario.cfg",)
+    assert calls[2][1] == (result, str(out))
 
 
 def speed_csvs_at_1_and_8_workers(cfg_path, tmp_path):

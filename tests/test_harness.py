@@ -11,7 +11,7 @@ from rislink import downlink as dl
 from rislink import harness as hn
 from rislink import uplink as ul
 from rislink.channel import complex_normal, power_difference
-from rislink.config import ScenarioConfig
+from rislink.config import ConfigError, ScenarioConfig
 from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
 
 
@@ -54,6 +54,31 @@ class TestCsv:
         hn.export_csv(self.result(), p1)
         hn.export_csv(self.result(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSweepPoints:
+    def test_int_field_gets_python_ints(self):
+        grid, points = hn.ARRAY_SWEEP.points(desk_cfg(), (16.0, 32.0))
+        assert grid == (16.0, 32.0)
+        assert [p.n_bs_antennas for p in points] == [16, 32]
+        assert all(type(p.n_bs_antennas) is int for p in points)
+
+    @pytest.mark.parametrize("value", [16.5, math.inf])
+    def test_int_field_refuses_non_integers(self, value):
+        with pytest.raises(ConfigError, match="must be integers"):
+            hn.ARRAY_SWEEP.points(desk_cfg(), (16, value))
+
+    def test_float_field_keeps_floats(self):
+        _, points = hn.SWEEPS["speed"].points(desk_cfg(), (10, 30))
+        assert [p.speed for p in points] == [10.0, 30.0]
+        assert all(type(p.speed) is float for p in points)
+
+    def test_negative_zero_writes_zero(self, tmp_path):
+        res = hn.run_uplink_ser(desk_cfg(), "closed_form", (-0.0, 4.0))
+        path = tmp_path / "ser.csv"
+        hn.export_csv(res, path)
+        rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "4"]
 
 
 class TestDownlinkBer:
