@@ -11,11 +11,14 @@ from .downlink import (Precoder, RankDeficientChannel, SearchTooLarge,
                        equivalent_channel, hadamard_pilots, joint_detect,
                        ls_estimate, output_snr_asymptotic, output_snr_exact,
                        precoded_ber_exact, precoded_roundtrip, zf_precoder)
-from .harness import (CurveResult, export_csv, read_curve_csv, run_downlink_ber,
-                      run_output_snr, run_pdf_fit, run_uplink_ser)
+from .downlink_ber import run_downlink_ber
+from .harness import CurveResult, export_csv, read_curve_csv
+from .output_snr import run_output_snr
+from .pdf_fit import run_pdf_fit
 from .uplink import (DecisionRegions, UplinkChannelSet, antenna_observation,
                      build_regions, exact_linear_gains, pilot_gain_estimate,
                      region_detect)
+from .uplink_ser import run_uplink_ser
 from .waveform import (CorrelatorPair, TonePair, equivalent_noise,
                        magnitude_difference)
 

@@ -1,5 +1,8 @@
 """Command-line front end: one subcommand per experiment, CSV output.
 
+Each subcommand is one ``EXPERIMENTS`` entry, from which ``build_parser``
+makes its subparser and ``main`` makes its one call.
+
 Exit codes: 0 success, 2 configuration error (including a search above
 the exhaustive-search cap), 3 numerical failure (rank deficiency or series
 truncation), 4 I/O failure.
@@ -9,13 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .analysis import SeriesTruncationError
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .harness import (SCHEMES, SWEEPS, export_csv, run_downlink_ber, run_output_snr,
-                      run_pdf_fit, run_uplink_ser)
+from .downlink_ber import SCHEMES, run_downlink_ber
+from .harness import SWEEPS, export_csv
+from .output_snr import run_output_snr
+from .pdf_fit import run_pdf_fit
+from .uplink_ser import run_uplink_ser
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -25,14 +33,38 @@ EXIT_IO = 4
 PAPER_SCALE = {"n_bs_antennas": 128, "n_users": 8, "n_ris_elements": 64}
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="scenario file (key: value lines)")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--grid", default=None, help="comma-separated sweep values")
-    sub.add_argument("--paper-scale", action="store_true",
-                     help="use the full evaluation array sizes, over the file's")
-    sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes")
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help line, its own options as ``(flag,
+    add_argument keywords)`` pairs, and ``run(args, cfg, grid)``, which calls
+    its ``run_*`` under its name in this module, looked up at call time."""
+
+    help: str
+    options: tuple
+    run: Callable
+
+
+EXPERIMENTS = {
+    "downlink-ber": Experiment(
+        "BER sweep for the downlink schemes",
+        (("--sweep", dict(choices=tuple(SWEEPS), default="ebn0")),
+         ("--scheme", dict(action="append", choices=tuple(SCHEMES),
+                           help="repeatable; defaults to linear_precoded + qam_ml_baseline"))),
+        lambda args, cfg, grid: run_downlink_ber(
+            cfg, args.scheme or ["linear_precoded", "qam_ml_baseline"], args.sweep, grid,
+            workers=args.workers)),
+    "uplink-ser": Experiment(
+        "uplink SER: Monte Carlo vs closed form",
+        (("--scheme", dict(choices=("monte_carlo", "closed_form", "both"), default="both",
+                           help="which series to produce")),),
+        lambda args, cfg, grid: run_uplink_ser(cfg, args.scheme, grid, workers=args.workers)),
+    "output-snr": Experiment(
+        "precoded output SNR vs array size", (),
+        lambda args, cfg, grid: run_output_snr(cfg, grid, workers=args.workers)),
+    "pdf-fit": Experiment(
+        "observation density: empirical/series/Gaussian", (),
+        lambda args, cfg, grid: run_pdf_fit(cfg, grid)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,23 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rislink",
         description="Link-level experiments for the RIS-aided linear model")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("downlink-ber", help="BER sweep for the downlink schemes")
-    _add_common(p)
-    p.add_argument("--sweep", choices=tuple(SWEEPS), default="ebn0")
-    p.add_argument("--scheme", action="append", choices=tuple(SCHEMES),
-                   help="repeatable; defaults to linear_precoded + qam_ml_baseline")
-
-    p = subs.add_parser("uplink-ser", help="uplink SER: Monte Carlo vs closed form")
-    _add_common(p)
-    p.add_argument("--scheme", choices=("monte_carlo", "closed_form", "both"),
-                   default="both", help="which series to produce")
-
-    p = subs.add_parser("output-snr", help="precoded output SNR vs array size")
-    _add_common(p)
-
-    p = subs.add_parser("pdf-fit", help="observation density: empirical/series/Gaussian")
-    _add_common(p)
+    for name, experiment in EXPERIMENTS.items():
+        sub = subs.add_parser(name, help=experiment.help)
+        sub.add_argument("--config", default=None, help="scenario file (key: value lines)")
+        sub.add_argument("--seed", type=int, default=None, help="override the master seed")
+        sub.add_argument("--grid", default=None, help="comma-separated sweep values")
+        sub.add_argument("--paper-scale", action="store_true",
+                         help="use the full evaluation array sizes, over the file's")
+        sub.add_argument("--out", required=True, help="output CSV path")
+        sub.add_argument("--workers", type=int, default=1,
+                         help="worker processes (pdf-fit runs in one process)")
+        for flag, kwargs in experiment.options:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
@@ -87,17 +114,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = _load_config(args)
         grid = _parse_grid(args.grid)
-        if args.command == "downlink-ber":
-            schemes = args.scheme or ["linear_precoded", "qam_ml_baseline"]
-            result = run_downlink_ber(cfg, schemes, args.sweep, grid,
-                                      workers=args.workers)
-        elif args.command == "uplink-ser":
-            result = run_uplink_ser(cfg, args.scheme, grid, workers=args.workers)
-        elif args.command == "output-snr":
-            result = run_output_snr(cfg, grid, workers=args.workers)
-        else:
-            result = run_pdf_fit(cfg, grid)
-        export_csv(result, args.out)
+        export_csv(EXPERIMENTS[args.command].run(args, cfg, grid), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

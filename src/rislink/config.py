@@ -92,12 +92,10 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type in _REAL_TYPES and value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{f.name} must be finite", key=f.name)
-        for key in ("n_users", "n_ris_elements", "n_bs_antennas", "blocks_per_frame",
-                    "symbols_per_block", "mc_min_errors", "mc_min_trials",
-                    "mc_trial_ceiling", "mc_symbol_chunk", "mc_symbol_ceiling",
-                    "snr_channel_draws", "pdf_fit_samples"):
-            if int(getattr(self, key)) < 1:
-                raise ConfigError(f"{key} must be >= 1", key=key)
+        # every integer key but the seed is a count or a size
+        for f in fields(self):
+            if f.type == "int" and f.name != "seed" and int(getattr(self, f.name)) < 1:
+                raise ConfigError(f"{f.name} must be >= 1", key=f.name)
         for key in ("coverage_length", "carrier_f1", "symbol_period"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0", key=key)

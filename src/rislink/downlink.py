@@ -1,5 +1,6 @@
 """Real-domain linear model of the downlink: equivalent channel, least-squares
-training, joint minimum-distance detection, and zero-forcing precoding.
+training, joint minimum-distance detection, zero-forcing precoding, and the
+precoded link (``precoded_link``) that downlink-ber and output-snr simulate.
 
 The equivalent channel relates bipolar symbols to the magnitude-difference
 observation and is real by construction, so a common Doppler rotation of the
@@ -22,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import channel
 from .config import ConfigError
 
 JOINT_SEARCH_CAP = 2 ** 16
@@ -175,6 +177,17 @@ def precoded_roundtrip(h_bar: np.ndarray, precoder: Precoder, s) -> np.ndarray:
     a = w @ s
     b = w @ (1 - s)
     return a * a - b * b
+
+
+def precoded_link(w, rho, bits, sigma2, rng):
+    """Branch amplitudes a1, a2 of float bit rows sent through the real
+    precoded link ``w`` (..., N_k, N_k) at amplitude gain rho, and the
+    magnitude-difference observation z under complex branch noise."""
+    w_t = np.swapaxes(w, -1, -2)
+    amp = np.sqrt(rho)
+    a1 = amp * bits @ w_t
+    a2 = amp * (1.0 - bits) @ w_t
+    return a1, a2, channel.power_difference(rng, a1, a2, sigma2)
 
 
 def output_snr_exact(rho: float, sigma2: float) -> float:

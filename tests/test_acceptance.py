@@ -12,7 +12,7 @@ from scipy import integrate, stats
 
 from rislink import analysis as an
 from rislink import downlink as dl
-from rislink import harness as hn
+from rislink import downlink_ber, output_snr, uplink_ser
 from rislink import waveform as wf
 from rislink.config import ScenarioConfig
 from conftest import chi2_gof_pvalue, complex_gauss, rng
@@ -87,7 +87,7 @@ def test_03_zf_identity_and_roundtrip():
 def test_04_output_snr_closed_form():
     start = time.perf_counter()
     cfg = ScenarioConfig(n_users=8, snr_channel_draws=200, noise_sigma2=0.01)
-    res = hn.run_output_snr(cfg, (32, 64, 128))
+    res = output_snr.run_output_snr(cfg, (32, 64, 128))
     sim = res.series["simulated"].values
     pred = res.series["closed_form"].values
     gaps = np.abs(10 * np.log10(sim / pred))
@@ -165,7 +165,7 @@ def test_07_closed_form_ser():
                          mc_min_errors=2000, mc_min_trials=100_000,
                          mc_symbol_chunk=100_000, mc_symbol_ceiling=2_000_000)
     grid = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
-    res = hn.run_uplink_ser(cfg, "both", grid)
+    res = uplink_ser.run_uplink_ser(cfg, "both", grid)
     mc = res.series["monte_carlo"].values
     cf = res.series["closed_form"].values
     high = slice(len(grid) // 2, None)
@@ -185,7 +185,7 @@ def test_08_mobility_robustness():
     cfg = ScenarioConfig(n_users=4, n_bs_antennas=32, n_ris_elements=16,
                          rician_factor=10.0, ebn0_db=30.0,
                          mc_min_errors=300, mc_min_trials=2000, mc_trial_ceiling=4000)
-    res = hn.run_downlink_ber(cfg, ["linear_precoded", "qam_ml_baseline"],
+    res = downlink_ber.run_downlink_ber(cfg, ["linear_precoded", "qam_ml_baseline"],
                               "speed", (10.0, 50.0))
     qam = res.series["qam_ml_baseline"].values
     lin = res.series["linear_precoded"].values
@@ -204,7 +204,7 @@ def test_09_rician_trend():
                          speed=50.0, ebn0_db=28.0,
                          mc_min_errors=10_000, mc_min_trials=1000,
                          mc_trial_ceiling=6000)
-    res = hn.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0, 100.0))
+    res = downlink_ber.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0, 100.0))
     v = res.series["linear_joint"].values
     errors_seen = (res.series["linear_joint"].values
                    * res.series["linear_joint"].trials * cfg.symbols_per_block
@@ -246,7 +246,7 @@ def test_11_output_snr_exact_law():
     gaps = []
     for sigma2 in (0.3, 1.0, 3.0):
         cfg = ScenarioConfig(n_users=8, snr_channel_draws=200, noise_sigma2=sigma2)
-        res = hn.run_output_snr(cfg, (32, 64, 128))
+        res = output_snr.run_output_snr(cfg, (32, 64, 128))
         sim = res.series["simulated"].values
         exact = res.series["exact"].values
         gaps.extend(np.abs(sim / exact - 1.0))

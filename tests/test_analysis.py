@@ -7,7 +7,7 @@ from rislink import analysis as an
 from rislink import downlink as dl
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
-from rislink.harness import _uplink_task, run_uplink_ser
+from rislink.uplink_ser import _uplink_task, run_uplink_ser
 from conftest import chi2_gof_pvalue, complex_gauss, rng
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_repeated_grid_value_is_refused(fast_cfg, tmp_path, args, monkeypatch, c
     def no_work(*_args, **_kw):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(harness, "_task_map", no_work)
+    monkeypatch.setattr(harness, "task_map", no_work)
     monkeypatch.setattr(harness, "build_uplink_instance", no_work)
     out = tmp_path / "x.csv"
     assert cli.main([*args, "--config", str(fast_cfg), "--out", str(out)]) == 2
@@ -92,14 +93,10 @@ def test_repeated_grid_value_is_refused(fast_cfg, tmp_path, args, monkeypatch, c
     assert not out.exists()
 
 
-RUNNERS = {"downlink-ber": "run_downlink_ber", "uplink-ser": "run_uplink_ser",
-           "output-snr": "run_output_snr", "pdf-fit": "run_pdf_fit"}
-
-
-@pytest.mark.parametrize("command", RUNNERS)
+@pytest.mark.parametrize("command", cli.EXPERIMENTS)
 def test_main_calls_the_names_on_cli(command, tmp_path, monkeypatch):
     # perfbench/spans.py times a run by replacing these attributes of cli, so
-    # main must look each of them up there
+    # every EXPERIMENTS entry must reach its runner under its name there
     calls = []
     result = harness.CurveResult("x", np.array([]))
 
@@ -109,15 +106,36 @@ def test_main_calls_the_names_on_cli(command, tmp_path, monkeypatch):
             return returns
         return record
 
-    for runner in RUNNERS.values():
+    runners = [name for name in vars(cli) if name.startswith("run_")]
+    assert len(runners) == len(cli.EXPERIMENTS)
+    for runner in runners:
         monkeypatch.setattr(cli, runner, spy(runner, result))
     monkeypatch.setattr(cli, "load_scenario", spy("load_scenario", ScenarioConfig()))
     monkeypatch.setattr(cli, "export_csv", spy("export_csv"))
     out = tmp_path / "x.csv"
     assert cli.main([command, "--config", "scenario.cfg", "--out", str(out)]) == 0
-    assert [name for name, _ in calls] == ["load_scenario", RUNNERS[command], "export_csv"]
+    runner = "run_" + command.replace("-", "_")
+    assert [name for name, _ in calls] == ["load_scenario", runner, "export_csv"]
     assert calls[0][1] == ("scenario.cfg",)
     assert calls[2][1] == (result, str(out))
+
+
+def test_pdf_fit_ignores_workers(fast_cfg, tmp_path, monkeypatch):
+    # pdf-fit accepts --workers, as every subcommand does, and runs in one
+    # process
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    out = tmp_path / "pdf.csv"
+    assert cli.main(["pdf-fit", "--config", str(fast_cfg), "--grid", "12",
+                     "--workers", "2", "--out", str(out)]) == 0
+    assert out.exists()
+    assert pools == []
 
 
 def speed_csvs_at_1_and_8_workers(cfg_path, tmp_path):

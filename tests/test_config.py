@@ -153,6 +153,25 @@ class TestNonFinite:
             ScenarioConfig().replace(ebn0_db=float("nan"))
 
 
+COUNT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "int" and f.name != "seed"]
+
+
+def test_count_fields_read_off_the_annotations():
+    # the >= 1 rule takes its keys from the annotations, so a new integer
+    # key is checked without an edit; the seed alone may be 0
+    assert {"n_users", "n_bs_antennas", "blocks_per_frame", "mc_symbol_chunk",
+            "snr_channel_draws", "pdf_fit_samples"} <= set(COUNT_FIELDS)
+    ScenarioConfig(seed=0)
+
+
+@pytest.mark.parametrize("key", COUNT_FIELDS)
+def test_integer_key_below_one_is_refused(tmp_path, key):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(write(tmp_path, f"{key}: 0\n"))
+    assert err.value.key == key
+    assert f"{key} must be >= 1" in str(err.value)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

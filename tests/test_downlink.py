@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import hadamard as scipy_hadamard
 
 from rislink import downlink as dl
-from rislink.harness import _precoded_link
 from conftest import complex_gauss, rng
 
 
@@ -332,7 +331,7 @@ class TestOutputSnr:
             h_bar = g.standard_normal((n_k, n_t))
             pre = dl.zf_precoder(h_bar)
             bits = g.integers(0, 2, size=(20_000, n_k)).astype(float)
-            a1, a2, z = _precoded_link(h_bar @ pre.p, pre.rho, bits, sigma2, g)
+            a1, a2, z = dl.precoded_link(h_bar @ pre.p, pre.rho, bits, sigma2, g)
             clean = a1 ** 2 - a2 ** 2
             simulated.append(np.mean(clean ** 2) / np.mean((z - clean) ** 2))
             law.append(dl.output_snr_exact(pre.rho, sigma2))
@@ -355,7 +354,7 @@ class TestPrecodedBerExact:
         sigma2 = rho / (2.0 * np.log(0.5 / ber))
         g = rng(29)
         bits = g.integers(0, 2, size=(60_000, n_k))
-        _, _, z = _precoded_link(np.eye(n_k), rho, bits.astype(float), sigma2, g)
+        _, _, z = dl.precoded_link(np.eye(n_k), rho, bits.astype(float), sigma2, g)
         n = bits.size
         measured = np.count_nonzero((z >= 0) != bits) / n
         law = dl.precoded_ber_exact(rho, sigma2)

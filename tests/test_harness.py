@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from rislink import analysis
+from rislink import analysis, downlink_ber, output_snr, pdf_fit, uplink_ser
 from rislink import downlink as dl
 from rislink import harness as hn
 from rislink import uplink as ul
@@ -74,7 +74,7 @@ class TestSweepPoints:
         assert all(type(p.speed) is float for p in points)
 
     def test_negative_zero_writes_zero(self, tmp_path):
-        res = hn.run_uplink_ser(desk_cfg(), "closed_form", (-0.0, 4.0))
+        res = uplink_ser.run_uplink_ser(desk_cfg(), "closed_form", (-0.0, 4.0))
         path = tmp_path / "ser.csv"
         hn.export_csv(res, path)
         rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -85,21 +85,21 @@ class TestDownlinkBer:
     def test_noiseless_static_precoded_is_error_free(self):
         cfg = desk_cfg(noise_sigma2=0.0, speed=0.0,
                        mc_min_errors=1, mc_min_trials=100, mc_trial_ceiling=100)
-        res = hn.run_downlink_ber(cfg, "linear_precoded", "ebn0", (0.0, 10.0))
+        res = downlink_ber.run_downlink_ber(cfg, "linear_precoded", "ebn0", (0.0, 10.0))
         np.testing.assert_array_equal(res.series["linear_precoded"].values, [0.0, 0.0])
 
     def test_min_trials_respected(self):
         cfg = desk_cfg(ebn0_db=0.0)
-        res = hn.run_downlink_ber(cfg, "linear_precoded", "ebn0", (0.0,))
+        res = downlink_ber.run_downlink_ber(cfg, "linear_precoded", "ebn0", (0.0,))
         assert res.series["linear_precoded"].trials[0] >= cfg.mc_min_trials
 
     def test_deterministic_and_worker_invariant(self):
         cfg = desk_cfg()
-        a = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0))
-        b = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0))
+        a = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0))
+        b = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0))
         np.testing.assert_array_equal(a.series["linear_precoded"].values,
                                       b.series["linear_precoded"].values)
-        c = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0),
+        c = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0),
                                 workers=2)
         np.testing.assert_array_equal(a.series["linear_precoded"].values,
                                       c.series["linear_precoded"].values)
@@ -115,7 +115,7 @@ class TestDownlinkBer:
         monkeypatch.setattr(hn, "ProcessPoolExecutor", CountingPool)
         # 32 frames per point: two batches of FRAMES_PER_TASK x TASKS_PER_BATCH
         cfg = desk_cfg(blocks_per_frame=2, mc_min_trials=64, mc_trial_ceiling=64)
-        res = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0),
+        res = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0, 50.0),
                                   workers=2)
         assert res.series["linear_precoded"].trials.tolist() == [64, 64]
         assert len(pools) == 1
@@ -123,8 +123,8 @@ class TestDownlinkBer:
     def test_schemes_share_channel_draws(self):
         # adding a scheme must not change another scheme's series
         cfg = desk_cfg()
-        alone = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (50.0,))
-        both = hn.run_downlink_ber(cfg, ["linear_precoded", "qam_ml_baseline"],
+        alone = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (50.0,))
+        both = downlink_ber.run_downlink_ber(cfg, ["linear_precoded", "qam_ml_baseline"],
                                    "speed", (50.0,))
         np.testing.assert_array_equal(alone.series["linear_precoded"].values,
                                       both.series["linear_precoded"].values)
@@ -132,7 +132,7 @@ class TestDownlinkBer:
     def test_joint_requires_small_array(self):
         cfg = desk_cfg()  # 32 antennas exceeds the exhaustive-search cap
         with pytest.raises(Exception):
-            hn.run_downlink_ber(cfg, "linear_joint", "ebn0", (10.0,))
+            downlink_ber.run_downlink_ber(cfg, "linear_joint", "ebn0", (10.0,))
 
     def test_joint_search_cap_checked_before_any_frame(self, monkeypatch):
         def no_frames(*args):
@@ -141,15 +141,15 @@ class TestDownlinkBer:
         monkeypatch.setattr(hn, "build_downlink_frame", no_frames)
         monkeypatch.setattr(dl, "bipolar_candidates", no_frames)
         with pytest.raises(dl.SearchTooLarge):
-            hn.run_downlink_ber(desk_cfg(n_bs_antennas=17), "linear_joint", "ebn0",
+            downlink_ber.run_downlink_ber(desk_cfg(n_bs_antennas=17), "linear_joint", "ebn0",
                                 (10.0,))
 
     def test_joint_worker_invariant(self):
         cfg = desk_cfg(n_bs_antennas=4, blocks_per_frame=4, ebn0_db=10.0,
                        mc_min_trials=32, mc_trial_ceiling=32)
-        a = hn.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
+        a = downlink_ber.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
                                 workers=1)
-        b = hn.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
+        b = downlink_ber.run_downlink_ber(cfg, "linear_joint", "rician_k", (1.0, 10.0),
                                 workers=2)
         for field_name in ("values", "trials"):
             np.testing.assert_array_equal(
@@ -160,23 +160,23 @@ class TestDownlinkBer:
     def test_unknown_scheme_or_sweep(self):
         cfg = desk_cfg()
         with pytest.raises(ValueError):
-            hn.run_downlink_ber(cfg, "mystery", "ebn0", (0.0,))
+            downlink_ber.run_downlink_ber(cfg, "mystery", "ebn0", (0.0,))
         with pytest.raises(ValueError):
-            hn.run_downlink_ber(cfg, "linear_precoded", "bogus", (0.0,))
+            downlink_ber.run_downlink_ber(cfg, "linear_precoded", "bogus", (0.0,))
 
     def test_every_registered_scheme_runs(self, tmp_path):
         cfg = desk_cfg(n_users=2, n_bs_antennas=4, n_ris_elements=4,
                        blocks_per_frame=2, symbols_per_block=5,
                        mc_min_trials=4, mc_trial_ceiling=4)
-        names = list(hn.SCHEMES)
-        assert len({s.stream_id for s in hn.SCHEMES.values()}) == len(names)
+        names = list(downlink_ber.SCHEMES)
+        assert len({s.stream_id for s in downlink_ber.SCHEMES.values()}) == len(names)
         path = tmp_path / "all.csv"
-        hn.export_csv(hn.run_downlink_ber(cfg, names, "ebn0", (10.0,)), path)
+        hn.export_csv(downlink_ber.run_downlink_ber(cfg, names, "ebn0", (10.0,)), path)
         res = hn.read_curve_csv(path)
         assert list(res.series) == names
         assert f"schemes={'+'.join(names)}" in res.notes[0]
         noise_note = next(n for n in res.notes if n.startswith("noise map"))
-        for name, scheme in hn.SCHEMES.items():
+        for name, scheme in downlink_ber.SCHEMES.items():
             assert f"{scheme.label}={scheme.bits(cfg)}" in noise_note
             assert res.series[name].trials[0] == cfg.mc_trial_ceiling
             assert 0.0 <= res.series[name].values[0] <= 1.0
@@ -184,7 +184,7 @@ class TestDownlinkBer:
     def test_qam_noiseless_static_is_error_free(self):
         cfg = desk_cfg(noise_sigma2=0.0, speed=0.0,
                        mc_min_errors=1, mc_min_trials=100, mc_trial_ceiling=100)
-        res = hn.run_downlink_ber(cfg, "qam_ml_baseline", "ebn0", (0.0,))
+        res = downlink_ber.run_downlink_ber(cfg, "qam_ml_baseline", "ebn0", (0.0,))
         assert res.series["qam_ml_baseline"].values[0] == 0.0
 
     def test_halfwidth_is_frame_level(self):
@@ -192,12 +192,12 @@ class TestDownlinkBer:
         # recomputed frame by frame from the same streams
         cfg = desk_cfg(blocks_per_frame=4, mc_min_trials=40, mc_trial_ceiling=40)
         schemes = ("linear_precoded", "qam_ml_baseline")
-        res = hn.run_downlink_ber(cfg, list(schemes), "ebn0", (4.0, 10.0))
+        res = downlink_ber.run_downlink_ber(cfg, list(schemes), "ebn0", (4.0, 10.0))
         for pi, ebn0 in enumerate((4.0, 10.0)):
             point = cfg.replace(ebn0_db=ebn0)
-            sigma2s = {s: hn.branch_noise_sigma2(point, hn.SCHEMES[s].bits(point))
+            sigma2s = {s: hn.branch_noise_sigma2(point, downlink_ber.SCHEMES[s].bits(point))
                        for s in schemes}
-            frames = [hn._downlink_task((point, schemes, sigma2s, pi, f, f + 1))
+            frames = [downlink_ber._downlink_task((point, schemes, sigma2s, pi, f, f + 1))
                       for f in range(10)]
             for s in schemes:
                 ber = np.array([e / n for e, n, _ in (fr[s] for fr in frames)])
@@ -211,13 +211,13 @@ class TestDownlinkBer:
 
     def test_halfwidth_needs_two_frames(self):
         cfg = desk_cfg(mc_min_trials=40, mc_trial_ceiling=40)  # one frame of 40 blocks
-        res = hn.run_downlink_ber(cfg, "linear_precoded", "ebn0", (4.0,))
+        res = downlink_ber.run_downlink_ber(cfg, "linear_precoded", "ebn0", (4.0,))
         assert res.series["linear_precoded"].trials[0] == 40
         assert np.isnan(res.series["linear_precoded"].half_widths[0])
 
     def test_qam_degrades_with_speed(self):
         cfg = desk_cfg(ebn0_db=30.0, mc_min_errors=100, mc_trial_ceiling=1600)
-        res = hn.run_downlink_ber(cfg, "qam_ml_baseline", "speed", (10.0, 50.0))
+        res = downlink_ber.run_downlink_ber(cfg, "qam_ml_baseline", "speed", (10.0, 50.0))
         v = res.series["qam_ml_baseline"].values
         assert v[1] > v[0]
 
@@ -229,7 +229,7 @@ def scheme_frames(cfg, scheme, seeds=SEEDS, frames=3):
     """(frame, rng) of the first ``frames`` frames of grid point 0 at each
     seed, with ``rng(sub)`` the scheme's own streams, as ``_downlink_task``
     derives them."""
-    tag, scheme_id = hn._TAG_DOWNLINK, hn.SCHEMES[scheme].stream_id
+    tag, scheme_id = downlink_ber._TAG_DOWNLINK, downlink_ber.SCHEMES[scheme].stream_id
     for seed in seeds:
         for frame_idx in range(frames):
             frame = build_downlink_frame(cfg, stream(seed, tag, 1, 0, frame_idx),
@@ -244,7 +244,7 @@ def per_block_precoded(frame, cfg, sigma2, rng):
     arithmetic on the frame's data noise, drawn once and sliced per block;
     kept as the oracle of the batched precoded link."""
     rng_noise = rng(3)
-    pre = dl.zf_precoder(hn._train(frame, cfg, 1.0, sigma2, rng_noise))
+    pre = dl.zf_precoder(downlink_ber._train(frame, cfg, 1.0, sigma2, rng_noise))
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
     bits = rng(4).integers(0, 2, size=(blocks, syms, cfg.n_users))
     v = complex_normal(rng_noise, (2,) + bits.shape, sigma2)
@@ -261,10 +261,10 @@ def per_block_precoded(frame, cfg, sigma2, rng):
 @pytest.mark.parametrize("speed", [0.0, 50.0])
 def test_precoded_frame_matches_per_block_loop(speed):
     cfg = desk_cfg(speed=speed, ebn0_db=4.0)
-    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["linear_precoded"].bits(cfg))
     total_errors = 0
     for frame, rng in scheme_frames(cfg, "linear_precoded"):
-        got = hn._sim_linear_precoded(frame, cfg, sigma2, rng)
+        got = downlink_ber._sim_linear_precoded(frame, cfg, sigma2, rng)
         assert got == per_block_precoded(frame, cfg, sigma2, rng)
         total_errors += got[0]
     assert total_errors > 0
@@ -311,10 +311,10 @@ def test_precoded_errors_follow_the_exact_law(speed):
     # amplitudes the bits err independently, so the count has mean sum(p)
     # and variance sum(p (1 - p))
     cfg = desk_cfg(speed=speed, ebn0_db=30.0)
-    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["linear_precoded"].bits(cfg))
     errors, mean, var = 0, 0.0, 0.0
     for frame, rng in scheme_frames(cfg, "linear_precoded"):
-        pre = dl.zf_precoder(hn._train(frame, cfg, 1.0, sigma2, rng(3)))
+        pre = dl.zf_precoder(downlink_ber._train(frame, cfg, 1.0, sigma2, rng(3)))
         bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block,
                                            cfg.n_users))
         for b in range(cfg.blocks_per_frame):
@@ -324,7 +324,7 @@ def test_precoded_errors_follow_the_exact_law(speed):
             p = precoded_error_law(a1, a2, bits[b], sigma2)
             mean += p.sum()
             var += (p * (1.0 - p)).sum()
-        errors += hn._sim_linear_precoded(frame, cfg, sigma2, rng)[0]
+        errors += downlink_ber._sim_linear_precoded(frame, cfg, sigma2, rng)[0]
     assert 0.05 < mean / (9 * 4000) < 0.45  # away from a coin toss and from zero
     assert abs(errors - mean) < 4.0 * np.sqrt(var)
 
@@ -332,11 +332,11 @@ def test_precoded_errors_follow_the_exact_law(speed):
 def per_symbol_joint(frame, cfg, sigma2, rng):
     """The linear_joint frame simulation with one detection call per symbol,
     on the frame's data noise drawn once and sliced per block; kept as the
-    oracle of the block-detecting harness."""
+    oracle of the block-detecting scheme."""
     n_t = cfg.n_bs_antennas
     scale = 1.0 / np.sqrt(n_t)
     rng_noise = rng(3)
-    h_hat = hn._train(frame, cfg, scale, sigma2, rng_noise)
+    h_hat = downlink_ber._train(frame, cfg, scale, sigma2, rng_noise)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block, n_t))
     v = complex_normal(rng_noise, (2, cfg.blocks_per_frame, cfg.n_users,
                                    cfg.symbols_per_block), sigma2)
@@ -353,10 +353,10 @@ def per_symbol_joint(frame, cfg, sigma2, rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_joint_frame_matches_per_symbol_loop(seed):
     cfg = desk_cfg(n_bs_antennas=4, speed=50.0, ebn0_db=12.0, seed=seed)
-    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_joint"].bits(cfg))
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["linear_joint"].bits(cfg))
     total_errors = 0
     for frame, rng in scheme_frames(cfg, "linear_joint", seeds=(seed,)):
-        got = hn._sim_linear_joint(frame, cfg, sigma2, rng)
+        got = downlink_ber._sim_linear_joint(frame, cfg, sigma2, rng)
         assert got == per_symbol_joint(frame, cfg, sigma2, rng)
         total_errors += got[0]
     assert total_errors > 0
@@ -370,7 +370,7 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
     n_k, syms = cfg.n_users, cfg.symbols_per_block
     rng_noise = rng(3)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, syms, n_k, 2))
-    x = hn.qam_modulate(bits)
+    x = downlink_ber.qam_modulate(bits)
     noise = complex_normal(rng_noise, x.shape, sigma2)
     dnu = 2.0 * np.pi * cfg.doppler_max * cfg.symbol_period
     pilots = dl.hadamard_pilots(cfg.n_bs_antennas).shape[1]
@@ -384,7 +384,7 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
         gain = np.diag(h_est @ p_c)
         rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
         y = rot[:, None] * (x[b] @ (h_true @ p_c).T) + noise[b]
-        errors += int(np.count_nonzero(hn.qam_demodulate(y / gain[None, :]) != bits[b]))
+        errors += int(np.count_nonzero(downlink_ber.qam_demodulate(y / gain[None, :]) != bits[b]))
     return errors, bits.size
 
 
@@ -401,7 +401,7 @@ def rebuilt_error(cfg, sigma2, rng_est):
     """E = A Q^H + T V^H from the baseline's own (A, T) draws, with Q and V
     the first N_k and the next m columns of a full QR of H^H."""
     n_k, n_t = cfg.n_users, cfg.n_bs_antennas
-    a, t = hn._estimate_error(rng_est, n_k, n_t, sigma2, cfg.blocks_per_frame)
+    a, t = downlink_ber._estimate_error(rng_est, n_k, n_t, sigma2, cfg.blocks_per_frame)
 
     def error(b, h):
         q = np.linalg.qr(h.conj().T, mode="complete")[0]
@@ -417,10 +417,10 @@ def check_qam_against_per_block_loop(cfg):
     """Run the batched baseline and its per-block oracle, fed the same draws,
     on 3 seeds x 3 frames, require equal (errors, bits) on each, and return
     the frames' largest true-channel Gram condition number."""
-    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["qam_ml_baseline"].bits(cfg))
     total_errors, worst_cond = 0, 0.0
     for frame, rng in scheme_frames(cfg, "qam_ml_baseline"):
-        got = hn._sim_qam_baseline(frame, cfg, sigma2, rng)
+        got = downlink_ber._sim_qam_baseline(frame, cfg, sigma2, rng)
         same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5))
         assert got == per_block_qam(frame, cfg, sigma2, rng, same_draws)
         total_errors += got[0]
@@ -454,7 +454,7 @@ def test_qam_refuses_fewer_antennas_than_users():
     cfg = desk_cfg(n_users=4, n_bs_antennas=3)
     frame = build_downlink_frame(cfg, stream(1, 1), stream(1, 2))
     with pytest.raises(dl.RankDeficientChannel, match="baseline estimate"):
-        hn._sim_qam_baseline(frame, cfg, 0.1, lambda sub: stream(1, 3, sub))
+        downlink_ber._sim_qam_baseline(frame, cfg, 0.1, lambda sub: stream(1, 3, sub))
 
 
 class TestQamEstimateSampler:
@@ -482,7 +482,7 @@ class TestQamEstimateSampler:
 
     def check(self, h, seed):
         rot = np.exp(0.7j)
-        drawn = hn._estimate_statistics(np.broadcast_to(h, (self.N,) + h.shape),
+        drawn = downlink_ber._estimate_statistics(np.broadcast_to(h, (self.N,) + h.shape),
                                         np.full(self.N, rot), self.SIGMA2, stream(seed, 1))
         oracle = self.brute_force(h, rot, stream(seed, 2))
         got, want = self.functionals(*drawn), self.functionals(*oracle)
@@ -502,7 +502,7 @@ class TestQamEstimateSampler:
         # 200 paper-scale frames, same data and noise streams; the estimate
         # errors come from the sampler and from a full draw on its own stream
         cfg = desk_cfg(**PAPER_SIZES, speed=10.0, ebn0_db=0.0)
-        sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["qam_ml_baseline"].bits(cfg))
+        sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["qam_ml_baseline"].bits(cfg))
         counts = np.zeros((2, 2), dtype=np.int64)
         for frame_idx in range(200):
             frame = build_downlink_frame(cfg, stream(8, 1, frame_idx), stream(8, 2, frame_idx))
@@ -510,7 +510,7 @@ class TestQamEstimateSampler:
             def rng(sub):
                 return stream(8, 3, sub, frame_idx)
 
-            counts[0] += hn._sim_qam_baseline(frame, cfg, sigma2, rng)
+            counts[0] += downlink_ber._sim_qam_baseline(frame, cfg, sigma2, rng)
             full = full_error(stream(8, 4, frame_idx), estimate_sigma2(cfg, sigma2))
             counts[1] += per_block_qam(frame, cfg, sigma2, rng, full)
         (e1, n1), (e2, n2) = counts
@@ -520,7 +520,7 @@ class TestQamEstimateSampler:
 
 
 def ls_train(frame, cfg, scale, sigma2, rng_noise):
-    """``harness._train``'s pilot observation estimated by the generic
+    """``downlink_ber._train``'s pilot observation estimated by the generic
     ``downlink.ls_estimate``, kept as the oracle of the closed-form LS.  The
     observation comes from ``channel.power_difference`` on the same stream,
     so the LS solve is what is checked, bit for bit."""
@@ -537,9 +537,9 @@ def ls_train(frame, cfg, scale, sigma2, rng_noise):
 def test_train_matches_ls_estimate(n_t, joint):
     cfg = desk_cfg(n_bs_antennas=n_t)
     scale = 1.0 / np.sqrt(n_t) if joint else 1.0
-    sigma2 = hn.branch_noise_sigma2(cfg, hn.SCHEMES["linear_precoded"].bits(cfg))
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["linear_precoded"].bits(cfg))
     frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
-    got = hn._train(frame, cfg, scale, sigma2, stream(3, 3))
+    got = downlink_ber._train(frame, cfg, scale, sigma2, stream(3, 3))
     assert np.array_equal(got, ls_train(frame, cfg, scale, sigma2, stream(3, 3)))
 
 
@@ -550,9 +550,9 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
     sizes = dict(PAPER_SIZES if n_t == 128 else {}, n_bs_antennas=n_t)
     cfg = desk_cfg(**sizes, mc_min_trials=40, mc_trial_ceiling=40)
     seen = {}
-    sample_at, power_diff, statistics = (hn.channel.JakesFading.sample_at,
-                                         hn.channel.power_difference,
-                                         hn._estimate_statistics)
+    sample_at, power_diff, statistics = (downlink_ber.channel.JakesFading.sample_at,
+                                         downlink_ber.channel.power_difference,
+                                         downlink_ber._estimate_statistics)
 
     def spy_sample_at(self, times):
         seen.setdefault("times", np.array(times))
@@ -566,13 +566,13 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
         seen.setdefault("est_sigma2", sigma2)
         return statistics(h, rot, sigma2, rng)
 
-    monkeypatch.setattr(hn.channel.JakesFading, "sample_at", spy_sample_at)
-    monkeypatch.setattr(hn.channel, "power_difference", spy_power)
-    monkeypatch.setattr(hn, "_estimate_statistics", spy_statistics)
+    monkeypatch.setattr(downlink_ber.channel.JakesFading, "sample_at", spy_sample_at)
+    monkeypatch.setattr(downlink_ber.channel, "power_difference", spy_power)
+    monkeypatch.setattr(downlink_ber, "_estimate_statistics", spy_statistics)
     frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
     sigma2 = 0.25
-    hn._train(frame, cfg, 1.0, sigma2, stream(3, 3))
-    hn._sim_qam_baseline(frame, cfg, sigma2, lambda sub: stream(3, 4, sub))
+    downlink_ber._train(frame, cfg, 1.0, sigma2, stream(3, 3))
+    downlink_ber._sim_qam_baseline(frame, cfg, sigma2, lambda sub: stream(3, 4, sub))
     pilots = seen["sent"]
     assert pilots == n_t
     # the pilot instant, then block b at pilots + b*S symbol periods
@@ -580,7 +580,7 @@ def test_frame_is_timed_by_the_pilots_training_sends(n_t, monkeypatch):
     np.testing.assert_allclose(seen["times"] / cfg.symbol_period, np.r_[0, starts],
                                rtol=1e-12, atol=0)
     assert seen["est_sigma2"] == sigma2 / pilots
-    note = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", grid=(50.0,)).notes[1]
+    note = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", grid=(50.0,)).notes[1]
     assert note.endswith(f"40 blocks x 25 symbols + {pilots} pilots")
 
 
@@ -598,7 +598,7 @@ def test_t95_needs_one_degree_of_freedom():
 def test_ks_statistic_matches_scipy():
     x = np.sort(np.random.default_rng(3).normal(0.2, 1.3, 5000))
     ref = stats.kstest(x, "norm", args=(0.1, 1.2)).statistic
-    assert abs(hn._ks_statistic(x, lambda v: stats.norm.cdf(v, 0.1, 1.2)) - ref) < 1e-12
+    assert abs(pdf_fit._ks_statistic(x, lambda v: stats.norm.cdf(v, 0.1, 1.2)) - ref) < 1e-12
 
 
 def full_array_ks(model_cdf):
@@ -628,7 +628,7 @@ def check_scorer(x, cdf):
     """The block scorer equals the full-array oracle bit for bit, and only
     reads the samples."""
     kept = x.copy()
-    got = hn._ks_statistic(x, cdf)
+    got = pdf_fit._ks_statistic(x, cdf)
     assert np.array_equal(x, kept)
     want = full_array_ks(cdf(x))
     assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
@@ -709,8 +709,8 @@ def test_ks_statistic_absorbs_a_dip_below_the_margin():
     # falls by less than the margin between a block's first and last sample
     # (rounding, or the ulp wobble of np.interp at a knot) must not hide the
     # statistic sitting at that last sample
-    n = 4 * hn.KS_BLOCK + 5
-    end = 2 * hn.KS_BLOCK - 1
+    n = 4 * pdf_fit.KS_BLOCK + 5
+    end = 2 * pdf_fit.KS_BLOCK - 1
     table = np.where(np.arange(n) <= end, 0.01, 0.6)
     table[end] -= 1e-12
     x = np.arange(float(n))
@@ -749,21 +749,21 @@ def test_density_histogram_bit_equal_to_numpy(edges):
                                np.nextafter(edges[-1], 1.0)]])
     samples.sort()
     ref, _ = np.histogram(samples, bins=edges, density=True)
-    assert np.array_equal(hn._density_histogram(samples, edges), ref)
+    assert np.array_equal(pdf_fit._density_histogram(samples, edges), ref)
 
 
 class TestQamHelpers:
     def test_modulate_demodulate_roundtrip(self):
         g = np.random.default_rng(0)
         bits = g.integers(0, 2, (100, 2))
-        np.testing.assert_array_equal(hn.qam_demodulate(hn.qam_modulate(bits)), bits)
+        np.testing.assert_array_equal(downlink_ber.qam_demodulate(downlink_ber.qam_modulate(bits)), bits)
 
     def test_half_turn_flips_decisions(self):
         # a pi rotation mid-block with stale equalization inverts every bit
         g = np.random.default_rng(1)
         bits = g.integers(0, 2, (50, 2))
-        y = hn.qam_modulate(bits) * np.exp(1j * np.pi)
-        np.testing.assert_array_equal(hn.qam_demodulate(y), 1 - bits)
+        y = downlink_ber.qam_modulate(bits) * np.exp(1j * np.pi)
+        np.testing.assert_array_equal(downlink_ber.qam_demodulate(y), 1 - bits)
 
 
 class TestOutputSnr:
@@ -782,12 +782,12 @@ class TestOutputSnr:
     def test_grid_validation(self):
         cfg = desk_cfg(n_users=8)
         with pytest.raises(ValueError):
-            hn.run_output_snr(cfg, (8,))
+            output_snr.run_output_snr(cfg, (8,))
 
     def test_worker_invariance(self):
         cfg = desk_cfg(n_users=4, snr_channel_draws=50)
-        a = hn.run_output_snr(cfg, (16, 32), workers=1)
-        b = hn.run_output_snr(cfg, (16, 32), workers=2)
+        a = output_snr.run_output_snr(cfg, (16, 32), workers=1)
+        b = output_snr.run_output_snr(cfg, (16, 32), workers=2)
         np.testing.assert_array_equal(a.series["simulated"].values,
                                       b.series["simulated"].values)
         np.testing.assert_array_equal(a.series["simulated"].half_widths,
@@ -796,8 +796,8 @@ class TestOutputSnr:
     def test_exact_is_mean_law_over_the_draws(self):
         n_k, n_t, draws, sigma2 = 4, 16, 30, 0.5
         cfg = desk_cfg(n_users=n_k, snr_channel_draws=draws, noise_sigma2=sigma2)
-        res = hn.run_output_snr(cfg, (n_t,))
-        h_bars = [stream(cfg.seed, hn._TAG_OUTPUT_SNR, 0, d).standard_normal((n_k, n_t))
+        res = output_snr.run_output_snr(cfg, (n_t,))
+        h_bars = [stream(cfg.seed, output_snr._TAG_OUTPUT_SNR, 0, d).standard_normal((n_k, n_t))
                   for d in range(draws)]
         laws = [dl.output_snr_exact(dl.zf_precoder(h_bar).rho, sigma2) for h_bar in h_bars]
         assert res.series["exact"].values[0] == np.mean(laws)
@@ -807,8 +807,8 @@ class TestOutputSnr:
         # t_{0.975, D-1} sd(eta) / sqrt(D) over the D draws' simulated SNRs
         n_t, draws, sigma2 = 16, 30, 0.5
         cfg = desk_cfg(n_users=4, snr_channel_draws=draws, noise_sigma2=sigma2)
-        res = hn.run_output_snr(cfg, (n_t,))
-        etas = np.array(hn._output_snr_task(
+        res = output_snr.run_output_snr(cfg, (n_t,))
+        etas = np.array(output_snr._output_snr_task(
             (cfg.replace(n_bs_antennas=n_t), 0, 0, draws, sigma2, 256)))[:, 0]
         assert res.series["simulated"].values[0] == pytest.approx(etas.mean(), rel=1e-12)
         assert res.series["simulated"].half_widths[0] == pytest.approx(
@@ -823,15 +823,15 @@ class TestOutputSnr:
             calls.append(h_bar)
             return zf_precoder(h_bar)
 
-        monkeypatch.setattr(hn.downlink, "zf_precoder", counting)
+        monkeypatch.setattr(output_snr.downlink, "zf_precoder", counting)
         cfg = desk_cfg(n_bs_antennas=16)
-        etas = hn._output_snr_task((cfg, 0, 0, 7, 0.5, 64))
+        etas = output_snr._output_snr_task((cfg, 0, 0, 7, 0.5, 64))
         assert len(etas) == 7
         assert len(calls) == 7
 
     def test_simulated_close_to_prediction_small(self):
         cfg = desk_cfg(n_users=4, snr_channel_draws=50)
-        res = hn.run_output_snr(cfg, (16, 32))
+        res = output_snr.run_output_snr(cfg, (16, 32))
         sim = res.series["simulated"].values
         pred = res.series["closed_form"].values
         assert np.all(np.abs(10 * np.log10(sim / pred)) < 1.0)
@@ -840,7 +840,7 @@ class TestOutputSnr:
 class TestUplinkSer:
     def test_zero_noise_both_modes_zero(self):
         cfg = desk_cfg(noise_sigma2=0.0, n_bs_antennas=64, ris_phase_mode="random")
-        res = hn.run_uplink_ser(cfg, "both", (0.0, 10.0))
+        res = uplink_ser.run_uplink_ser(cfg, "both", (0.0, 10.0))
         np.testing.assert_array_equal(res.series["monte_carlo"].values, [0.0, 0.0])
         np.testing.assert_array_equal(res.series["closed_form"].values, [0.0, 0.0])
 
@@ -850,7 +850,7 @@ class TestUplinkSer:
         a = np.ones((4, 2), dtype=complex)
         chans = ul.UplinkChannelSet(a=a, b=np.zeros_like(a), o=np.zeros_like(a))
         monkeypatch.setattr(hn, "build_uplink_instance", lambda cfg, r1, r2: (chans, 1.0))
-        res = hn.run_uplink_ser(desk_cfg(n_users=2, noise_sigma2=0.0), "both", (0.0,))
+        res = uplink_ser.run_uplink_ser(desk_cfg(n_users=2, noise_sigma2=0.0), "both", (0.0,))
         assert "degenerate_regions=True" in res.notes
         np.testing.assert_array_equal(res.series["monte_carlo"].values, [0.25])
         np.testing.assert_array_equal(res.series["closed_form"].values, [0.25])
@@ -865,7 +865,7 @@ class TestUplinkSer:
         monkeypatch.setattr(hn, "build_uplink_instance", lambda cfg, r1, r2: (chans, 1.0))
         cfg = desk_cfg(n_users=1, noise_sigma2=1e-3, mc_symbol_chunk=2000,
                        mc_min_trials=8000, mc_symbol_ceiling=8000)
-        series = hn.run_uplink_ser(cfg, "monte_carlo", (0.0,)).series["monte_carlo"]
+        series = uplink_ser.run_uplink_ser(cfg, "monte_carlo", (0.0,)).series["monte_carlo"]
         assert series.values[0] == 0.0
         assert series.trials[0] == 8000
         assert series.half_widths[0] == pytest.approx(hn.Z95 ** 2 / (8000 + hn.Z95 ** 2),
@@ -875,9 +875,9 @@ class TestUplinkSer:
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
                        mc_min_errors=50, mc_min_trials=2000,
                        mc_symbol_chunk=2000, mc_symbol_ceiling=8000)
-        mc = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,))
-        cf = hn.run_uplink_ser(cfg, "closed_form", (6.0,))
-        both = hn.run_uplink_ser(cfg, "both", (6.0,))
+        mc = uplink_ser.run_uplink_ser(cfg, "monte_carlo", (6.0,))
+        cf = uplink_ser.run_uplink_ser(cfg, "closed_form", (6.0,))
+        both = uplink_ser.run_uplink_ser(cfg, "both", (6.0,))
         assert set(mc.series) == {"monte_carlo"}
         assert set(cf.series) == {"closed_form"}
         np.testing.assert_allclose(both.series["closed_form"].values,
@@ -889,8 +889,8 @@ class TestUplinkSer:
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
                        mc_min_errors=50, mc_min_trials=2000,
                        mc_symbol_chunk=2000, mc_symbol_ceiling=8000)
-        a = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=1)
-        b = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=3)
+        a = uplink_ser.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=1)
+        b = uplink_ser.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=3)
         np.testing.assert_array_equal(a.series["monte_carlo"].values,
                                       b.series["monte_carlo"].values)
 
@@ -907,7 +907,7 @@ class TestUplinkSer:
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random",
                        mc_min_errors=10 ** 6, mc_min_trials=4000,
                        mc_symbol_chunk=1000, mc_symbol_ceiling=4000)
-        hn.run_uplink_ser(cfg, "monte_carlo", (0.0, 6.0, 12.0))
+        uplink_ser.run_uplink_ser(cfg, "monte_carlo", (0.0, 6.0, 12.0))
         assert len(keys) == 2 + 3 * 4
         states = {tuple(stream(*k).bit_generator.seed_seq.generate_state(4))
                   for k in keys}
@@ -925,17 +925,17 @@ class TestRateHalfwidth:
     @pytest.mark.parametrize("total", [1, 10, 2_000_000])
     def test_zero_and_all_errors(self, total):
         wilson = hn.Z95 ** 2 / (total + hn.Z95 ** 2)
-        assert hn._rate_halfwidth(0, total) == pytest.approx(wilson, rel=1e-12)
-        assert hn._rate_halfwidth(total, total) == pytest.approx(wilson, rel=1e-12)
+        assert hn.rate_halfwidth(0, total) == pytest.approx(wilson, rel=1e-12)
+        assert hn.rate_halfwidth(total, total) == pytest.approx(wilson, rel=1e-12)
         if total == 2_000_000:
-            assert hn._rate_halfwidth(0, total) == pytest.approx(1.92e-6, rel=1e-3)
+            assert hn.rate_halfwidth(0, total) == pytest.approx(1.92e-6, rel=1e-3)
 
     @pytest.mark.parametrize("errors, total", [(0, 50), (1, 50), (7, 50), (25, 50),
                                                (49, 50), (3, 20000), (1234, 5000)])
     def test_larger_distance_to_a_score_interval_end(self, errors, total):
         lower, upper = self.score_ends(errors, total)
         p = errors / total
-        assert hn._rate_halfwidth(errors, total) == pytest.approx(
+        assert hn.rate_halfwidth(errors, total) == pytest.approx(
             max(p - lower, upper - p), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
@@ -943,7 +943,7 @@ class TestRateHalfwidth:
         total = 2_000_000
         errors = round(p * total)
         wald = hn.Z95 * math.sqrt(p * (1.0 - p) / total)
-        assert abs(hn._rate_halfwidth(errors, total) / wald - 1.0) < 0.01
+        assert abs(hn.rate_halfwidth(errors, total) / wald - 1.0) < 0.01
 
 
 class TestUplinkSampler:
@@ -976,7 +976,7 @@ class TestUplinkSampler:
             assert b == 0.0  # 1 - s = 0
         if zero:
             assert a == b == 0.0
-        drawn = sigma2 / (2.0 * n_t) * hn._ncx2_difference(
+        drawn = sigma2 / (2.0 * n_t) * uplink_ser._ncx2_difference(
             stream(3, 5), np.full(self.N, a - b), np.full(self.N, a + b), n_t)
         assert stats.ks_2samp(drawn, oracle).pvalue > 0.01
 
@@ -1005,10 +1005,10 @@ class TestUplinkExactLaw:
         cfg = desk_cfg(n_users=1, n_bs_antennas=n_t, ris_phase_mode="random",
                        mc_min_errors=10 ** 9, mc_min_trials=n, mc_symbol_chunk=n // 4,
                        mc_symbol_ceiling=n)
-        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, hn._TAG_UPLINK, 1),
-                                         stream(cfg.seed, hn._TAG_UPLINK, 2))
+        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, uplink_ser._TAG_UPLINK, 1),
+                                         stream(cfg.seed, uplink_ser._TAG_UPLINK, 2))
         energy = float(np.sum(np.abs(chans.c[:, 0]) ** 2))
-        res = hn.run_uplink_ser(cfg.replace(noise_sigma2=energy / snr), "monte_carlo", (0.0,))
+        res = uplink_ser.run_uplink_ser(cfg.replace(noise_sigma2=energy / snr), "monte_carlo", (0.0,))
         mc = res.series["monte_carlo"]
         p = self.law(n_t, snr)
         assert 1e-2 < p < 0.3
@@ -1019,7 +1019,7 @@ class TestUplinkExactLaw:
 class TestPdfFit:
     def test_densities_normalized_on_grid(self):
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=200_000)
-        res = hn.run_pdf_fit(cfg, (15.0, 5.0))
+        res = pdf_fit.run_pdf_fit(cfg, (15.0, 5.0))
         dx = np.diff(res.x_values)
         for name, series in res.series.items():
             total = np.sum((series.values[1:] + series.values[:-1]) / 2.0 * dx)
@@ -1027,34 +1027,34 @@ class TestPdfFit:
 
     def test_series_beats_gaussian_at_low_snr(self):
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=500_000)
-        res = hn.run_pdf_fit(cfg, (15.0, 2.0))
+        res = pdf_fit.run_pdf_fit(cfg, (15.0, 2.0))
         ks = self.ks_by_point(res)
         lowest = ks["2dB"]
         assert lowest[1] <= lowest[0]
 
     def test_gaussian_fits_tightly_at_high_snr(self):
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=1_000_000)
-        res = hn.run_pdf_fit(cfg, (18.0,))
+        res = pdf_fit.run_pdf_fit(cfg, (18.0,))
         assert self.ks_by_point(res)["18dB"][0] < 0.02
 
     @pytest.mark.parametrize("n_users", [1, 4])
     def test_gaussian_bit_equal_to_scipy_norm(self, monkeypatch, n_users):
-        # the harness writes norm.pdf / norm.cdf out by hand; scipy.stats.norm
+        # pdf-fit writes norm.pdf / norm.cdf out by hand; scipy.stats.norm
         # stays the oracle, and the match must be exact, not approximate
         cfg = desk_cfg(n_users=n_users, n_bs_antennas=16, pdf_fit_samples=20_000)
         snr_points = (18.0, 10.0, 3.0)
         model_cdfs = []
-        ks_statistic = hn._ks_statistic
+        ks_statistic = pdf_fit._ks_statistic
 
         def recording_ks(ascending, cdf):
             model_cdfs.append(cdf(ascending))
             return ks_statistic(ascending, cdf)
 
-        monkeypatch.setattr(hn, "_ks_statistic", recording_ks)
-        res = hn.run_pdf_fit(cfg, snr_points)
+        monkeypatch.setattr(pdf_fit, "_ks_statistic", recording_ks)
+        res = pdf_fit.run_pdf_fit(cfg, snr_points)
 
-        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, hn._TAG_PDF, 1),
-                                         stream(cfg.seed, hn._TAG_PDF, 2))
+        chans, _ = build_uplink_instance(cfg, stream(cfg.seed, pdf_fit._TAG_PDF, 1),
+                                         stream(cfg.seed, pdf_fit._TAG_PDF, 2))
         row = chans.c[0]
         s_ref = np.arange(cfg.n_users) % 2
         c1, c2 = row @ s_ref, row @ (1 - s_ref)
@@ -1063,7 +1063,7 @@ class TestPdfFit:
         for pi, snr_db in enumerate(snr_points):
             sv2 = gamma_ref / (2.0 * 10.0 ** (snr_db / 10.0))
             samples = np.sort(power_difference(
-                stream(cfg.seed, hn._TAG_PDF, 3, pi), c1, c2,
+                stream(cfg.seed, pdf_fit._TAG_PDF, 3, pi), c1, c2,
                 2.0 * sv2, (cfg.pdf_fit_samples,)))
             mu, var = analysis.gaussian_approx(np.abs(c1) ** 2, np.abs(c2) ** 2, sv2)
             sd = np.sqrt(var)
@@ -1078,16 +1078,16 @@ class TestPdfFit:
     def test_ks_bit_equal_to_oracle_on_the_runs_samples(self, monkeypatch, n_users):
         # both model CDFs of every point, on the sorted samples the run made
         calls = []
-        ks_statistic = hn._ks_statistic
+        ks_statistic = pdf_fit._ks_statistic
 
         def checked_ks(ascending, cdf):
             got = ks_statistic(ascending, cdf)
             calls.append((got, full_array_ks(cdf(ascending))))
             return got
 
-        monkeypatch.setattr(hn, "_ks_statistic", checked_ks)
+        monkeypatch.setattr(pdf_fit, "_ks_statistic", checked_ks)
         cfg = desk_cfg(n_users=n_users, n_bs_antennas=16, pdf_fit_samples=200_000)
-        hn.run_pdf_fit(cfg, (18.0, 10.0, 3.0))
+        pdf_fit.run_pdf_fit(cfg, (18.0, 10.0, 3.0))
         assert len(calls) == 6
         for got, want in calls:
             assert got == want
@@ -1095,10 +1095,10 @@ class TestPdfFit:
     def test_nan_density_gives_nan_ks(self, monkeypatch):
         # a NaN density makes the normalized CDF table NaN; the series KS
         # must say so rather than score the samples against a partial table
-        monkeypatch.setattr(hn.analysis, "gamma_difference_pdf",
+        monkeypatch.setattr(pdf_fit.analysis, "gamma_difference_pdf",
                             lambda x, p1, p2, ctl: np.full(x.shape, np.nan))
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=5000)
-        res = hn.run_pdf_fit(cfg, (10.0,))
+        res = pdf_fit.run_pdf_fit(cfg, (10.0,))
         ks_gauss, ks_series = self.ks_by_point(res)["10dB"]
         assert np.isnan(ks_series)
         assert 0.0 < ks_gauss < 1.0
@@ -1112,10 +1112,10 @@ class TestPdfFit:
             calls.append(x)
             raise analysis.SeriesTruncationError("cut", partial_sum=2.0 * x, tail_bound=1.5)
 
-        monkeypatch.setattr(hn.analysis, "gamma_difference_pdf", truncated)
+        monkeypatch.setattr(pdf_fit.analysis, "gamma_difference_pdf", truncated)
         cfg = desk_cfg(n_bs_antennas=16, pdf_fit_samples=2000)
         with pytest.raises(analysis.SeriesTruncationError) as err:
-            hn.run_pdf_fit(cfg, (10.0,))
+            pdf_fit.run_pdf_fit(cfg, (10.0,))
         (x,) = calls
         grid, fine = x[:401], x[401:]
         assert np.array_equal(fine, np.linspace(grid[0], grid[-1], 2001))
@@ -1131,10 +1131,10 @@ class TestPdfFit:
         # outlive it into the next point's draw
         n = 200_000
         cfg = desk_cfg(n_users=1, n_bs_antennas=16, pdf_fit_samples=n)
-        hn.run_pdf_fit(cfg, snr_points)  # first-call allocations out of the count
+        pdf_fit.run_pdf_fit(cfg, snr_points)  # first-call allocations out of the count
         tracemalloc.start()
         try:
-            hn.run_pdf_fit(cfg, snr_points)
+            pdf_fit.run_pdf_fit(cfg, snr_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1182,26 +1182,26 @@ class TestPoolSize:
             np.testing.assert_array_equal(a.series[name].values, b.series[name].values)
             np.testing.assert_array_equal(a.series[name].trials, b.series[name].trials)
 
-    @pytest.mark.parametrize("workers, size", [(64, hn.TASKS_PER_BATCH), (3, 3)])
+    @pytest.mark.parametrize("workers, size", [(64, downlink_ber.TASKS_PER_BATCH), (3, 3)])
     def test_downlink(self, sizes, workers, size):
         cfg = desk_cfg(blocks_per_frame=2, mc_min_trials=64, mc_trial_ceiling=64)
-        one = hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,))
+        one = downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,))
         assert sizes == []
-        self.same(hn.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,),
+        self.same(downlink_ber.run_downlink_ber(cfg, ["linear_precoded"], "speed", (10.0,),
                                       workers=workers), one)
         assert sizes == [size]
 
     def test_uplink(self, sizes):
         cfg = desk_cfg(n_bs_antennas=64, ris_phase_mode="random", mc_min_trials=4000,
                        mc_symbol_chunk=1000, mc_symbol_ceiling=4000)
-        one = hn.run_uplink_ser(cfg, "monte_carlo", (6.0,))
-        self.same(hn.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=64), one)
-        assert sizes == [hn.UPLINK_TASKS_PER_BATCH]
+        one = uplink_ser.run_uplink_ser(cfg, "monte_carlo", (6.0,))
+        self.same(uplink_ser.run_uplink_ser(cfg, "monte_carlo", (6.0,), workers=64), one)
+        assert sizes == [uplink_ser.UPLINK_TASKS_PER_BATCH]
 
     @pytest.mark.parametrize("draws, size", [(60, 3), (25, None)])
     def test_output_snr(self, sizes, draws, size):
         # 60 draws are three tasks per point; 25 are one, and need no pool
         cfg = desk_cfg(n_users=4, snr_channel_draws=draws)
-        one = hn.run_output_snr(cfg, (16,))
-        self.same(hn.run_output_snr(cfg, (16,), workers=64), one)
+        one = output_snr.run_output_snr(cfg, (16,))
+        self.same(output_snr.run_output_snr(cfg, (16,), workers=64), one)
         assert sizes == ([] if size is None else [size])

@@ -4,7 +4,7 @@ import pytest
 from rislink import downlink as dl
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
-from rislink.harness import run_uplink_ser
+from rislink.uplink_ser import run_uplink_ser
 from conftest import complex_gauss, rng
 
 
