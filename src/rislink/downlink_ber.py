@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import channel, downlink, harness
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .scenario import frame_timeline
 
 # fixed batch geometry so adaptive stopping is scheduling-independent
@@ -131,15 +131,13 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     """4-QAM with a fresh noisy, Doppler-rotated estimate H_est = r H + E per
     block, E ~ CN(0, sigma2 / pilots) for the pilots training sends, and zero
     forcing on it through the N_k x N_k Gram G = H_est H_est^H: the precoder
-    H_est^H G^-1 / sqrt(tr G^-1) has unit power, the true channel sees
-    (H H_est^H) G^-1 / sqrt(tr G^-1), and the receiver divides by the
-    diagonal of H_est times the same precoder.  The scheme reads H_est only
-    through G and H H_est^H, which ``_estimate_statistics`` draws.  A block
-    whose Gram has lambda_min <= RANK_RTOL * lambda_max, or N_t < N_k, raises
-    RankDeficientChannel."""
-    n_k, n_t = cfg.n_users, cfg.n_bs_antennas
-    if n_t < n_k:
-        raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
+    H_est^H G^-1 / sqrt(tr G^-1) has unit power and the true channel sees
+    (H H_est^H) G^-1 / sqrt(tr G^-1).  The receiver decides on signs alone:
+    its equalizer gain, diag(H_est times the precoder) = 1 / sqrt(tr G^-1),
+    is real and positive.  The scheme reads H_est only through G and
+    H H_est^H, which ``_estimate_statistics`` draws.  A block whose Gram has
+    lambda_min <= RANK_RTOL * lambda_max raises RankDeficientChannel."""
+    n_k = cfg.n_users
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
     pilots, t0 = frame_timeline(cfg)  # t0: block starts, in symbols
     rng_noise, rng_est = rng(3), rng(5)
@@ -155,12 +153,16 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
         raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
     g_inv = np.linalg.inv(gram)
     norm = 1.0 / np.sqrt(np.trace(g_inv, axis1=-2, axis2=-1).real)[:, None, None]
-    composite = cross @ g_inv * norm                           # (B, N_k, N_k)
-    gain = np.diagonal(gram @ g_inv * norm, axis1=-2, axis2=-1)  # receiver-side
+    composite = cross @ g_inv * norm             # (B, N_k, N_k)
     y = rot[:, :, None] * (x @ composite.mT) \
         + channel.complex_normal(rng_noise, (blocks, syms, n_k), sigma2)
-    detected = qam_demodulate(y / gain[:, None, :])
-    return int(np.count_nonzero(detected != bits)), bits.size
+    return int(np.count_nonzero(qam_demodulate(y) != bits)), bits.size
+
+
+def _check_zero_forcing(cfg):
+    if cfg.n_bs_antennas < cfg.n_users:
+        raise ConfigError(f"zero forcing needs n_bs_antennas >= n_users = {cfg.n_users}",
+                          key="n_bs_antennas")
 
 
 @dataclass(frozen=True)
@@ -168,21 +170,25 @@ class Scheme:
     """One downlink scheme: its frame simulator ``simulate(frame, cfg,
     sigma2, rng) -> (bit_errors, bits)``, where ``rng(sub)`` is the scheme's
     own stream ``sub`` of the frame (3 noise, 4 data, 5 estimation); its
-    bits per symbol; its stream id; and its label in the noise-map note."""
+    bits per symbol; its stream id; its label in the noise-map note; and
+    ``check(cfg)``, which raises ``ConfigError`` for a configuration the
+    scheme cannot run, before any frame is built."""
 
     simulate: Callable
     bits: Callable[[ScenarioConfig], int]
     stream_id: int
     label: str
+    check: Callable[[ScenarioConfig], None]
 
 
 SCHEMES = {
     "linear_precoded": Scheme(_sim_linear_precoded, lambda cfg: cfg.n_users,
-                              1, "precoded: N_k"),
+                              1, "precoded: N_k", _check_zero_forcing),
     "linear_joint": Scheme(_sim_linear_joint, lambda cfg: cfg.n_bs_antennas,
-                           2, "joint: N_t"),
+                           2, "joint: N_t",
+                           lambda cfg: downlink.check_search_size(cfg.n_bs_antennas)),
     "qam_ml_baseline": Scheme(_sim_qam_baseline, lambda cfg: 2 * cfg.n_users,
-                              3, "qam: 2N_k"),
+                              3, "qam: 2N_k", _check_zero_forcing),
 }
 
 
@@ -228,8 +234,8 @@ def run_downlink_ber(cfg: ScenarioConfig, schemes, sweep: str, grid=None,
             raise ValueError(f"unknown scheme {s!r}")
     if sweep not in harness.SWEEPS:
         raise ValueError(f"unknown sweep axis {sweep!r}")
-    if "linear_joint" in schemes:
-        downlink.check_search_size(cfg.n_bs_antennas)  # before any frame is built
+    for s in schemes:
+        SCHEMES[s].check(cfg)  # before any frame is built
     axis = harness.SWEEPS[sweep]
     grid, points = axis.points(cfg, grid)
 

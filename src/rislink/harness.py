@@ -224,10 +224,9 @@ def branch_noise_sigma2(cfg: ScenarioConfig, bits: int = 1) -> float:
     bits over a unit-normalized channel; a configured noise_sigma2
     overrides the mapping.
 
-    Downlink schemes pass their bits per symbol from
-    ``downlink_ber.SCHEMES``: N_k (precoded, 1 bit/user), N_t (joint, 1
-    bit/antenna), 2*N_k (4-QAM).  The uplink carries one bit per user at one
-    antenna, so bits = 1.
+    Each downlink scheme passes its own bits per symbol, the ``bits`` of
+    its ``downlink_ber.SCHEMES`` entry.  The uplink carries one bit per user
+    at one antenna, so bits = 1.
     """
     if cfg.noise_sigma2 is not None:
         return float(cfg.noise_sigma2)

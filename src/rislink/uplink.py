@@ -45,20 +45,20 @@ class UplinkChannelSet:
 class DecisionRegions:
     """Midpoint partition of the real line separating sorted noiseless means.
 
-    ``representatives[r]`` is the lowest constellation index whose mean falls
-    in region r; ``symbol_region[i]`` maps constellation index i to its
-    region; ``region_sizes[r]`` > 1 marks indistinguishable points.
+    ``boundaries`` are the ascending region edges; ``representatives[r]`` is
+    the lowest constellation index whose mean falls in region r, and
+    ``symbol_region[i]`` maps constellation index i to its region.  Points
+    that share a region are indistinguishable, so the partition is
+    degenerate when there are fewer regions than points.
     """
 
     boundaries: np.ndarray
-    region_means: np.ndarray
     representatives: np.ndarray
     symbol_region: np.ndarray
-    region_sizes: np.ndarray
 
     @property
     def degenerate(self) -> bool:
-        return bool(np.any(self.region_sizes > 1))
+        return self.representatives.size < self.symbol_region.size
 
     def locate(self, xi) -> np.ndarray | int:
         """Region index with d_{r-1} <= xi < d_r (boundary goes up)."""
@@ -141,34 +141,26 @@ def build_regions(total: np.ndarray, constellation: np.ndarray) -> DecisionRegio
     """Decision regions from the noiseless means ``constellation @ total`` of
     every constellation point, for the (n_users,) per-user gains ``total``.
 
-    Means are sorted ascending and consecutive duplicates collapse into one
-    region whose representative is the lowest constellation index; boundaries
-    sit at midpoints of consecutive distinct means.
+    Means are sorted ascending (stably), and a new region starts wherever two
+    consecutive sorted means differ by more than ``tol``, 1e-12 of their
+    range (at least 1e-12).  A region's representative is its lowest
+    constellation index; boundaries sit at midpoints of the lowest means of
+    consecutive regions.  Ties chain: three or more means each within
+    ``tol`` of the next form one region even when the chain spans more than
+    ``tol``.
     """
-    constellation = np.asarray(constellation, dtype=float)
-    means = constellation @ np.asarray(total)
+    means = np.asarray(constellation, dtype=float) @ np.asarray(total)
     order = np.argsort(means, kind="stable")
-    tol = 1e-12 * max(1.0, float(np.ptp(means)) if means.size else 1.0)
-
-    region_means, reps, sizes = [], [], []
-    symbol_region = np.empty(means.shape[0], dtype=int)
-    for pos in order:
-        if region_means and means[pos] - region_means[-1] <= tol:
-            symbol_region[pos] = len(region_means) - 1
-            sizes[-1] += 1
-            reps[-1] = min(reps[-1], int(pos))
-        else:
-            symbol_region[pos] = len(region_means)
-            region_means.append(float(means[pos]))
-            reps.append(int(pos))
-            sizes.append(1)
-    region_means = np.asarray(region_means)
-    boundaries = 0.5 * (region_means[:-1] + region_means[1:])
-    return DecisionRegions(boundaries=boundaries,
-                           region_means=region_means,
-                           representatives=np.asarray(reps, dtype=int),
-                           symbol_region=symbol_region,
-                           region_sizes=np.asarray(sizes, dtype=int))
+    sorted_means = means[order]
+    tol = 1e-12 * max(1.0, float(np.ptp(means)))
+    first = np.concatenate([[True], np.diff(sorted_means) > tol])  # opens a region
+    starts = np.flatnonzero(first)
+    symbol_region = np.empty(means.size, dtype=int)
+    symbol_region[order] = np.cumsum(first) - 1
+    lowest = sorted_means[starts]
+    return DecisionRegions(boundaries=0.5 * (lowest[:-1] + lowest[1:]),
+                           representatives=np.minimum.reduceat(order, starts),
+                           symbol_region=symbol_region)
 
 
 def region_detect(xi, regions: DecisionRegions):

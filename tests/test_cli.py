@@ -299,6 +299,22 @@ def test_search_cap_exit_code_just_above_cap(tmp_path):
     assert "search cap" in proc.stderr
 
 
+@pytest.mark.parametrize("scheme, code", [
+    ("linear_precoded", 2), ("qam_ml_baseline", 2), ("linear_joint", 0),
+])
+def test_fewer_antennas_than_users_exit_code(tmp_path, scheme, code):
+    # zero forcing needs N_t >= N_k; joint detection searches all 2**N_t
+    cfg = tmp_path / "nt2.cfg"
+    cfg.write_text(FAST_CFG + "n_bs_antennas: 2\nmc_min_trials: 20\nmc_trial_ceiling: 20\n")
+    out = tmp_path / "x.csv"
+    proc = run_cli("downlink-ber", "--config", str(cfg), "--scheme", scheme,
+                   "--grid", "10", "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert out.exists() == (code == 0)
+    if code:
+        assert "config error" in proc.stderr and "n_bs_antennas" in proc.stderr
+
+
 def test_series_truncation_exit_code(fast_cfg, tmp_path):
     # 60 dB branch SNR pushes the density series far past the diagonal budget
     proc = run_cli("pdf-fit", "--config", str(fast_cfg), "--grid", "60",

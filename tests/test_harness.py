@@ -450,11 +450,17 @@ def test_qam_gram_zf_matches_pinv_at_worst_conditioning():
     assert check_qam_against_per_block_loop(cfg) > 1e6
 
 
-def test_qam_refuses_fewer_antennas_than_users():
+def test_qam_refuses_fewer_antennas_than_users(monkeypatch):
+    # zero forcing needs N_t >= N_k: a configuration fault, before any frame
+    def no_frames(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(hn, "build_downlink_frame", no_frames)
     cfg = desk_cfg(n_users=4, n_bs_antennas=3)
-    frame = build_downlink_frame(cfg, stream(1, 1), stream(1, 2))
-    with pytest.raises(dl.RankDeficientChannel, match="baseline estimate"):
-        downlink_ber._sim_qam_baseline(frame, cfg, 0.1, lambda sub: stream(1, 3, sub))
+    for scheme in ("qam_ml_baseline", "linear_precoded"):
+        with pytest.raises(ConfigError) as info:
+            downlink_ber.run_downlink_ber(cfg, ["linear_joint", scheme], "ebn0", (10.0,))
+        assert info.value.key == "n_bs_antennas"
 
 
 class TestQamEstimateSampler:

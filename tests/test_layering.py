@@ -12,6 +12,7 @@ import pytest
 
 import rislink
 from rislink import cli
+from rislink.downlink_ber import SCHEMES
 
 PACKAGE = Path(rislink.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -72,3 +73,13 @@ def test_experiment_stream_tags_are_distinct():
                      if name.startswith("_TAG_")})
     assert len(tags) == len(EXPERIMENTS)
     assert len(set(tags.values())) == len(tags), tags
+
+
+def test_downlink_runner_names_no_scheme():
+    # a scheme's rules live in its SCHEMES entry, not in an arm of the runner
+    tree = ast.parse((PACKAGE / "downlink_ber.py").read_text(encoding="utf-8"))
+    runner = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "run_downlink_ber")
+    named = {node.value for node in ast.walk(runner)
+             if isinstance(node, ast.Constant) and node.value in SCHEMES}
+    assert not named, f"run_downlink_ber names {sorted(named)}"

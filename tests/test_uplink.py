@@ -125,23 +125,87 @@ class TestPilotGainEstimate:
         assert abs(est - gains.sum(axis=0)[target]) / abs(gains.sum(axis=0)[target]) < 0.05
 
 
+def scan_regions(total, constellation):
+    """The sequential partition ``build_regions`` replaced, kept as its
+    oracle: walk the stably sorted means, and open a new region when a mean
+    lies more than tol above the current region's lowest mean.  Returns
+    (boundaries, representatives, symbol_region)."""
+    means = np.asarray(constellation, dtype=float) @ np.asarray(total)
+    order = np.argsort(means, kind="stable")
+    tol = 1e-12 * max(1.0, float(np.ptp(means)))
+    region_means, reps = [], []
+    symbol_region = np.empty(means.shape[0], dtype=int)
+    for pos in order:
+        if region_means and means[pos] - region_means[-1] <= tol:
+            symbol_region[pos] = len(region_means) - 1
+            reps[-1] = min(reps[-1], int(pos))
+        else:
+            symbol_region[pos] = len(region_means)
+            region_means.append(float(means[pos]))
+            reps.append(int(pos))
+    region_means = np.asarray(region_means)
+    return (0.5 * (region_means[:-1] + region_means[1:]), np.asarray(reps, dtype=int),
+            symbol_region)
+
+
+def planted_ties(g, n_k):
+    """Gains with exact ties planted: small integers, or normal draws with
+    one user's gain copied, negated or zeroed."""
+    if g.random() < 0.5:
+        return g.integers(-3, 4, n_k).astype(float)
+    gains = g.standard_normal(n_k)
+    if n_k > 1:
+        i, j = g.choice(n_k, 2, replace=False)
+        gains[j] = [gains[i], -gains[i], 0.0][g.integers(3)]
+    return gains
+
+
 class TestRegions:
+    def assert_regions(self, regions, boundaries, representatives, symbol_region):
+        np.testing.assert_allclose(regions.boundaries, boundaries)
+        np.testing.assert_array_equal(regions.representatives, representatives)
+        np.testing.assert_array_equal(regions.symbol_region, symbol_region)
+
     def test_single_user(self):
         regions = ul.build_regions(np.array([1.0]), dl.bipolar_candidates(1))
-        np.testing.assert_allclose(regions.region_means, [-1.0, 1.0])
-        np.testing.assert_allclose(regions.boundaries, [0.0])
+        self.assert_regions(regions, [0.0], [0, 1], [0, 1])
+        assert not regions.degenerate
 
     def test_two_users_sorted_midpoints(self):
+        # means per constellation index: [-1.5, -0.5, 0.5, 1.5]
         regions = ul.build_regions(np.array([1.0, 0.5]), dl.bipolar_candidates(2))
-        np.testing.assert_allclose(regions.region_means, [-1.5, -0.5, 0.5, 1.5])
-        np.testing.assert_allclose(regions.boundaries, [-1.0, 0.0, 1.0])
+        self.assert_regions(regions, [-1.0, 0.0, 1.0], [0, 1, 2, 3], [0, 1, 2, 3])
         assert not regions.degenerate
 
     def test_degenerate_means_collapse(self):
-        regions = ul.build_regions(np.array([1.0, 1.0]), dl.bipolar_candidates(2))
-        np.testing.assert_allclose(regions.region_means, [-2.0, 0.0, 2.0])
+        # means per constellation index: [-2, 0, 0, 2]
+        gains, const = np.array([1.0, 1.0]), dl.bipolar_candidates(2)
+        regions = ul.build_regions(gains, const)
+        self.assert_regions(regions, [-1.0, 1.0], [0, 1, 3], [0, 1, 1, 2])
+        self.assert_regions(regions, *scan_regions(gains, const))
         assert regions.degenerate
-        assert regions.region_sizes[1] == 2
+        np.testing.assert_array_equal(np.bincount(regions.symbol_region), [1, 2, 1])
+
+    @pytest.mark.parametrize("n_k", range(1, 13))
+    def test_matches_sequential_scan(self, n_k):
+        g = rng(100 + n_k)
+        for _ in range(4):
+            gains = planted_ties(g, n_k)
+            const = dl.bipolar_candidates(n_k)
+            regions = ul.build_regions(gains, const)
+            boundaries, reps, symbol_region = scan_regions(gains, const)
+            np.testing.assert_array_equal(regions.boundaries, boundaries)
+            np.testing.assert_array_equal(regions.representatives, reps)
+            np.testing.assert_array_equal(regions.symbol_region, symbol_region)
+            assert regions.degenerate == (np.bincount(symbol_region).max() > 1)
+
+    def test_near_tie_chain_is_one_region(self):
+        # consecutive means 0.6 tol apart chain into one region although the
+        # chain spans 1.2 tol; the sequential scan split it after two
+        const = np.array([[0.0], [6e-13], [1.2e-12], [1.0]])
+        regions = ul.build_regions(np.array([1.0]), const)
+        self.assert_regions(regions, [0.5], [0, 3], [0, 0, 0, 1])
+        np.testing.assert_array_equal(scan_regions([1.0], const)[2], [0, 0, 1, 2])
 
     def test_region_detect_below_and_boundary(self):
         regions = ul.build_regions(np.array([1.0, 0.5]), dl.bipolar_candidates(2))
@@ -193,10 +257,8 @@ def test_region_index_invariant_to_common_mean_shift():
     regions = ul.build_regions(gains, const)
     shift = 3.7
     shifted = ul.DecisionRegions(boundaries=regions.boundaries + shift,
-                                 region_means=regions.region_means + shift,
                                  representatives=regions.representatives,
-                                 symbol_region=regions.symbol_region,
-                                 region_sizes=regions.region_sizes)
+                                 symbol_region=regions.symbol_region)
     g = rng(13)
     for xi in g.uniform(-2, 2, 200):
         assert regions.locate(xi) == shifted.locate(xi + shift)
