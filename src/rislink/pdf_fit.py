@@ -95,10 +95,10 @@ def run_pdf_fit(cfg: ScenarioConfig, snr_points=None) -> harness.CurveResult:
     A point evaluates the series once, on the output grid and the fine CDF
     grid together, then draws its samples into one array that
     ``_sample_fit`` sorts in place and reads the histogram and both KS
-    statistics off.  The draw streams its noise through one buffer of
-    ``channel.NOISE_CHUNK`` normals into the two branch powers and returns
-    their difference in the first one's storage, so a point peaks at 2n
-    floats plus that buffer."""
+    statistics off.  The draw streams its three planes of normals through
+    one buffer of ``channel.NOISE_CHUNK`` normals into two arrays of n, S
+    and the conditional mean d S, and returns the observations in S's
+    storage, so a point peaks at 2n floats plus that buffer."""
     # default top point keeps the density series inside the diagonal budget
     # below; genuinely high-SNR requests still fail loudly with the bound
     snr_points = harness.distinct_grid((18.0, 10.0, 3.0) if snr_points is None

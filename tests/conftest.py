@@ -31,3 +31,16 @@ def chi2_gof_pvalue(samples, pdf, lo, hi, bins=50, grid_points=200_001):
     obs = np.histogram(samples, bins=np.concatenate([[-np.inf], edges, [np.inf]]))[0]
     expected = np.full(bins, samples.size / bins)
     return stats.chisquare(obs, expected).pvalue
+
+
+def three_plane_difference(c1, c2, sigma2, g):
+    """The observation ``channel.power_difference`` forms from its three
+    planes of standard normals ``g``, (3,) + shape, as one full-array
+    expression with the kernel's operations: d S + sqrt(S^2 + V'^2) sigma Z
+    with d = |c1| - |c2|, S = |c1| + |c2| + sigma g[0], V' = sigma g[1] and
+    Z = g[2]."""
+    sigma = np.sqrt(sigma2)
+    a, b = np.abs(c1), np.abs(c2)
+    s = (a + b) + sigma * g[0]
+    v = sigma * g[1]
+    return (a - b) * s + np.sqrt(s * s + v * v) * (sigma * g[2])

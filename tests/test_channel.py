@@ -6,9 +6,10 @@ from scipy import stats
 from scipy.special import j0
 
 from rislink import channel as ch
+from rislink import uplink_ser
 from rislink.config import ScenarioConfig
 from rislink.scenario import frame_timeline
-from conftest import complex_gauss, rng
+from conftest import complex_gauss, rng, three_plane_difference
 
 PAPER_SIZES = dict(n_users=8, n_bs_antennas=128, n_ris_elements=64)
 
@@ -189,17 +190,12 @@ class TestComplexNormal:
 
 
 class TestPowerDifference:
-    """The real-arithmetic observation kernel against the complex formula
-    with ``complex_normal`` noise drawn on the same stream."""
+    """The observation kernel against the complex formula |c1 + v1|^2 -
+    |c2 + v2|^2, for the complex noise pair that its three planes of
+    standard normals, drawn on the same stream, encode."""
 
     SHAPE = (6, 5, 7)
     SIGMA2 = 0.7
-
-    @staticmethod
-    def complex_noise(g, shape, sigma2):
-        """(v1, v2) as the kernel reads them from the stream."""
-        v = ch.complex_normal(g, (2,) + shape, sigma2)
-        return v[0], v[1]
 
     def amplitudes(self, g, kind):
         c = complex_gauss(g, (2,) + self.SHAPE)
@@ -211,10 +207,9 @@ class TestPowerDifference:
         c1, c2 = self.amplitudes(g, kind)
         got_rng, ref_rng = rng(42), rng(42)
         got = ch.power_difference(got_rng, c1, c2, self.SIGMA2)
-        v1, v2 = self.complex_noise(ref_rng, self.SHAPE, self.SIGMA2)
-        p1, p2 = np.abs(c1 + v1) ** 2, np.abs(c2 + v2) ** 2
+        planes = ref_rng.standard_normal((3,) + self.SHAPE)
         assert got.shape == self.SHAPE and got.dtype == float
-        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+        assert_complex_formula(got, c1, c2, self.SIGMA2, planes)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("shape", [None, (50_000,)], ids=["scalar", "broadcast"])
@@ -222,9 +217,8 @@ class TestPowerDifference:
         # the pdf-fit point broadcasts one clean pair to n noisy observations
         c1, c2 = 0.8 - 0.3j, 0.2 + 0.5j
         got = ch.power_difference(rng(43), c1, c2, self.SIGMA2, shape)
-        v1, v2 = self.complex_noise(rng(43), shape or (), self.SIGMA2)
-        p1, p2 = np.abs(c1 + v1) ** 2, np.abs(c2 + v2) ** 2
-        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+        planes = rng(43).standard_normal((3,) + (shape or ()))
+        assert_complex_formula(got, c1, c2, self.SIGMA2, planes)
 
     @pytest.mark.parametrize("kind", [float, complex])
     def test_zero_variance_is_clean_difference(self, kind):
@@ -239,10 +233,42 @@ class TestPowerDifference:
             assert np.array_equal(got, c1 ** 2 - c2 ** 2)
 
 
+def assert_complex_formula(got, c1, c2, sigma2, g):
+    """``got`` is |c1 + v1|^2 - |c2 + v2|^2 for a complex noise pair (v1, v2)
+    that the planes ``g`` encode, to within 8 eps of the magnitudes summed.
+
+    With V = sigma g[0], V' = sigma g[1], S = |c1| + |c2| + V and
+    R = sqrt(S^2 + V'^2), take U = sigma g[2] S / R and U' = sigma g[2] V' / R,
+    so that U S + U' V' = sigma g[2] R.  Split (U, V) into the real parts
+    x1 = (V + U) / 2, x2 = (V - U) / 2 of the noise in the frame of each
+    clean amplitude, and (U', V') likewise into the imaginary parts y1, y2;
+    then v_k is x_k + i y_k turned by the phase of c_k, and in exact
+    arithmetic the difference equals the kernel's d S + sigma R g[2].  The
+    kernel sums d S and sigma R g[2], which can cancel, so the rounding is
+    bounded by the sum of the magnitudes both forms add up:
+    (|c_k| + |x_k|)^2 + y_k^2 per branch, |d S| and |sigma R g[2]|."""
+    sigma = np.sqrt(sigma2)
+    v, v_imag = sigma * g[0], sigma * g[1]
+    a, b = np.abs(c1), np.abs(c2)
+    s = a + b + v
+    r = np.hypot(s, v_imag)
+    w = np.divide(sigma * g[2], r, out=np.zeros_like(r), where=r > 0)
+    u, u_imag = w * s, w * v_imag
+    x1, x2 = (v + u) / 2, (v - u) / 2
+    y1, y2 = (v_imag + u_imag) / 2, (v_imag - u_imag) / 2
+    p1 = np.abs(c1 + np.exp(1j * np.angle(c1)) * (x1 + 1j * y1)) ** 2
+    p2 = np.abs(c2 + np.exp(1j * np.angle(c2)) * (x2 + 1j * y2)) ** 2
+    summed = ((a + np.abs(x1)) ** 2 + y1 ** 2 + (b + np.abs(x2)) ** 2 + y2 ** 2
+              + np.abs((a - b) * s) + np.abs(sigma * r * g[2]))
+    assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * summed)
+
+
 def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
-    """``channel.power_difference`` as one full draw of all four noise planes,
-    the oracle of the streamed kernel: it holds the (2, 2, ...) normals and
-    the result, five floats per observation."""
+    """|c1 + v1|^2 - |c2 + v2|^2 as one full draw of all four noise planes,
+    the real parts of v1 and v2, then their imaginary parts: the four-normal
+    form that ``channel.power_difference`` replaced, kept as its brute-force
+    oracle in law.  It holds the (2, 2, ...) normals and the result, five
+    floats per observation."""
     c1, c2 = np.asarray(c1), np.asarray(c2)
     shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
     g = np.zeros((2, 2) + shape) if sigma2 == 0.0 else rng.standard_normal((2, 2) + shape)
@@ -261,19 +287,32 @@ def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
     return np.subtract(re1, re2)
 
 
+def full_draw_three_planes(rng, c1, c2, sigma2, shape=None):
+    """``channel.power_difference`` as one full draw of its three planes,
+    ``standard_normal((3,) + shape)``, with the kernel's operations: the
+    reference of its streamed draw, bit for bit.  For sigma2 == 0 it is the
+    four-plane oracle's clean difference, and nothing is drawn."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
+    if sigma2 == 0.0:
+        return full_draw_power_difference(rng, c1, c2, sigma2, shape)
+    return three_plane_difference(c1, c2, sigma2, rng.standard_normal((3,) + shape))
+
+
 KINDS = ["real", "complex", "scalar", "complex_real", "real_complex"]
 
 
 class TestStreamedPowerDifference:
-    """The kernel's streamed draw against the full-draw oracle: the same
-    bits and the same final stream state."""
+    """The kernel's streamed draw against the full draw of its three planes:
+    the same bits and the same final stream state, so it reads exactly
+    three standard normals per observation."""
 
     @staticmethod
     def assert_same(c1, c2, sigma2, shape, seed=42):
         got_rng, ref_rng = rng(seed), rng(seed)
         before = got_rng.bit_generator.state
         got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
-        want = full_draw_power_difference(ref_rng, c1, c2, sigma2, shape)
+        want = full_draw_three_planes(ref_rng, c1, c2, sigma2, shape)
         got, want = np.asarray(got), np.asarray(want)
         assert got.shape == want.shape and got.dtype == want.dtype == float
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -300,16 +339,16 @@ class TestStreamedPowerDifference:
     @pytest.mark.parametrize("shape", STREAM_SHAPES)
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
-    def test_reads_complex_normal_layout(self, shape, kind, sigma2):
-        # (v1, v2) = complex_normal(rng, (2,) + shape) on the same stream,
-        # in complex arithmetic
+    def test_reads_three_normal_layout(self, shape, kind, sigma2):
+        # standard_normal((3,) + shape) on the same stream, through the
+        # complex noise pair it encodes, in complex arithmetic
         c1, c2 = self.amplitudes(kind, shape)
         got_rng, ref_rng = rng(48), rng(48)
         got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
-        v = ch.complex_normal(ref_rng, (2,) + shape, sigma2)
-        p1, p2 = np.abs(c1 + v[0]) ** 2, np.abs(c2 + v[1]) ** 2
+        planes = np.zeros((3,) + shape) if sigma2 == 0.0 else ref_rng.standard_normal(
+            (3,) + shape)
         assert got.shape == shape and got.dtype == float
-        assert np.all(np.abs(got - (p1 - p2)) <= 8 * np.finfo(float).eps * (p1 + p2))
+        assert_complex_formula(got, c1, c2, sigma2, planes)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind", [float, complex])
@@ -323,7 +362,8 @@ class TestStreamedPowerDifference:
 
     @pytest.mark.parametrize("kind", ["complex", "scalar"])
     def test_peak_memory_is_two_floats_per_observation(self, kind):
-        # the branch powers and one piece of normals; the full draw held five
+        # S and the conditional mean d S, and one piece of normals; the
+        # four-plane full draw held five floats per observation
         n = 2 ** 20
         c1, c2 = self.amplitudes(kind, (n,))
         g = rng(47)
@@ -335,6 +375,59 @@ class TestStreamedPowerDifference:
             tracemalloc.stop()
         assert peak <= 16 * n + 8 * ch.NOISE_CHUNK + 64 * 1024
 
+
+LAW_PAIRS = {  # (c1, c2)
+    "real": (1.1, -0.6),
+    "complex": (0.8 - 0.3j, 0.2 + 0.5j),
+    "equal_magnitude": (0.6 + 0.8j, -1.0),  # d = 0
+    "c2_zero": (0.9 - 0.4j, 0.0),
+    "pure_noise": (0.0, 0.0),  # a scaled Laplace
+}
+LAW_SIGMA2 = [0.05, 1.0, 20.0]
+LAW_N = 200_000
+
+
+class TestPowerDifferenceLaw:
+    """The three-normal kernel is exact in law: against the four-plane
+    brute-force oracle, against its exact moments, and against the uplink's
+    one-gamma sampler at one antenna."""
+
+    @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
+    @pytest.mark.parametrize("pair", LAW_PAIRS)
+    def test_matches_four_plane_oracle(self, pair, sigma2):
+        c1, c2 = LAW_PAIRS[pair]
+        got = ch.power_difference(rng(60), c1, c2, sigma2, (LAW_N,))
+        want = full_draw_power_difference(rng(61), c1, c2, sigma2, (LAW_N,))
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
+
+    @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
+    @pytest.mark.parametrize("pair", LAW_PAIRS)
+    def test_exact_moments(self, pair, sigma2):
+        # mean |c1|^2 - |c2|^2 and variance 2 sigma2 (|c1|^2 + |c2|^2)
+        # + 2 sigma2^2; the sample variance's standard error from the
+        # sample's fourth central moment
+        c1, c2 = LAW_PAIRS[pair]
+        e1, e2 = abs(c1) ** 2, abs(c2) ** 2
+        mean, var = e1 - e2, 2.0 * sigma2 * (e1 + e2) + 2.0 * sigma2 ** 2
+        z = ch.power_difference(rng(62), c1, c2, sigma2, (LAW_N,))
+        assert abs(z.mean() - mean) < 4.0 * np.sqrt(var / LAW_N)
+        dev = z - z.mean()
+        m2, m4 = np.mean(dev ** 2), np.mean(dev ** 4)
+        assert abs(m2 - var) < 4.0 * np.sqrt((m4 - m2 ** 2) / LAW_N)
+
+    @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
+    @pytest.mark.parametrize("pair", LAW_PAIRS)
+    def test_matches_uplink_sampler(self, pair, sigma2):
+        # |c + v|^2 is (sigma2 / 2) chi'^2_2(2 |c|^2 / sigma2), so the
+        # uplink's difference sampler at n_t = 1, on sqrt(2) (a -+ b) / sigma,
+        # scaled by sigma2 / 2, draws the same law
+        c1, c2 = LAW_PAIRS[pair]
+        a, b = abs(c1), abs(c2)
+        unit = np.sqrt(2.0 / sigma2)
+        want = 0.5 * sigma2 * uplink_ser._ncx2_difference(
+            rng(64), np.full(LAW_N, unit * (a - b)), np.full(LAW_N, unit * (a + b)), 1)
+        got = ch.power_difference(rng(63), c1, c2, sigma2, (LAW_N,))
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
 
 def frame_times(scale, speed=50.0):
     """The downlink frame's fading instants at desk or paper scale: the

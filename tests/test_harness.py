@@ -13,6 +13,7 @@ from rislink import uplink as ul
 from rislink.channel import complex_normal, power_difference
 from rislink.config import ConfigError, ScenarioConfig
 from rislink.scenario import build_downlink_frame, build_uplink_instance, stream
+from conftest import three_plane_difference
 
 
 def desk_cfg(**kw):
@@ -240,20 +241,20 @@ def scheme_frames(cfg, scheme, seeds=SEEDS, frames=3):
 
 def per_block_precoded(frame, cfg, sigma2, rng):
     """The linear_precoded frame simulation one block at a time: the true
-    block channel through the stale precoder, and |a + v|^2 in complex
-    arithmetic on the frame's data noise, drawn once and sliced per block;
-    kept as the oracle of the batched precoded link."""
+    block channel through the stale precoder, and the observation formed
+    from the frame's three planes of data noise, drawn once and sliced per
+    block; kept as the oracle of the batched precoded link."""
     rng_noise = rng(3)
     pre = dl.zf_precoder(downlink_ber._train(frame, cfg, 1.0, sigma2, rng_noise))
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
     bits = rng(4).integers(0, 2, size=(blocks, syms, cfg.n_users))
-    v = complex_normal(rng_noise, (2,) + bits.shape, sigma2)
+    g = rng_noise.standard_normal((3,) + bits.shape)
     errors = 0
     for b in range(blocks):
         w = dl.equivalent_channel(frame.h_blocks[b]) @ pre.p
         a1 = np.sqrt(pre.rho) * bits[b] @ w.T
         a2 = np.sqrt(pre.rho) * (1 - bits[b]) @ w.T
-        z = np.abs(a1 + v[0, b]) ** 2 - np.abs(a2 + v[1, b]) ** 2
+        z = three_plane_difference(a1, a2, sigma2, g[:, b])
         errors += int(np.count_nonzero((z >= 0) != bits[b]))
     return errors, bits.size
 
@@ -331,20 +332,20 @@ def test_precoded_errors_follow_the_exact_law(speed):
 
 def per_symbol_joint(frame, cfg, sigma2, rng):
     """The linear_joint frame simulation with one detection call per symbol,
-    on the frame's data noise drawn once and sliced per block; kept as the
-    oracle of the block-detecting scheme."""
+    on the frame's three planes of data noise drawn once and sliced per
+    block; kept as the oracle of the block-detecting scheme."""
     n_t = cfg.n_bs_antennas
     scale = 1.0 / np.sqrt(n_t)
     rng_noise = rng(3)
     h_hat = downlink_ber._train(frame, cfg, scale, sigma2, rng_noise)
     bits = rng(4).integers(0, 2, size=(cfg.blocks_per_frame, cfg.symbols_per_block, n_t))
-    v = complex_normal(rng_noise, (2, cfg.blocks_per_frame, cfg.n_users,
-                                   cfg.symbols_per_block), sigma2)
+    g = rng_noise.standard_normal((3, cfg.blocks_per_frame, cfg.n_users,
+                                   cfg.symbols_per_block))
     errors = 0
     for b in range(cfg.blocks_per_frame):
         c1 = scale * (frame.h_blocks[b] @ bits[b].T.astype(float))
         c2 = scale * (frame.h_blocks[b] @ (1.0 - bits[b]).T)
-        z = np.abs(c1 + v[0, b]) ** 2 - np.abs(c2 + v[1, b]) ** 2
+        z = three_plane_difference(c1, c2, sigma2, g[:, b])
         for s in range(cfg.symbols_per_block):
             errors += int(np.count_nonzero(dl.joint_detect(z[:, s], h_hat) != bits[b, s]))
     return errors, bits.size
