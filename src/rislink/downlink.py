@@ -91,6 +91,19 @@ def hadamard_pilots(n_rows: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=16)
+def pilot_tones(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The on-off tone patterns (1 + x) / 2 and (1 - x) / 2 of the
+    ``hadamard_pilots(n_rows)`` rows x, 0s and 1s stored as complex so that
+    a complex channel multiplies them without a cast on every frame.
+    Cached and read-only like the pilots."""
+    pilots = hadamard_pilots(n_rows)
+    tones = tuple(((1.0 + sign * pilots) / 2.0).astype(complex) for sign in (1.0, -1.0))
+    for tone in tones:
+        tone.flags.writeable = False
+    return tones
+
+
 def ls_estimate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Least-squares estimate z x^T (x x^T)^{-1} of the equivalent channel
     from bipolar pilots ``x`` (rows = transmit elements) and the received

@@ -2,9 +2,12 @@
 ``harness.SWEEPS`` axis, every scheme on the same frames.
 
 No downlink frame takes an SVD outside ``downlink.zf_precoder``: training
-divides by the Hadamard order in closed form, and the 4-QAM baseline
-zero-forces each block through its N_k x N_k Gram matrix, drawn with the
-cross product it needs from N_k x N_k statistics of the estimate error.
+divides by the Hadamard order in closed form, and the 4-QAM baseline does
+only N_k x N_k algebra per block.  It roots H H^H by Cholesky (by a QR of
+H^H where Cholesky fails), draws the Gram of its estimate and the cross
+product it needs from N_k x N_k statistics of the estimate error as one
+product each, and proves the Gram well conditioned by a norm bound, taking
+eigenvalues only where the bound fails.
 """
 
 from __future__ import annotations
@@ -26,13 +29,6 @@ TASKS_PER_BATCH = 8
 _TAG_DOWNLINK = 11
 
 
-def qam_demodulate(y_eq: np.ndarray) -> np.ndarray:
-    """Gray-mapped 4-QAM bit decisions from equalized samples: bit 0 from the
-    real axis, bit 1 from the imaginary axis (negative half-plane -> 1)."""
-    y = np.asarray(y_eq)
-    return np.stack([(y.real < 0), (y.imag < 0)], axis=-1).astype(int)
-
-
 def qam_modulate(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-power 4-QAM symbols from bit pairs (..., 2)."""
     b = np.asarray(bits)
@@ -46,9 +42,9 @@ def _train(frame, cfg, scale, sigma2, rng_noise):
     of ``frame_timeline``, a power of two, so z_t X^T / P equals
     ``downlink.ls_estimate`` bit for bit without its SVD and solve."""
     pilots = downlink.hadamard_pilots(cfg.n_bs_antennas)
-    s_t = (1.0 + pilots) / 2.0
-    c1 = scale * (frame.h_pilot @ s_t)
-    c2 = scale * (frame.h_pilot @ (1.0 - s_t))
+    on, off = downlink.pilot_tones(cfg.n_bs_antennas)
+    c1 = scale * (frame.h_pilot @ on)
+    c2 = scale * (frame.h_pilot @ off)
     z_t = channel.power_difference(rng_noise, c1, c2, sigma2)
     return (z_t @ pilots.T) / frame_timeline(cfg)[0]
 
@@ -113,18 +109,59 @@ def _estimate_statistics(h, rot, sigma2, rng):
     estimates H_est = rot H + E of a stack of channels ``h`` (B, N_k, N_t),
     with ``rot`` (B,) unit rotations and E ~ CN(0, sigma2) i.i.d.
 
-    Both are drawn exactly from N_k x N_k statistics, never from E itself:
-    with H^H = Q R and (A, T) from ``_estimate_error``, H E^H = R^H A^H and
-    E E^H = A A^H + T T^H, so G = R^H R + rot H E^H + conj(rot) (H E^H)^H
-    + E E^H and H H_est^H = conj(rot) R^H R + H E^H.  A QR factor, unlike a
-    Cholesky factor of H H^H, exists for a rank-deficient H too."""
-    r_h = np.linalg.qr(h.mT.conj(), mode="r").mT.conj()  # R^H, (B, N_k, N_k)
+    Both are drawn exactly from N_k x N_k statistics, never from E itself.
+    Take a root L of H H^H = L L^H: the Cholesky factor, or R^H of a QR
+    H^H = Q R of the whole stack where Cholesky fails, since a QR factor,
+    unlike a Cholesky factor, exists for a rank-deficient H too.  Any root
+    is L = R^H U for a unitary U, and A U has the law of A, so the choice
+    changes the draws but not their law.  With Q = H^H L^-H (the QR's Q on
+    the fallback) and (A, T) from ``_estimate_error``, H_est = K Q^H + T V^H
+    for K = rot L + A, so G = [K T][K T]^H and H H_est^H = L K^H."""
+    try:
+        root = np.linalg.cholesky(h @ h.mT.conj())
+    except np.linalg.LinAlgError:
+        root = np.linalg.qr(h.mT.conj(), mode="r").mT.conj()
     a, t = _estimate_error(rng, h.shape[-2], h.shape[-1], sigma2, h.shape[0])
-    rot = rot[:, None, None]
-    hh = r_h @ r_h.mT.conj()                     # H H^H
-    he = r_h @ a.mT.conj()                       # H E^H
-    gram = hh + rot * he + np.conj(rot) * he.mT.conj() + a @ a.mT.conj() + t @ t.mT.conj()
-    return gram, np.conj(rot) * hh + he
+    k = rot[:, None, None] * root + a
+    kt = np.concatenate([k, t], axis=-1)
+    return kt @ kt.mT.conj(), root @ k.mT.conj()
+
+
+# |lambda|_max / |lambda|_min <= ||G||_F ||G^-1||_F for any invertible G,
+# and G = [K T][K T]^H is positive semidefinite up to rounding, so a block
+# with tr G^-1 > 0 and ||G||_F ||G^-1||_F < CERTIFICATE_SLACK / RANK_RTOL
+# has lambda_min > 2 RANK_RTOL lambda_max.  The factor 2 covers rounding:
+# at that conditioning the norm of ``inv``'s G^-1 and ``eigvalsh``'s
+# lambda_min are off by a relative 1e-4 at most (about N_k^2 cond(G) eps),
+# so a block the bound passes passes the eigenvalue test too.  A norm, unlike
+# tr G^-1, cannot cancel to a small value when G has eigenvalues of either
+# sign at rounding level, and for G positive definite it is the tighter one.
+CERTIFICATE_SLACK = 0.5
+
+
+def _certified(gram, g_inv):
+    """Per block, whether the norms of G and G^-1 certify that G is well
+    enough conditioned for ``_sim_qam_baseline``'s rank test; a block with
+    a non-positive tr G^-1 or a NaN is never certified."""
+    bound = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(g_inv, axis=(-2, -1))
+    return ((np.trace(g_inv, axis1=-2, axis2=-1).real > 0)
+            & (bound < CERTIFICATE_SLACK / downlink.RANK_RTOL))
+
+
+def _gram_inverse(gram):
+    """G^-1 and tr G^-1 of a stack of Grams, or RankDeficientChannel when
+    ``inv`` finds a block singular or one has lambda_min <= RANK_RTOL *
+    lambda_max.  The eigenvalues are computed only when ``_certified``
+    cannot vouch for every block."""
+    try:
+        g_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise downlink.RankDeficientChannel("baseline estimate is rank deficient") from None
+    if not _certified(gram, g_inv).all():
+        lam = np.linalg.eigvalsh(gram)           # ascending, per block
+        if np.any(lam[:, 0] <= downlink.RANK_RTOL * lam[:, -1]):
+            raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
+    return g_inv, np.trace(g_inv, axis1=-2, axis2=-1).real
 
 
 def _sim_qam_baseline(frame, cfg, sigma2, rng):
@@ -134,9 +171,12 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     H_est^H G^-1 / sqrt(tr G^-1) has unit power and the true channel sees
     (H H_est^H) G^-1 / sqrt(tr G^-1).  The receiver decides on signs alone:
     its equalizer gain, diag(H_est times the precoder) = 1 / sqrt(tr G^-1),
-    is real and positive.  The scheme reads H_est only through G and
-    H H_est^H, which ``_estimate_statistics`` draws.  A block whose Gram has
-    lambda_min <= RANK_RTOL * lambda_max raises RankDeficientChannel."""
+    is real and positive, so a bit errs where its sample's sign differs from
+    the symbol's.  The scheme reads H_est only through G and H H_est^H,
+    which ``_estimate_statistics`` draws.  A block whose Gram has
+    lambda_min <= RANK_RTOL * lambda_max raises RankDeficientChannel; the
+    bound of ``_certified`` spares the eigenvalues when no block is near
+    it."""
     n_k = cfg.n_users
     blocks, syms = cfg.blocks_per_frame, cfg.symbols_per_block
     pilots, t0 = frame_timeline(cfg)  # t0: block starts, in symbols
@@ -148,15 +188,13 @@ def _sim_qam_baseline(frame, cfg, sigma2, rng):
     rot = np.exp(1j * dnu * (t0[:, None] + np.arange(syms)))  # (B, S)
     # a fresh noisy estimate per block, rotated as the block's first symbol
     gram, cross = _estimate_statistics(frame.h_blocks, rot[:, 0], sigma2 / pilots, rng_est)
-    lam = np.linalg.eigvalsh(gram)               # ascending, per block
-    if np.any(lam[:, 0] <= downlink.RANK_RTOL * lam[:, -1]):
-        raise downlink.RankDeficientChannel("baseline estimate is rank deficient")
-    g_inv = np.linalg.inv(gram)
-    norm = 1.0 / np.sqrt(np.trace(g_inv, axis1=-2, axis2=-1).real)[:, None, None]
-    composite = cross @ g_inv * norm             # (B, N_k, N_k)
+    g_inv, tr_inv = _gram_inverse(gram)
+    composite = cross @ g_inv * (1.0 / np.sqrt(tr_inv))[:, None, None]  # (B, N_k, N_k)
     y = rot[:, :, None] * (x @ composite.mT) \
         + channel.complex_normal(rng_noise, (blocks, syms, n_k), sigma2)
-    return int(np.count_nonzero(qam_demodulate(y) != bits)), bits.size
+    errors = (np.count_nonzero((y.real < 0) != (x.real < 0))
+              + np.count_nonzero((y.imag < 0) != (x.imag < 0)))
+    return int(errors), bits.size
 
 
 def _check_zero_forcing(cfg):

@@ -363,6 +363,13 @@ def test_joint_frame_matches_per_symbol_loop(seed):
     assert total_errors > 0
 
 
+def qam_demodulate(y_eq):
+    """Gray-mapped 4-QAM bit decisions from equalized samples: bit 0 from the
+    real axis, bit 1 from the imaginary axis (negative half-plane -> 1)."""
+    y = np.asarray(y_eq)
+    return np.stack([(y.real < 0), (y.imag < 0)], axis=-1).astype(int)
+
+
 def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
     """The 4-QAM baseline frame simulation one block at a time, through the
     pseudo-inverse of an explicit estimate H_est = r H + E with
@@ -385,7 +392,7 @@ def per_block_qam(frame, cfg, sigma2, rng, estimate_error):
         gain = np.diag(h_est @ p_c)
         rot = np.exp(1j * dnu * (t0 + np.arange(syms)))
         y = rot[:, None] * (x[b] @ (h_true @ p_c).T) + noise[b]
-        errors += int(np.count_nonzero(downlink_ber.qam_demodulate(y / gain[None, :]) != bits[b]))
+        errors += int(np.count_nonzero(qam_demodulate(y / gain[None, :]) != bits[b]))
     return errors, bits.size
 
 
@@ -398,16 +405,29 @@ def full_error(rng_est, sigma2):
     return lambda b, h: complex_normal(rng_est, h.shape, sigma2)
 
 
-def rebuilt_error(cfg, sigma2, rng_est):
-    """E = A Q^H + T V^H from the baseline's own (A, T) draws, with Q and V
-    the first N_k and the next m columns of a full QR of H^H."""
+def sampler_basis(h_blocks):
+    """Per block, the orthonormal Q (N_t x N_k) with H = L Q^H for the root
+    L that ``_estimate_statistics`` takes of the stack: H^H L^-H for the
+    Cholesky factor L of H H^H, or the QR's Q where Cholesky fails."""
+    h_h = h_blocks.mT.conj()
+    try:
+        root = np.linalg.cholesky(h_blocks @ h_h)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(h_h)[0]
+    return h_h @ np.linalg.inv(root).mT.conj()
+
+
+def rebuilt_error(cfg, sigma2, rng_est, h_blocks):
+    """E = A Q^H + T V^H from the baseline's own (A, T) draws, with Q the
+    sampler's basis of the row space of H and V the next m columns of a full
+    QR of H^H, which span the rest."""
     n_k, n_t = cfg.n_users, cfg.n_bs_antennas
     a, t = downlink_ber._estimate_error(rng_est, n_k, n_t, sigma2, cfg.blocks_per_frame)
+    q = sampler_basis(h_blocks)
 
     def error(b, h):
-        q = np.linalg.qr(h.conj().T, mode="complete")[0]
-        v = q[:, n_k:n_k + t.shape[-1]]
-        return a[b] @ q[:, :n_k].conj().T + t[b] @ v.conj().T
+        v = np.linalg.qr(h.conj().T, mode="complete")[0][:, n_k:n_k + t.shape[-1]]
+        return a[b] @ q[b].conj().T + t[b] @ v.conj().T
     return error
 
 
@@ -422,7 +442,7 @@ def check_qam_against_per_block_loop(cfg):
     total_errors, worst_cond = 0, 0.0
     for frame, rng in scheme_frames(cfg, "qam_ml_baseline"):
         got = downlink_ber._sim_qam_baseline(frame, cfg, sigma2, rng)
-        same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5))
+        same_draws = rebuilt_error(cfg, estimate_sigma2(cfg, sigma2), rng(5), frame.h_blocks)
         assert got == per_block_qam(frame, cfg, sigma2, rng, same_draws)
         total_errors += got[0]
         gram = frame.h_blocks @ np.conj(np.swapaxes(frame.h_blocks, -1, -2))
@@ -524,6 +544,116 @@ class TestQamEstimateSampler:
         p = (e1 + e2) / (n1 + n2)
         z = (e1 / n1 - e2 / n2) / np.sqrt(p * (1 - p) * (1 / n1 + 1 / n2))
         assert e1 > 0 and abs(z) < 4.0
+
+
+def test_qam_sampler_matches_full_error_draw_at_worst_conditioning():
+    # the root of the most ill-conditioned block H H^H of the frames in
+    # test_qam_gram_zf_matches_pinv_at_worst_conditioning, at the estimate
+    # noise that block sees
+    cfg = desk_cfg(**PAPER_SIZES, rician_factor=100.0, ebn0_db=50.0)
+    sigma2 = hn.branch_noise_sigma2(cfg, downlink_ber.SCHEMES["qam_ml_baseline"].bits(cfg))
+    blocks = np.concatenate([frame.h_blocks for frame, _ in scheme_frames(cfg, "qam_ml_baseline")])
+    conds = np.linalg.cond(blocks @ blocks.mT.conj())
+    assert conds.max() > 1e6
+    sampler = TestQamEstimateSampler()
+    sampler.SIGMA2 = estimate_sigma2(cfg, sigma2)
+    sampler.check(blocks[np.argmax(conds)], 17)
+
+
+def test_qam_root_is_cholesky_unless_it_fails(monkeypatch):
+    # paper-scale default frames never reach the QR; an H with a zero row
+    # has a singular H H^H, and its stack takes the QR
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def spy_qr(*args, **kwargs):
+        qr_calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    cfg = desk_cfg(**PAPER_SIZES)
+    for frame, rng in scheme_frames(cfg, "qam_ml_baseline"):
+        blocks = frame.h_blocks.shape[0]
+        downlink_ber._estimate_statistics(frame.h_blocks, np.ones(blocks), 0.01, rng(5))
+    assert qr_calls == []
+    h = complex_normal(stream(7), (3, 4, 16), 1.0)
+    h[1, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(h @ h.mT.conj())
+    gram, cross = downlink_ber._estimate_statistics(h, np.ones(3), 0.5, stream(7, 1))
+    assert qr_calls == [(3, 16, 4)]
+    assert np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))
+    np.testing.assert_array_equal(cross[1, 2], 0.0)  # H H_est^H keeps H's zero row
+
+
+def spectrum_stacks():
+    """(cond, stack) of 8 x 8 Hermitian positive definite matrices
+    U diag(lambda) U^H with Haar-like unitaries U and three chosen spectra
+    of condition number cond: geometric from 1 down, one small eigenvalue,
+    one large one."""
+    n, count = 8, 40
+    u = np.linalg.qr(complex_normal(stream(13), (count, n, n), 1.0))[0]
+    for k in range(15):
+        cond = 10.0 ** k
+        for lam in (np.geomspace(1.0, 1.0 / cond, n), np.r_[np.ones(n - 1), 1.0 / cond],
+                    np.r_[cond, np.ones(n - 1)]):
+            yield cond, (u * lam) @ u.mT.conj()
+
+
+def test_certificate_implies_the_eigenvalue_rank_test():
+    for cond, gram in spectrum_stacks():
+        lam = np.linalg.eigvalsh(gram)
+        passes = lam[:, 0] > dl.RANK_RTOL * lam[:, -1]
+        certified = downlink_ber._certified(gram, np.linalg.inv(gram))
+        assert not np.any(certified & ~passes), cond
+        # ||G||_F ||G^-1||_F lies in [cond, 8 cond]: it spares the
+        # eigenvalues of every block up to cond 1e8, and of none from 1e10
+        if cond <= 1e8:
+            assert certified.all(), cond
+        if cond >= 1e10:
+            assert not certified.any(), cond
+        if passes.all():
+            g_inv, tr_inv = downlink_ber._gram_inverse(gram)
+            assert np.array_equal(g_inv, np.linalg.inv(gram))
+            assert np.array_equal(tr_inv, np.trace(g_inv, axis1=-2, axis2=-1).real)
+        else:
+            with pytest.raises(dl.RankDeficientChannel, match="baseline estimate is rank deficient"):
+                downlink_ber._gram_inverse(gram)
+
+
+def singular_gram(exact):
+    """A stack of 4 x 4 Grams X X^H whose block 1 has a rank-3 X: singular
+    within rounding, or exactly singular with a zero row and column."""
+    x = complex_normal(stream(21), (5, 4, 6), 1.0)
+    if exact:
+        x[1, 3] = 0.0
+    else:
+        x[1, 3] = x[1, :3].T @ complex_normal(stream(22), 3, 1.0)
+    return x @ x.mT.conj()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["within_rounding", "exact"])
+def test_qam_singular_gram_is_rank_deficient(monkeypatch, exact):
+    gram = singular_gram(exact)
+    if exact:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(gram)
+    cfg = desk_cfg(blocks_per_frame=5)
+    frame = build_downlink_frame(cfg, stream(3, 1), stream(3, 2))
+    monkeypatch.setattr(downlink_ber, "_estimate_statistics", lambda *args: (gram, gram))
+    with pytest.raises(dl.RankDeficientChannel, match="baseline estimate is rank deficient"):
+        downlink_ber._sim_qam_baseline(frame, cfg, 0.1, lambda sub: stream(3, 4, sub))
+
+
+def test_non_positive_inverse_trace_falls_back_to_eigenvalues(monkeypatch):
+    # well conditioned but indefinite: tr G^-1 = 7 - 10 < 0
+    gram = np.broadcast_to(np.diag(np.r_[np.ones(7), -0.1]).astype(complex), (3, 8, 8))
+    assert not downlink_ber._certified(gram, np.linalg.inv(gram)).any()
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(1) or eigvalsh(g))
+    with pytest.raises(dl.RankDeficientChannel, match="baseline estimate is rank deficient"):
+        downlink_ber._gram_inverse(gram)
+    assert calls == [1]
 
 
 def ls_train(frame, cfg, scale, sigma2, rng_noise):
@@ -763,14 +893,14 @@ class TestQamHelpers:
     def test_modulate_demodulate_roundtrip(self):
         g = np.random.default_rng(0)
         bits = g.integers(0, 2, (100, 2))
-        np.testing.assert_array_equal(downlink_ber.qam_demodulate(downlink_ber.qam_modulate(bits)), bits)
+        np.testing.assert_array_equal(qam_demodulate(downlink_ber.qam_modulate(bits)), bits)
 
     def test_half_turn_flips_decisions(self):
         # a pi rotation mid-block with stale equalization inverts every bit
         g = np.random.default_rng(1)
         bits = g.integers(0, 2, (50, 2))
         y = downlink_ber.qam_modulate(bits) * np.exp(1j * np.pi)
-        np.testing.assert_array_equal(downlink_ber.qam_demodulate(y), 1 - bits)
+        np.testing.assert_array_equal(qam_demodulate(y), 1 - bits)
 
 
 class TestOutputSnr:
