@@ -91,8 +91,6 @@ def power_difference(rng: np.random.Generator, c1, c2, sigma2: float,
         d, s = _flat(a - b, shape), _flat(a + b, shape)
     buf = np.empty(min(n, NOISE_CHUNK))
     mean = np.empty(n)
-    # the result is allocated last: allocation order moves peak RSS through
-    # the C heap
     z = np.empty(n)
     pieces = []
     for lo in range(0, n, NOISE_CHUNK):

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import SeriesTruncationError
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .downlink_ber import SCHEMES, run_downlink_ber
-from .harness import SWEEPS, export_csv
+from .harness import SWEEPS, export_csv, keep_heap
 from .output_snr import run_output_snr
 from .pdf_fit import run_pdf_fit
 from .uplink_ser import run_uplink_ser
@@ -114,6 +114,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = _load_config(args)
         grid = _parse_grid(args.grid)
+        keep_heap()
         export_csv(EXPERIMENTS[args.command].run(args, cfg, grid), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ count, and all schemes inside one run see exactly the same channel draws
 channel.  Downlink and uplink error-rate points share one stopping rule:
 fixed-size batches until every series meets the error target or the trial
 ceiling is met, never fewer than the configured minimum number of trials.
-A run uses one worker pool.
+A run uses one worker pool.  ``keep_heap`` fixes the process's heap policy;
+``cli.main`` calls it before an experiment, and every pool worker starts
+with it.
 
 Experiments call the engine as ``harness.<name>``, so a name replaced here
 is the one they call.  Importing the module loads no scipy; ``harness.stats``
@@ -22,6 +24,7 @@ package asks for it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -155,17 +158,46 @@ def read_curve_csv(path) -> CurveResult:
     return result
 
 
+def _mallopt():
+    """glibc's ``mallopt``; ``OSError`` where there is no glibc and
+    ``AttributeError`` where the C library has no such function."""
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def keep_heap() -> None:
+    """Give this process one fixed heap policy: blocks below 32 MiB come from
+    the heap, and the heap is trimmed only when 64 MiB lie free at its top.
+
+    Under glibc's dynamic rule the thresholds settle near one downlink frame
+    array, below what a frame frees, so each frame handed its memory back to
+    the kernel and faulted it in again on the next one.  Both values are set:
+    setting either turns the dynamic rule off and freezes the other where the
+    rule had left it, below one frame array, so frames still fault.
+    The policy is process-wide and cannot be undone; it changes no result.
+    Does nothing without glibc's ``mallopt``."""
+    try:
+        mallopt = _mallopt()
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic ceiling on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as the dynamic rule keeps it
+
+
 @contextmanager
 def task_map(workers: int, tasks_per_map: int):
     """The ``map`` a run sends its tasks through: the builtin at one worker,
     otherwise one process pool's, open for the whole run.  No ``map`` call
     gets more than ``tasks_per_map`` tasks, so the pool has no more workers
-    than that: a pool forks all its workers at the first submit."""
+    than that: a pool forks all its workers at the first submit.  Each
+    worker starts with ``keep_heap``, whatever the start method."""
     workers = min(workers, tasks_per_map)
     if workers <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap) as pool:
         yield pool.map
 
 

@@ -142,13 +142,16 @@ def build_downlink_frame(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     times = np.r_[0.0, frame_timeline(cfg)[1]] * cfg.symbol_period
     jakes = ch.JakesFading.create((cfg.n_users, cfg.n_ris_elements), cfg.doppler_max,
                                   rng_fade)
-    g = links.g_los_w + links.g_nlos_weight * jakes.sample_at(times)  # (B+1, N_k, N)
+    # updated in place: each frame-sized array is allocated once
+    g = jakes.sample_at(times)  # (B+1, N_k, N)
+    g *= links.g_nlos_weight
+    g += links.g_los_w
     h = ch.cascade(g, links.phases, links.q_los_w + links.q_nlos_w)  # (B+1, N_k, N_t)
     if links.direct_weight is not None:
         direct = ch.JakesFading.create((cfg.n_users, cfg.n_bs_antennas), cfg.doppler_max,
                                        rng_fade)
-        h = h + links.direct_weight * direct.sample_at(times)
-    h = h * (1.0 / np.linalg.norm(h[0], axis=1, keepdims=True))
+        h += links.direct_weight * direct.sample_at(times)
+    h *= 1.0 / np.linalg.norm(h[0], axis=1, keepdims=True)
     return DownlinkFrame(h[0], h[1:])  # (pilot, blocks)
 
 

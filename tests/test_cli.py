@@ -138,6 +138,22 @@ def test_pdf_fit_ignores_workers(fast_cfg, tmp_path, monkeypatch):
     assert pools == []
 
 
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_main_runs_without_mallopt(error, fast_cfg, tmp_path, monkeypatch):
+    # where the C library has no glibc mallopt, the heap policy is skipped
+    # and the run writes the same CSV
+    argv = ["downlink-ber", "--config", str(fast_cfg), "--grid", "0,8",
+            "--scheme", "linear_precoded"]
+    assert cli.main([*argv, "--out", str(tmp_path / "with.csv")]) == 0
+
+    def missing():
+        raise error("no mallopt")
+
+    monkeypatch.setattr(harness, "_mallopt", missing)
+    assert cli.main([*argv, "--out", str(tmp_path / "without.csv")]) == 0
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+
 def speed_csvs_at_1_and_8_workers(cfg_path, tmp_path):
     outs = []
     for tag, workers in (("a", "1"), ("b", "8")):

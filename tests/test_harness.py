@@ -1,6 +1,11 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1298,7 +1303,7 @@ class TestPoolSize:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -1342,3 +1347,78 @@ class TestPoolSize:
         one = output_snr.run_output_snr(cfg, (16,))
         self.same(output_snr.run_output_snr(cfg, (16,), workers=64), one)
         assert sizes == ([] if size is None else [size])
+
+
+class TestHeapPolicy:
+    """``keep_heap`` fixes glibc's heap thresholds for the process, and every
+    pool worker runs it first."""
+
+    # after keep_heap and three warm-up frames, the minor page faults that
+    # 20 paper-scale frames at 50 m/s take
+    FRAME_FAULTS = """
+import resource
+from rislink import harness
+from rislink.config import ScenarioConfig
+from rislink.scenario import build_downlink_frame, stream
+
+def frames(count):
+    for i in range(count):
+        build_downlink_frame(cfg, stream(31, 1, i), stream(31, 2, i))
+
+harness.keep_heap()
+cfg = ScenarioConfig(n_users=8, n_bs_antennas=128, n_ris_elements=64, speed=50.0)
+frames(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+frames(20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def test_paper_scale_frames_fault_in_no_fresh_pages(self):
+        # under glibc's dynamic thresholds the heap top went back to the
+        # kernel after every frame: 300-470 minor faults per frame at 50 m/s.
+        # A fresh interpreter, as a CLI run has: this one's history has
+        # already moved the dynamic thresholds past a frame's arrays
+        pytest.importorskip("resource")
+        try:
+            ctypes.CDLL("libc.so.6").mallopt
+        except (OSError, AttributeError):
+            pytest.skip("no glibc mallopt")
+        src = str(Path(hn.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.FRAME_FAULTS], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout)
+        assert faults < 20, f"{faults} minor faults over 20 frames"
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError])
+    def test_without_mallopt_does_nothing(self, error, monkeypatch):
+        def missing():
+            raise error("no mallopt")
+
+        monkeypatch.setattr(hn, "_mallopt", missing)
+        assert hn.keep_heap() is None
+
+    def test_pool_workers_start_with_it(self, monkeypatch):
+        # an initializer reaches workers under spawn and forkserver too,
+        # where nothing the parent set is inherited
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, **kwargs):
+                seen.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
+        with hn.task_map(1, 4):
+            pass
+        assert seen == []
+        with hn.task_map(3, 4):
+            pass
+        assert seen == [{"max_workers": 3, "initializer": hn.keep_heap}]
