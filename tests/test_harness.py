@@ -1378,7 +1378,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         # kernel after every frame: 300-470 minor faults per frame at 50 m/s.
         # A fresh interpreter, as a CLI run has: this one's history has
         # already moved the dynamic thresholds past a frame's arrays
-        pytest.importorskip("resource")
         try:
             ctypes.CDLL("libc.so.6").mallopt
         except (OSError, AttributeError):
@@ -1389,14 +1388,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert proc.returncode == 0, proc.stderr
         faults = int(proc.stdout)
         assert faults < 20, f"{faults} minor faults over 20 frames"
-
-    @pytest.mark.parametrize("error", [OSError, AttributeError])
-    def test_without_mallopt_does_nothing(self, error, monkeypatch):
-        def missing():
-            raise error("no mallopt")
-
-        monkeypatch.setattr(hn, "_mallopt", missing)
-        assert hn.keep_heap() is None
 
     def test_pool_workers_start_with_it(self, monkeypatch):
         # an initializer reaches workers under spawn and forkserver too,
