@@ -22,7 +22,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-NOISE_CHUNK = 2 ** 16  # normals per piece of power_difference's streamed draw
+NOISE_CHUNK = 2 ** 16  # values per piece of power_difference's streamed draw
 
 
 def doppler_shift(speed: float, carrier_freq: float) -> float:
@@ -49,31 +49,38 @@ def complex_normal(rng: np.random.Generator, shape, sigma2: float = 1.0) -> np.n
 
 
 def power_difference(rng: np.random.Generator, c1, c2, sigma2: float,
-                     shape=None) -> np.ndarray:
-    """Magnitude-difference observation |c1 + v1|^2 - |c2 + v2|^2 with v1, v2
-    i.i.d. CN(0, sigma2), drawn exactly in law from three standard normals
-    per observation, in real arithmetic only: no complex array is made.
+                     shape=None, n_t: int = 1) -> np.ndarray:
+    """Magnitude-difference observation summed over n_t antennas,
+    sum_m |c1_m + v1_m|^2 - |c2_m + v2_m|^2 with every v i.i.d.
+    CN(0, sigma2), drawn exactly in law from three values per observation,
+    in real arithmetic only: no complex array is made.
 
-    The clean branch amplitudes c1, c2 (real or complex) broadcast to
-    ``shape``, by default their common shape.  Circular noise is invariant
-    under rotation, so only a = |c1| and b = |c2| matter; let d = a - b and
-    s = a + b.  With the quadratures x_k, y_k ~ N(0, sigma2/2) of v_k,
-    (a + x1)^2 - (b + x2)^2 = (d + U)(s + V) and y1^2 - y2^2 = U'V', where
-    U, V, U', V' are i.i.d. N(0, sigma2).  Given S = s + V and V' the
-    observation is N(d S, sigma2 (S^2 + V'^2)), so it is drawn as
-    d S + sigma sqrt(S^2 + V'^2) Z.  This is ``uplink_ser._ncx2_difference``
-    at one antenna, scaled by sigma2/2, with its Gamma(1/2) drawn as half a
-    squared normal.
+    Circular noise is invariant under any unitary turn of the antennas, so
+    a branch's clean amplitudes matter only through their norm: c1 and c2
+    (real or complex) hold the norms a = |c1| and b = |c2| (at n_t == 1, the
+    amplitudes themselves) and broadcast to ``shape``, by default their
+    common shape.  Turn the clean amplitude onto one antenna's real
+    quadrature and let d = a - b and s = a + b.  With the noise quadratures
+    x_k ~ N(0, sigma2/2), that quadrature gives
+    (a + x1)^2 - (b + x2)^2 = (d + U)(s + V), and each of the other
+    2 n_t - 1 quadrature pairs gives x1^2 - x2^2 = U'V', with every U, V,
+    U', V' i.i.d. N(0, sigma2).  Given S = s + V and Q = sum V'^2 the
+    observation is N(d S, sigma2 (S^2 + Q)), and Q, sigma2 times a
+    chi-square on 2 n_t - 1 degrees of freedom, is 2 sigma2 W with
+    W ~ Gamma(n_t - 1/2).  So it is drawn as d S + sigma sqrt(S^2 + Q) Z.
 
-    The stream is read like ``standard_normal((3,) + shape)``: plane 1
-    gives S = s + sigma N1, plane 2 gives V' = sigma N2, plane 3 gives Z.
-    The planes are drawn in stream order, ``NOISE_CHUNK`` values at a time,
-    into one reusable buffer, and folded into two arrays of n: S, which
-    becomes the result, and the conditional mean d S.  A call holds those
-    2n floats and one piece.  |c| is taken once on the amplitudes' common
-    shape when it is smaller than ``shape``, and piece by piece otherwise;
-    an amplitude broadcast along some axes but not all is expanded once to
-    n values.  For sigma2 == 0 the result is the clean difference
+    The stream is read in three planes of n: plane 1 gives S = s + sigma N1,
+    plane 2 gives Q, plane 3 gives Z.  At n_t == 1, Q is (sigma N2)^2 (the
+    law of 2 sigma2 Gamma(1/2)) and the stream is read like
+    ``standard_normal((3,) + shape)``; at n_t > 1, plane 2 is
+    ``standard_gamma(n_t - 1/2)`` scaled by 2 sigma2.  The planes are drawn
+    in stream order, ``NOISE_CHUNK`` values at a time, into one reusable
+    buffer, and folded into two arrays of n: S, which becomes the result,
+    and the conditional mean d S.  A call holds those 2n floats and one
+    piece.  |c| is taken once on the amplitudes' common shape when it is
+    smaller than ``shape``, and piece by piece otherwise; an amplitude
+    broadcast along some axes but not all is expanded once to n values.
+    For sigma2 == 0 the result is the clean difference
     (re1^2 + im1^2) - (re2^2 + im2^2) and the stream is left untouched.
     """
     c1, c2 = np.asarray(c1), np.asarray(c2)
@@ -109,15 +116,19 @@ def power_difference(rng: np.random.Generator, c1, c2, sigma2: float,
         rng.standard_normal(out=piece)
         piece *= sigma
         z_p += piece
-    # plane 2: the conditional mean d S into mean, S^2 + V'^2 into z
+    # plane 2: the conditional mean d S into mean, S^2 + Q into z
     for _, piece, z_p, mean_p in pieces:
-        rng.standard_normal(out=piece)
-        piece *= sigma
-        piece *= piece
+        if n_t == 1:
+            rng.standard_normal(out=piece)
+            piece *= sigma
+            piece *= piece
+        else:
+            rng.standard_gamma(n_t - 0.5, out=piece)
+            piece *= 2.0 * sigma2
         mean_p *= z_p
         z_p *= z_p
         z_p += piece
-    # plane 3: d S + sqrt(S^2 + V'^2) sigma Z
+    # plane 3: d S + sqrt(S^2 + Q) sigma Z
     for _, piece, z_p, mean_p in pieces:
         rng.standard_normal(out=piece)
         piece *= sigma

@@ -5,45 +5,14 @@ closed form, or both.  The Monte Carlo chunks draw from sub-stream 3.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import analysis, downlink, harness, uplink
+from . import analysis, channel, downlink, harness, uplink
 from .config import ScenarioConfig
 
 UPLINK_TASKS_PER_BATCH = 4  # of mc_symbol_chunk symbols each
-UPLINK_PIECE = 2 ** 14  # symbols drawn at once; a piece's arrays stay in cache
 
 _TAG_UPLINK = 13
-
-
-def _ncx2_difference(rng, diff, total, n_t):
-    """Draws of Y1 - Y2 for independent noncentral chi-squares Y_b on 2 N_t
-    degrees of freedom with noncentralities a^2 and b^2, given per symbol
-    a - b (``diff``) and a + b (``total``): one gamma and two normals a
-    symbol, in that stream order.
-
-    With CN(0, sigma2) noise per branch and antenna, sum_m |a_m + v_m|^2 is
-    exactly (sigma2/2) Y_b at a^2 = 2 sum_m |a_m|^2 / sigma2, so the
-    antenna-averaged observation is sigma2 / (2 N_t) (Y1 - Y2).  Y_b is a
-    chi-square on 2 N_t - 1 degrees of freedom plus (Z_b + a_b)^2.  The two
-    central parts differ by sqrt(8 W) Z3 in law, W ~ Gamma(N_t - 1/2): both
-    characteristic functions are (1 + 4t^2)^-(N_t - 1/2).  The squares
-    differ by (U + a - b)(V + a + b) with U = Z1 - Z2 and V = Z1 + Z2
-    independent N(0, 2).  Given V and W the difference is Gaussian, so with
-    s = V + a + b it is (a - b) s + sqrt(2 s^2 + 8 W) Z."""
-    w = rng.standard_gamma(n_t - 0.5, diff.size)
-    s = rng.standard_normal(diff.size)
-    s *= math.sqrt(2.0)
-    s += total
-    w *= 8.0
-    w += 2.0 * s * s
-    np.sqrt(w, out=w)
-    w *= rng.standard_normal(diff.size)
-    s *= diff
-    s += w
-    return s
 
 
 def _symbol_errors(xi, lo, hi):
@@ -62,22 +31,19 @@ def _uplink_task(args):
     Symbols are i.i.d. and only their error count is kept, so they are drawn
     grouped by constellation point: the bincount of n uniform point indices
     has the law of the multinomial counts, without its O(R) binomials.  Each
-    point's a - b, a + b and interval (scaled by 2 N_t / sigma2, so the draw
-    is compared unscaled) are repeated over its symbols, and the draws run
-    in stream order, ``UPLINK_PIECE`` symbols at a time."""
+    point's branch amplitudes sqrt(e1), sqrt(e2) are repeated over its
+    symbols, and ``channel.power_difference`` draws the n_t-antenna sum of
+    their observations, which is scored against the interval scaled by n_t.
+    The amplitudes are released before the intervals are repeated, so a task
+    holds at most four arrays of n."""
     e1, e2, n_t, lo, hi, sigma2, seed, point_idx, first, last = args
     rng = harness.stream(seed, _TAG_UPLINK, 3, point_idx, first)
-    n = last - first
-    counts = np.bincount(rng.integers(0, e1.size, size=n), minlength=e1.size)
-    a, b = np.sqrt(2.0 * e1 / sigma2), np.sqrt(2.0 * e2 / sigma2)
-    scale = 2.0 * n_t / sigma2
-    per_symbol = np.repeat(np.stack([a - b, a + b, scale * lo, scale * hi], axis=1),
-                           counts, axis=0)
-    errors = 0
-    for p in range(0, n, UPLINK_PIECE):
-        diff, total, low, high = per_symbol[p:p + UPLINK_PIECE].T
-        errors += _symbol_errors(_ncx2_difference(rng, diff, total, n_t), low, high)
-    return {"monte_carlo": (errors, n)}
+    counts = np.bincount(rng.integers(0, e1.size, size=last - first), minlength=e1.size)
+    a, b = np.repeat(np.sqrt(e1), counts), np.repeat(np.sqrt(e2), counts)
+    xi = channel.power_difference(rng, a, b, sigma2, n_t=n_t)
+    del a, b
+    errors = _symbol_errors(xi, np.repeat(n_t * lo, counts), np.repeat(n_t * hi, counts))
+    return {"monte_carlo": (errors, xi.size)}
 
 
 def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
@@ -87,9 +53,10 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
 
     The Monte Carlo and the noiseless points see the channel only through
     each symbol's branch energies summed over the array, computed once per
-    run; from them ``_uplink_task`` draws the averaged observation exactly,
-    one gamma and two normals per symbol, and the closed form takes its
-    Gaussian law from the same energies.
+    run; from them ``_uplink_task`` draws the observation's sum over the
+    array exactly through ``channel.power_difference`` (two normals and one
+    gamma a symbol), and the closed form takes its Gaussian law from the
+    same energies.
     """
     if mode not in ("monte_carlo", "closed_form", "both"):
         raise ValueError(f"unknown mode {mode!r}")

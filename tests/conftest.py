@@ -33,14 +33,19 @@ def chi2_gof_pvalue(samples, pdf, lo, hi, bins=50, grid_points=200_001):
     return stats.chisquare(obs, expected).pvalue
 
 
-def three_plane_difference(c1, c2, sigma2, g):
+def three_plane_difference(c1, c2, sigma2, g, n_t=1):
     """The observation ``channel.power_difference`` forms from its three
-    planes of standard normals ``g``, (3,) + shape, as one full-array
-    expression with the kernel's operations: d S + sqrt(S^2 + V'^2) sigma Z
-    with d = |c1| - |c2|, S = |c1| + |c2| + sigma g[0], V' = sigma g[1] and
-    Z = g[2]."""
+    planes ``g``, (3,) + shape, as one full-array expression with the
+    kernel's operations: d S + sqrt(S^2 + Q) sigma Z with d = |c1| - |c2|,
+    S = |c1| + |c2| + sigma g[0] and Z = g[2].  Q is (sigma g[1])^2 for
+    standard normals g[1] at n_t == 1, and 2 sigma2 g[1] for
+    Gamma(n_t - 1/2) draws g[1] at n_t > 1."""
     sigma = np.sqrt(sigma2)
     a, b = np.abs(c1), np.abs(c2)
     s = (a + b) + sigma * g[0]
-    v = sigma * g[1]
-    return (a - b) * s + np.sqrt(s * s + v * v) * (sigma * g[2])
+    if n_t == 1:
+        v = sigma * g[1]
+        q = v * v
+    else:
+        q = (2.0 * sigma2) * g[1]
+    return (a - b) * s + np.sqrt(s * s + q) * (sigma * g[2])

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import j0
 
 from rislink import channel as ch
-from rislink import uplink_ser
+from rislink import analysis
 from rislink.config import ScenarioConfig
 from rislink.scenario import frame_timeline
 from conftest import complex_gauss, rng, three_plane_difference
@@ -287,16 +287,23 @@ def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
     return np.subtract(re1, re2)
 
 
-def full_draw_three_planes(rng, c1, c2, sigma2, shape=None):
+def full_draw_three_planes(rng, c1, c2, sigma2, shape=None, n_t=1):
     """``channel.power_difference`` as one full draw of its three planes,
-    ``standard_normal((3,) + shape)``, with the kernel's operations: the
-    reference of its streamed draw, bit for bit.  For sigma2 == 0 it is the
-    four-plane oracle's clean difference, and nothing is drawn."""
+    ``standard_normal((3,) + shape)`` at n_t == 1 and a normal, a
+    ``standard_gamma(n_t - 1/2)`` and a normal plane at n_t > 1, with the
+    kernel's operations: the reference of its streamed draw, bit for bit.
+    For sigma2 == 0 it is the four-plane oracle's clean difference, and
+    nothing is drawn."""
     c1, c2 = np.asarray(c1), np.asarray(c2)
     shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
     if sigma2 == 0.0:
         return full_draw_power_difference(rng, c1, c2, sigma2, shape)
-    return three_plane_difference(c1, c2, sigma2, rng.standard_normal((3,) + shape))
+    if n_t == 1:
+        planes = rng.standard_normal((3,) + shape)
+    else:
+        planes = [rng.standard_normal(shape), rng.standard_gamma(n_t - 0.5, shape),
+                  rng.standard_normal(shape)]
+    return three_plane_difference(c1, c2, sigma2, planes, n_t)
 
 
 KINDS = ["real", "complex", "scalar", "complex_real", "real_complex"]
@@ -305,14 +312,15 @@ KINDS = ["real", "complex", "scalar", "complex_real", "real_complex"]
 class TestStreamedPowerDifference:
     """The kernel's streamed draw against the full draw of its three planes:
     the same bits and the same final stream state, so it reads exactly
-    three standard normals per observation."""
+    three standard normals per observation at one antenna, and a normal, a
+    gamma and a normal at more."""
 
     @staticmethod
-    def assert_same(c1, c2, sigma2, shape, seed=42):
+    def assert_same(c1, c2, sigma2, shape, seed=42, n_t=1):
         got_rng, ref_rng = rng(seed), rng(seed)
         before = got_rng.bit_generator.state
-        got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
-        want = full_draw_three_planes(ref_rng, c1, c2, sigma2, shape)
+        got = ch.power_difference(got_rng, c1, c2, sigma2, shape, n_t=n_t)
+        want = full_draw_three_planes(ref_rng, c1, c2, sigma2, shape, n_t)
         got, want = np.asarray(got), np.asarray(want)
         assert got.shape == want.shape and got.dtype == want.dtype == float
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -329,12 +337,13 @@ class TestStreamedPowerDifference:
         return {"complex": (c1, c2), "real": (c1.real, c2.real),
                 "complex_real": (c1, c2.real), "real_complex": (c1.real, c2)}[kind]
 
+    @pytest.mark.parametrize("n_t", [1, 2, 64])
     @pytest.mark.parametrize("shape", STREAM_SHAPES)
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
-    def test_bit_equal_to_full_draw(self, shape, kind, sigma2):
+    def test_bit_equal_to_full_draw(self, shape, kind, sigma2, n_t):
         c1, c2 = self.amplitudes(kind, shape)
-        self.assert_same(c1, c2, sigma2, shape)
+        self.assert_same(c1, c2, sigma2, shape, n_t=n_t)
 
     @pytest.mark.parametrize("shape", STREAM_SHAPES)
     @pytest.mark.parametrize("kind", KINDS)
@@ -360,16 +369,17 @@ class TestStreamedPowerDifference:
         self.assert_same(c1, c2, 0.3, None)
         self.assert_same(c2, c1, 0.3, None)
 
+    @pytest.mark.parametrize("n_t", [1, 64])
     @pytest.mark.parametrize("kind", ["complex", "scalar"])
-    def test_peak_memory_is_two_floats_per_observation(self, kind):
-        # S and the conditional mean d S, and one piece of normals; the
-        # four-plane full draw held five floats per observation
+    def test_peak_memory_is_two_floats_per_observation(self, kind, n_t):
+        # S and the conditional mean d S, and one piece of normals or
+        # gammas; the four-plane full draw held five floats per observation
         n = 2 ** 20
         c1, c2 = self.amplitudes(kind, (n,))
         g = rng(47)
         tracemalloc.start()
         try:
-            ch.power_difference(g, c1, c2, 0.5, (n,))
+            ch.power_difference(g, c1, c2, 0.5, (n,), n_t=n_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,9 +398,10 @@ LAW_N = 200_000
 
 
 class TestPowerDifferenceLaw:
-    """The three-normal kernel is exact in law: against the four-plane
-    brute-force oracle, against its exact moments, and against the uplink's
-    one-gamma sampler at one antenna."""
+    """The kernel is exact in law: at one antenna against the four-plane
+    brute-force oracle, and at one and more antennas against its exact
+    moments.  ``test_harness.TestUplinkSampler`` checks the antenna sums
+    against the per-antenna oracle."""
 
     @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
     @pytest.mark.parametrize("pair", LAW_PAIRS)
@@ -400,34 +411,25 @@ class TestPowerDifferenceLaw:
         want = full_draw_power_difference(rng(61), c1, c2, sigma2, (LAW_N,))
         assert stats.ks_2samp(got, want).pvalue > 1e-3
 
+    @pytest.mark.parametrize("n_t", [1, 4, 64])
     @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
     @pytest.mark.parametrize("pair", LAW_PAIRS)
-    def test_exact_moments(self, pair, sigma2):
-        # mean |c1|^2 - |c2|^2 and variance 2 sigma2 (|c1|^2 + |c2|^2)
-        # + 2 sigma2^2; the sample variance's standard error from the
-        # sample's fourth central moment
+    def test_exact_moments(self, pair, sigma2, n_t):
+        # mean e1 - e2 and variance 2 sigma2 (e1 + e2) + 2 sigma2^2 n_t for
+        # amplitudes of norms |c1|, |c2|: the antenna average's moments
+        # from analysis.gaussian_approx, scaled by n_t and n_t^2; the
+        # sample variance's standard error from the sample's fourth
+        # central moment
         c1, c2 = LAW_PAIRS[pair]
         e1, e2 = abs(c1) ** 2, abs(c2) ** 2
-        mean, var = e1 - e2, 2.0 * sigma2 * (e1 + e2) + 2.0 * sigma2 ** 2
-        z = ch.power_difference(rng(62), c1, c2, sigma2, (LAW_N,))
+        mean, var = analysis.gaussian_approx(e1, e2, sigma2 / 2.0, n_t)
+        mean, var = n_t * mean, n_t ** 2 * var
+        z = ch.power_difference(rng(62), c1, c2, sigma2, (LAW_N,), n_t=n_t)
         assert abs(z.mean() - mean) < 4.0 * np.sqrt(var / LAW_N)
         dev = z - z.mean()
         m2, m4 = np.mean(dev ** 2), np.mean(dev ** 4)
         assert abs(m2 - var) < 4.0 * np.sqrt((m4 - m2 ** 2) / LAW_N)
 
-    @pytest.mark.parametrize("sigma2", LAW_SIGMA2)
-    @pytest.mark.parametrize("pair", LAW_PAIRS)
-    def test_matches_uplink_sampler(self, pair, sigma2):
-        # |c + v|^2 is (sigma2 / 2) chi'^2_2(2 |c|^2 / sigma2), so the
-        # uplink's difference sampler at n_t = 1, on sqrt(2) (a -+ b) / sigma,
-        # scaled by sigma2 / 2, draws the same law
-        c1, c2 = LAW_PAIRS[pair]
-        a, b = abs(c1), abs(c2)
-        unit = np.sqrt(2.0 / sigma2)
-        want = 0.5 * sigma2 * uplink_ser._ncx2_difference(
-            rng(64), np.full(LAW_N, unit * (a - b)), np.full(LAW_N, unit * (a + b)), 1)
-        got = ch.power_difference(rng(63), c1, c2, sigma2, (LAW_N,))
-        assert stats.ks_2samp(got, want).pvalue > 1e-3
 
 def frame_times(scale, speed=50.0):
     """The downlink frame's fading instants at desk or paper scale: the

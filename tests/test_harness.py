@@ -1089,9 +1089,10 @@ class TestRateHalfwidth:
 
 
 class TestUplinkSampler:
-    """The averaged-observation sampler (one gamma and two normals a symbol)
-    against the per-antenna sum of ``uplink.antenna_observation`` (the
-    brute-force oracle)."""
+    """The uplink's draw of the averaged observation, the n_t-antenna sum
+    from ``channel.power_difference`` on the branch amplitudes sqrt(e1),
+    sqrt(e2), divided by n_t, against the per-antenna sum of
+    ``uplink.antenna_observation`` (the brute-force oracle)."""
 
     N = 20_000
 
@@ -1112,14 +1113,14 @@ class TestUplinkSampler:
         v = complex_normal(stream(3, 4), (2, self.N, n_t), sigma2)
         oracle = ul.antenna_observation(c, s, (v[0], v[1])).mean(axis=1)
 
-        a = np.sqrt(2.0 * np.sum(np.abs(c @ s) ** 2) / sigma2)
-        b = np.sqrt(2.0 * np.sum(np.abs(c @ (1 - s)) ** 2) / sigma2)
+        a = np.sqrt(np.sum(np.abs(c @ s) ** 2))
+        b = np.sqrt(np.sum(np.abs(c @ (1 - s)) ** 2))
         if symbol == -1:
             assert b == 0.0  # 1 - s = 0
         if zero:
             assert a == b == 0.0
-        drawn = sigma2 / (2.0 * n_t) * uplink_ser._ncx2_difference(
-            stream(3, 5), np.full(self.N, a - b), np.full(self.N, a + b), n_t)
+        drawn = power_difference(stream(3, 5), np.full(self.N, a), np.full(self.N, b),
+                                 sigma2, n_t=n_t) / n_t
         assert stats.ks_2samp(drawn, oracle).pvalue > 0.01
 
 
