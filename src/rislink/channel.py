@@ -22,7 +22,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-NOISE_CHUNK = 2 ** 16  # values per piece of power_difference's streamed draw
+# observations per piece of power_difference's draw; the stream of a call of
+# more observations depends on it
+NOISE_CHUNK = 2 ** 16
 
 
 def doppler_shift(speed: float, carrier_freq: float) -> float:
@@ -69,73 +71,61 @@ def power_difference(rng: np.random.Generator, c1, c2, sigma2: float,
     chi-square on 2 n_t - 1 degrees of freedom, is 2 sigma2 W with
     W ~ Gamma(n_t - 1/2).  So it is drawn as d S + sigma sqrt(S^2 + Q) Z.
 
-    The stream is read in three planes of n: plane 1 gives S = s + sigma N1,
-    plane 2 gives Q, plane 3 gives Z.  At n_t == 1, Q is (sigma N2)^2 (the
-    law of 2 sigma2 Gamma(1/2)) and the stream is read like
-    ``standard_normal((3,) + shape)``; at n_t > 1, plane 2 is
-    ``standard_gamma(n_t - 1/2)`` scaled by 2 sigma2.  The planes are drawn
-    in stream order, ``NOISE_CHUNK`` values at a time, into one reusable
-    buffer, and folded into two arrays of n: S, which becomes the result,
-    and the conditional mean d S.  A call holds those 2n floats and one
-    piece.  |c| is taken once on the amplitudes' common shape when it is
-    smaller than ``shape``, and piece by piece otherwise; an amplitude
-    broadcast along some axes but not all is expanded once to n values.
+    The stream is read in pieces of ``NOISE_CHUNK`` observations, and each
+    piece in three planes: plane 1 gives S = s + sigma N1, plane 2 gives Q,
+    plane 3 gives Z.  At n_t == 1, Q is (sigma N2)^2 (the law of
+    2 sigma2 Gamma(1/2)) and a piece of k observations is read like
+    ``standard_normal((3, k))``, so a call of at most ``NOISE_CHUNK``
+    observations reads like ``standard_normal((3,) + shape)``; at n_t > 1,
+    plane 2 is ``standard_gamma(n_t - 1/2)`` scaled by 2 sigma2.  Above one
+    piece the stream therefore depends on ``NOISE_CHUNK``.  Each piece is
+    drawn and folded in one pass: |c1| and |c2| are read from its
+    amplitudes, its observations go straight into the result, and two piece
+    buffers hold d (then d S) and the draw.  A call holds n floats and two
+    pieces; an amplitude broadcast along some axes but not all is expanded
+    once to n values.
     For sigma2 == 0 the result is the clean difference
     (re1^2 + im1^2) - (re2^2 + im2^2) and the stream is left untouched.
     """
     c1, c2 = np.asarray(c1), np.asarray(c2)
-    common = np.broadcast(c1, c2).shape
-    shape = common if shape is None else tuple(shape)
+    shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
     if sigma2 == 0.0:
         return np.subtract(_power(c1), _power(c2), out=np.empty(shape))
     n = math.prod(shape)
     sigma = np.sqrt(sigma2)
-    full = common == shape
-    if full:  # |c| piece by piece, into the arrays of n, so no array is added
-        c1, c2 = _flat(c1, shape), _flat(c2, shape)
-    else:
-        a, b = np.abs(c1), np.abs(c2)
-        d, s = _flat(a - b, shape), _flat(a + b, shape)
-    buf = np.empty(min(n, NOISE_CHUNK))
-    mean = np.empty(n)
-    z = np.empty(n)
-    pieces = []
+    c1, c2 = _flat(c1, shape), _flat(c2, shape)
+    out = np.empty(n)
+    d_buf, draw_buf = np.empty((2, min(n, NOISE_CHUNK)))
     for lo in range(0, n, NOISE_CHUNK):
         part = slice(lo, lo + NOISE_CHUNK)
-        pieces.append((part, buf[:min(NOISE_CHUNK, n - lo)], z[part], mean[part]))
-    # plane 1: S into z, d into mean
-    for part, piece, z_p, mean_p in pieces:
-        if full:
-            np.abs(c1[part], out=mean_p)
-            np.abs(c2[part], out=piece)
-            np.add(mean_p, piece, out=z_p)
-            mean_p -= piece
-        else:
-            z_p[...] = s[part]
-            mean_p[...] = d[part]
-        rng.standard_normal(out=piece)
-        piece *= sigma
-        z_p += piece
-    # plane 2: the conditional mean d S into mean, S^2 + Q into z
-    for _, piece, z_p, mean_p in pieces:
+        z = out[part]
+        d, draw = d_buf[:z.size], draw_buf[:z.size]
+        # plane 1: S = |c1| + |c2| + sigma N1 into z, d = |c1| - |c2|
+        np.abs(c1[part], out=d)
+        np.abs(c2[part], out=draw)
+        np.add(d, draw, out=z)
+        d -= draw
+        rng.standard_normal(out=draw)
+        draw *= sigma
+        z += draw
+        # plane 2: the conditional mean d S, and S^2 + Q into z
         if n_t == 1:
-            rng.standard_normal(out=piece)
-            piece *= sigma
-            piece *= piece
+            rng.standard_normal(out=draw)
+            draw *= sigma
+            draw *= draw
         else:
-            rng.standard_gamma(n_t - 0.5, out=piece)
-            piece *= 2.0 * sigma2
-        mean_p *= z_p
-        z_p *= z_p
-        z_p += piece
-    # plane 3: d S + sqrt(S^2 + Q) sigma Z
-    for _, piece, z_p, mean_p in pieces:
-        rng.standard_normal(out=piece)
-        piece *= sigma
-        np.sqrt(z_p, out=z_p)
-        z_p *= piece
-        z_p += mean_p
-    return z.reshape(shape)
+            rng.standard_gamma(n_t - 0.5, out=draw)
+            draw *= 2.0 * sigma2
+        d *= z
+        z *= z
+        z += draw
+        # plane 3: d S + sqrt(S^2 + Q) sigma Z
+        rng.standard_normal(out=draw)
+        draw *= sigma
+        np.sqrt(z, out=z)
+        z *= draw
+        z += d
+    return out.reshape(shape)
 
 
 def _power(c: np.ndarray) -> np.ndarray:

@@ -147,14 +147,10 @@ def read_curve_csv(path) -> CurveResult:
                 rows.append(line.split(","))
     if header is None:
         raise ValueError(f"{path}: missing header row")
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    result = CurveResult(x_name=header[0], x_values=data[:, 0] if rows else np.array([]),
-                         notes=tuple(notes))
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    result = CurveResult(x_name=header[0], x_values=data[:, 0], notes=tuple(notes))
     for j in range(1, len(header), 3):
-        name = header[j]
-        result.add(name, data[:, j] if rows else [],
-                   data[:, j + 1] if rows else [],
-                   data[:, j + 2].astype(np.int64) if rows else [])
+        result.add(header[j], data[:, j], data[:, j + 1], data[:, j + 2])
     return result
 
 

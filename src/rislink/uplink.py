@@ -119,6 +119,10 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     interferers' bipolar equivalents vanish and the noiseless averaged
     observation equals the probed gain exactly.  The pilot amplitudes live
     outside the binary data alphabet; complements are still 1 - s.
+
+    With noise, each of the ``repeats`` antenna averages is drawn exactly in
+    law by ``channel.power_difference`` at n_t = N_t: circular noise sees
+    the branch amplitudes c s and c (1 - s) only through their norms.
     """
     c = chans.c
     n_t, n_k = c.shape
@@ -129,12 +133,9 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     if noise_sigma2 == 0.0 or rng is None:
         z = np.abs(cs) ** 2 - np.abs(cbar) ** 2
         return float(z.mean())
-    total = 0.0
-    for _ in range(repeats):
-        v = channel.complex_normal(rng, (2, n_t), noise_sigma2)
-        z = np.abs(cs + v[0]) ** 2 - np.abs(cbar + v[1]) ** 2
-        total += z.mean()
-    return float(total / repeats)
+    z = channel.power_difference(rng, np.linalg.norm(cs), np.linalg.norm(cbar),
+                                 noise_sigma2, (repeats,), n_t=n_t)
+    return float((z / n_t).mean())
 
 
 def build_regions(total: np.ndarray, constellation: np.ndarray) -> DecisionRegions:

@@ -34,8 +34,9 @@ def _uplink_task(args):
     point's branch amplitudes sqrt(e1), sqrt(e2) are repeated over its
     symbols, and ``channel.power_difference`` draws the n_t-antenna sum of
     their observations, which is scored against the interval scaled by n_t.
-    The amplitudes are released before the intervals are repeated, so a task
-    holds at most four arrays of n."""
+    The kernel writes its draw into one array of n, and the amplitudes are
+    released before the intervals are repeated, so a task holds at most
+    three float arrays of n."""
     e1, e2, n_t, lo, hi, sigma2, seed, point_idx, first, last = args
     rng = harness.stream(seed, _TAG_UPLINK, 3, point_idx, first)
     counts = np.bincount(rng.integers(0, e1.size, size=last - first), minlength=e1.size)

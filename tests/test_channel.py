@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -287,23 +288,31 @@ def full_draw_power_difference(rng, c1, c2, sigma2, shape=None):
     return np.subtract(re1, re2)
 
 
+def piece_planes(rng, shape, n_t=1):
+    """The kernel's three planes, (3,) + shape, drawn in full one
+    ``NOISE_CHUNK`` piece after another in stream order: for a piece of k
+    observations ``standard_normal((3, k))`` at n_t == 1, and k normals,
+    k ``standard_gamma(n_t - 1/2)`` and k normals at n_t > 1."""
+    n = math.prod(shape)
+    pieces = []
+    for lo in range(0, n, _C):
+        k = min(_C, n - lo)
+        pieces.append(rng.standard_normal((3, k)) if n_t == 1 else np.stack(
+            [rng.standard_normal(k), rng.standard_gamma(n_t - 0.5, k),
+             rng.standard_normal(k)]))
+    return np.concatenate(pieces, axis=1).reshape((3,) + shape)
+
+
 def full_draw_three_planes(rng, c1, c2, sigma2, shape=None, n_t=1):
-    """``channel.power_difference`` as one full draw of its three planes,
-    ``standard_normal((3,) + shape)`` at n_t == 1 and a normal, a
-    ``standard_gamma(n_t - 1/2)`` and a normal plane at n_t > 1, with the
-    kernel's operations: the reference of its streamed draw, bit for bit.
-    For sigma2 == 0 it is the four-plane oracle's clean difference, and
-    nothing is drawn."""
+    """``channel.power_difference`` as the full draw of its three planes,
+    piece by piece (``piece_planes``), with the kernel's operations: the
+    reference of its streamed draw, bit for bit.  For sigma2 == 0 it is the
+    four-plane oracle's clean difference, and nothing is drawn."""
     c1, c2 = np.asarray(c1), np.asarray(c2)
     shape = np.broadcast(c1, c2).shape if shape is None else tuple(shape)
     if sigma2 == 0.0:
         return full_draw_power_difference(rng, c1, c2, sigma2, shape)
-    if n_t == 1:
-        planes = rng.standard_normal((3,) + shape)
-    else:
-        planes = [rng.standard_normal(shape), rng.standard_gamma(n_t - 0.5, shape),
-                  rng.standard_normal(shape)]
-    return three_plane_difference(c1, c2, sigma2, planes, n_t)
+    return three_plane_difference(c1, c2, sigma2, piece_planes(rng, shape, n_t), n_t)
 
 
 KINDS = ["real", "complex", "scalar", "complex_real", "real_complex"]
@@ -349,13 +358,18 @@ class TestStreamedPowerDifference:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sigma2", [0.7, 0.0], ids=["noisy", "zero_variance"])
     def test_reads_three_normal_layout(self, shape, kind, sigma2):
-        # standard_normal((3,) + shape) on the same stream, through the
-        # complex noise pair it encodes, in complex arithmetic
+        # standard_normal((3,) + shape) on the same stream up to one piece,
+        # and piece by piece above it, through the complex noise pair it
+        # encodes, in complex arithmetic
         c1, c2 = self.amplitudes(kind, shape)
         got_rng, ref_rng = rng(48), rng(48)
         got = ch.power_difference(got_rng, c1, c2, sigma2, shape)
-        planes = np.zeros((3,) + shape) if sigma2 == 0.0 else ref_rng.standard_normal(
-            (3,) + shape)
+        if sigma2 == 0.0:
+            planes = np.zeros((3,) + shape)
+        elif math.prod(shape) <= _C:
+            planes = ref_rng.standard_normal((3,) + shape)
+        else:
+            planes = piece_planes(ref_rng, shape)
         assert got.shape == shape and got.dtype == float
         assert_complex_formula(got, c1, c2, sigma2, planes)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -371,9 +385,9 @@ class TestStreamedPowerDifference:
 
     @pytest.mark.parametrize("n_t", [1, 64])
     @pytest.mark.parametrize("kind", ["complex", "scalar"])
-    def test_peak_memory_is_two_floats_per_observation(self, kind, n_t):
-        # S and the conditional mean d S, and one piece of normals or
-        # gammas; the four-plane full draw held five floats per observation
+    def test_peak_memory_is_one_float_per_observation(self, kind, n_t):
+        # the result, and two pieces: d then d S, and the draw; the
+        # four-plane full draw held five floats per observation
         n = 2 ** 20
         c1, c2 = self.amplitudes(kind, (n,))
         g = rng(47)
@@ -383,7 +397,7 @@ class TestStreamedPowerDifference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * n + 8 * ch.NOISE_CHUNK + 64 * 1024
+        assert peak <= 8 * n + 16 * ch.NOISE_CHUNK + 64 * 1024
 
 
 LAW_PAIRS = {  # (c1, c2)

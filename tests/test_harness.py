@@ -53,7 +53,11 @@ class TestCsv:
         text = path.read_text().splitlines()
         assert text == ["x,ber,ber_halfwidth,ber_trials"]
         back = hn.read_curve_csv(path)
-        assert back.x_values.size == 0
+        assert back.x_name == "x" and back.x_values.size == 0
+        assert list(back.series) == ["ber"]
+        ber = back.series["ber"]
+        assert ber.values.size == ber.half_widths.size == ber.trials.size == 0
+        assert ber.trials.dtype == np.int64
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

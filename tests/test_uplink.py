@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from rislink import channel
 from rislink import downlink as dl
 from rislink import uplink as ul
 from rislink.config import ScenarioConfig
@@ -89,6 +91,23 @@ class TestExactLinearGains:
         assert spreads[0] >= spreads[1] >= spreads[2] >= spreads[3]
 
 
+def looped_pilot_estimates(chans, user, noise_sigma2, g, repeats):
+    """The antenna-averaged pilot observation drawn antenna by antenna, one
+    repeat after another: the complex-noise loop that
+    ``pilot_gain_estimate`` replaced with ``power_difference``, kept as its
+    oracle in law.  Returns the ``repeats`` averages."""
+    c = chans.c
+    n_t, n_k = c.shape
+    s = np.full(n_k, 0.5)
+    s[user] = 1.0
+    cs, cbar = c @ s, c @ (1.0 - s)
+    out = np.empty(repeats)
+    for r in range(repeats):
+        v = channel.complex_normal(g, (2, n_t), noise_sigma2)
+        out[r] = np.mean(np.abs(cs + v[0]) ** 2 - np.abs(cbar + v[1]) ** 2)
+    return out
+
+
 class TestPilotGainEstimate:
     def test_noiseless_equals_exact(self):
         g = rng(7)
@@ -123,6 +142,18 @@ class TestPilotGainEstimate:
         est = ul.pilot_gain_estimate(chans, target, noise_sigma2=0.01,
                                      rng=rng(9), repeats=16)
         assert abs(est - gains.sum(axis=0)[target]) / abs(gains.sum(axis=0)[target]) < 0.05
+
+    @pytest.mark.parametrize("n_t", [4, 64])
+    def test_matches_looped_oracle(self, n_t):
+        # one repeat per call, so each estimate is one antenna average; the
+        # noise is strong enough that its sigma2^2 n_t term shows, so a
+        # draw at the wrong antenna count fails
+        chans = random_chanset(rng(10), n_t=n_t)
+        g = rng(11)
+        got = [ul.pilot_gain_estimate(chans, 1, noise_sigma2=5.0, rng=g)
+               for _ in range(4000)]
+        want = looped_pilot_estimates(chans, 1, 5.0, rng(12), 4000)
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
 
 
 def scan_regions(total, constellation):
