@@ -292,3 +292,10 @@ def align_phases_to_los(q_los: np.ndarray, big_los: np.ndarray) -> np.ndarray:
     if big_los.shape[0] != q_los.shape[0]:
         raise ValueError("q_los length must match big_los row count")
     return -np.angle(q_los * big_los[:, 0])
+
+
+# ris_phase_mode -> f(users' LoS rows (N_k, N), BS-RIS LoS (N, N_t), geometry stream)
+# giving (N,) phases; the LoS factors are unweighted, so K = 0 leaves ``aligned`` as is
+PHASE_MODES = {"aligned": lambda g_los, q_los, rng: align_phases_to_los(g_los[0], q_los),
+               "fixed": lambda g_los, q_los, rng: np.zeros(len(q_los)),
+               "random": lambda g_los, q_los, rng: rng.uniform(0.0, 2.0 * np.pi, len(q_los))}

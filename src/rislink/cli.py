@@ -23,7 +23,7 @@ from .downlink_ber import SCHEMES, run_downlink_ber
 from .harness import SWEEPS, export_csv, keep_heap
 from .output_snr import run_output_snr
 from .pdf_fit import run_pdf_fit
-from .uplink_ser import run_uplink_ser
+from .uplink_ser import MODES, run_uplink_ser
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -55,8 +55,7 @@ EXPERIMENTS = {
             workers=args.workers)),
     "uplink-ser": Experiment(
         "uplink SER: Monte Carlo vs closed form",
-        (("--scheme", dict(choices=("monte_carlo", "closed_form", "both"), default="both",
-                           help="which series to produce")),),
+        (("--scheme", dict(choices=MODES, default="both", help="which series to produce")),),
         lambda args, cfg, grid: run_uplink_ser(cfg, args.scheme, grid, workers=args.workers)),
     "output-snr": Experiment(
         "precoded output SNR vs array size", (),

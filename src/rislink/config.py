@@ -4,7 +4,8 @@ The default configuration is desk scale: 4 users, a 16-element RIS and a
 32-antenna base station, with Rician factor 10 on both hops, a 5.9 GHz
 carrier with 8 us symbols, 50 m/s mobility, and a frame of 40 blocks of 25
 symbols after its 32 training pilots.  The paper's evaluation sizes (8
-users, 64 elements, 128 antennas) are ``cli.PAPER_SCALE``.
+users, 64 elements, 128 antennas) are ``cli.PAPER_SCALE``.  The RIS phase
+policy ``ris_phase_mode`` (default ``aligned``) is a ``channel.PHASE_MODES`` key.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import doppler_shift
+from .channel import PHASE_MODES, doppler_shift
 
 
 class ConfigError(ValueError):
@@ -111,9 +112,9 @@ class ScenarioConfig:
         if self.noise_sigma2 is not None and self.noise_sigma2 < 0:
             raise ConfigError("noise_sigma2 must be >= 0", key="noise_sigma2")
         check_db(self.ebn0_db, key="ebn0_db")
-        if self.ris_phase_mode not in ("aligned", "fixed", "random"):
-            raise ConfigError(f"unknown ris_phase_mode {self.ris_phase_mode!r}",
-                              key="ris_phase_mode")
+        if self.ris_phase_mode not in PHASE_MODES:
+            raise ConfigError(f"unknown ris_phase_mode {self.ris_phase_mode!r}, expected "
+                              f"one of {', '.join(PHASE_MODES)}", key="ris_phase_mode")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits", key="seed")
 

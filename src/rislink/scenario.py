@@ -5,7 +5,10 @@ positions are drawn along a road segment in front of the RIS and drive the
 monomial path-loss amplitudes d^(-alpha/2) (reference distance 1 m).  The
 BS-RIS hop is static within a frame while the RIS-user hops evolve with the
 time-correlated fading process; only the QAM baseline applies the common
-Doppler rotation, which cancels in the magnitude-difference schemes.
+Doppler rotation, which cancels in the magnitude-difference schemes.  The
+RIS phases are the ``ris_phase_mode`` entry of ``channel.PHASE_MODES``, called
+after every user's LoS angles: ``aligned`` co-phases user 0's LoS cascade,
+``fixed`` is all zeros, ``random`` draws uniform phases from the geometry stream.
 
 Both link directions take their cascades from ``channel.cascade``.  A
 downlink frame draws its RIS-user fading exactly from Clarke's law in one
@@ -98,12 +101,7 @@ def _draw_links(cfg: ScenarioConfig, rng_geo: np.random.Generator,
     q_los_w = pg_q * w_los * q_los
     g_los_w = (pg_g * w_los)[:, None] * g_los
 
-    if cfg.ris_phase_mode == "aligned":
-        phases = ch.align_phases_to_los(g_los[0], q_los)
-    elif cfg.ris_phase_mode == "random":
-        phases = rng_geo.uniform(0.0, 2.0 * np.pi, size=n)
-    else:
-        phases = np.zeros(n)
+    phases = ch.PHASE_MODES[cfg.ris_phase_mode](g_los, q_los, rng_geo)
 
     direct = None
     if cfg.direct_link:

@@ -120,9 +120,10 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     observation equals the probed gain exactly.  The pilot amplitudes live
     outside the binary data alphabet; complements are still 1 - s.
 
-    With noise, each of the ``repeats`` antenna averages is drawn exactly in
-    law by ``channel.power_difference`` at n_t = N_t: circular noise sees
-    the branch amplitudes c s and c (1 - s) only through their norms.
+    With noise_sigma2 > 0, which needs ``rng``, each of the ``repeats``
+    antenna averages is drawn exactly in law by ``channel.power_difference``
+    at n_t = N_t: circular noise sees the branch amplitudes c s and c (1 - s)
+    only through their norms.
     """
     c = chans.c
     n_t, n_k = c.shape
@@ -130,9 +131,11 @@ def pilot_gain_estimate(chans: UplinkChannelSet, user: int,
     s[user] = 1.0
     cs = c @ s
     cbar = c @ (1.0 - s)
-    if noise_sigma2 == 0.0 or rng is None:
+    if noise_sigma2 == 0.0:
         z = np.abs(cs) ** 2 - np.abs(cbar) ** 2
         return float(z.mean())
+    if rng is None:
+        raise ValueError("a noisy pilot estimate (noise_sigma2 > 0) needs rng")
     z = channel.power_difference(rng, np.linalg.norm(cs), np.linalg.norm(cbar),
                                  noise_sigma2, (repeats,), n_t=n_t)
     return float((z / n_t).mean())

@@ -11,6 +11,7 @@ from . import analysis, channel, downlink, harness, uplink
 from .config import ScenarioConfig
 
 UPLINK_TASKS_PER_BATCH = 4  # of mc_symbol_chunk symbols each
+MODES = ("monte_carlo", "closed_form", "both")  # the series run_uplink_ser can produce
 
 _TAG_UPLINK = 13
 
@@ -59,7 +60,7 @@ def run_uplink_ser(cfg: ScenarioConfig, mode: str = "both", grid=None,
     gamma a symbol), and the closed form takes its Gaussian law from the
     same energies.
     """
-    if mode not in ("monte_carlo", "closed_form", "both"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     grid, points = harness.SWEEPS["ebn0"].points(cfg, grid)
 

@@ -215,12 +215,14 @@ def test_uplink_csv_identical_across_worker_counts(fast_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_config_error_exit_code(tmp_path):
+@pytest.mark.parametrize("line", ["n_bs_antennas: 0", "ris_phase_mode: sideways"])
+def test_config_error_exit_code(tmp_path, line):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("n_bs_antennas: 0\n")
+    bad.write_text(line + "\n")
     proc = run_cli("downlink-ber", "--config", str(bad), "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+    assert "[key: %s]" % line.split(":")[0] in proc.stderr
 
 
 @pytest.mark.parametrize("line", [

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rislink.channel import PHASE_MODES
 from rislink.cli import PAPER_SCALE
 from rislink.config import ConfigError, ScenarioConfig, load_scenario
 
@@ -79,8 +80,11 @@ class TestParsing:
             load_scenario(write(tmp_path, "just words\n"))
 
     def test_phase_mode_choices(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             load_scenario(write(tmp_path, "ris_phase_mode: sideways\n"))
+        assert err.value.key == "ris_phase_mode"
+        assert "ris_phase_mode" in str(err.value)
+        assert all(name in str(err.value) for name in PHASE_MODES)
         cfg = load_scenario(write(tmp_path, "ris_phase_mode: random\n"))
         assert cfg.ris_phase_mode == "random"
 

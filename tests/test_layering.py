@@ -12,6 +12,7 @@ import pytest
 
 import rislink
 from rislink import cli
+from rislink.channel import PHASE_MODES
 from rislink.downlink_ber import SCHEMES
 
 PACKAGE = Path(rislink.__file__).resolve().parent
@@ -83,3 +84,13 @@ def test_downlink_runner_names_no_scheme():
     named = {node.value for node in ast.walk(runner)
              if isinstance(node, ast.Constant) and node.value in SCHEMES}
     assert not named, f"run_downlink_ber names {sorted(named)}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "channel"])
+def test_only_channel_compares_against_a_phase_mode(module):
+    # a phase policy lives in its PHASE_MODES entry, not in an arm elsewhere
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    named = {leaf.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             for leaf in ast.walk(node)
+             if isinstance(leaf, ast.Constant) and leaf.value in PHASE_MODES}
+    assert not named, f"{module} compares against {sorted(named)}"

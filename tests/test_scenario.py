@@ -130,6 +130,36 @@ def test_uplink_matches_hand_split(scale, mode):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def redrawn_phases(cfg, rng_geo):
+    """The RIS phases re-derived from the geometry stream: the road
+    positions, the BS angle, the RIS's two angles and each user's two angles
+    come first, then ``random``'s N uniforms; ``aligned`` co-phases user 0's
+    re-drawn LoS row with the BS-RIS LoS."""
+    n, (nx, ny) = cfg.n_ris_elements, cfg.ris_grid
+    if cfg.ris_phase_mode == "fixed":
+        return np.zeros(n)
+    if cfg.ris_phase_mode == "random":
+        rng_geo.random(cfg.n_users + 3 + 2 * cfg.n_users)
+        return rng_geo.uniform(0.0, 2.0 * np.pi, size=n)
+    rng_geo.random(cfg.n_users)
+    a_bs = ch.ula_steering(rng_geo.uniform(0.0, np.pi), cfg.n_bs_antennas)
+    theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
+    q_los = ch.los_component(ch.upa_steering(theta, phi, nx, ny), a_bs)
+    theta, phi = rng_geo.uniform(0.0, np.pi), rng_geo.uniform(0.0, 2.0 * np.pi)
+    return ch.align_phases_to_los(ch.upa_steering(theta, phi, nx, ny).conj(), q_los)
+
+
+@pytest.mark.parametrize("rician_factor", [0.0, 10.0])
+@pytest.mark.parametrize("mode", ["aligned", "fixed", "random"])
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_phases_keep_their_stream_position(scale, mode, rician_factor):
+    cfg = ScenarioConfig(**SCALES[scale], ris_phase_mode=mode, rician_factor=rician_factor)
+    for seed in (1, 7, 20250811):
+        keys = (seed, 11, 1, 0, 0), (seed, 11, 2, 0, 0)
+        links = _draw_links(cfg, *(stream(*k) for k in keys))
+        np.testing.assert_array_equal(links.phases, redrawn_phases(cfg, stream(*keys[0])))
+
+
 def test_frame_rows_unit_normalized_at_start():
     cfg = desk_cfg(speed=50.0, rician_factor=10.0)
     frame = build_downlink_frame(cfg, stream(0, 1), stream(0, 2))

@@ -143,6 +143,12 @@ class TestPilotGainEstimate:
                                      rng=rng(9), repeats=16)
         assert abs(est - gains.sum(axis=0)[target]) / abs(gains.sum(axis=0)[target]) < 0.05
 
+    def test_noisy_estimate_needs_a_stream(self):
+        # noise asked for without a stream must not give the noiseless gain
+        chans = random_chanset(rng(13))
+        with pytest.raises(ValueError, match="rng"):
+            ul.pilot_gain_estimate(chans, 0, noise_sigma2=1.0)
+
     @pytest.mark.parametrize("n_t", [4, 64])
     def test_matches_looped_oracle(self, n_t):
         # one repeat per call, so each estimate is one antenna average; the
